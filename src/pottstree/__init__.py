@@ -10,8 +10,8 @@ uniqueness regime ``w > 1 - q/(d+1)``.
 
 from .errors import (BudgetError, CertificationError, DomainError,
                      NotInImageError, ParseError)
-from .params import (INFINITY, ModelParams, classify_pattern, interaction_weight,
-                     leaf_pattern, validate_log_ratio)
+from .params import (INFINITY, ModelParams, classify_pattern, leaf_pattern,
+                     validate_log_ratio)
 from .symmetry import (all_permutations, apply_permutation, compose,
                        identity_permutation, invert, is_permutation,
                        random_permutation, transposition)
@@ -19,10 +19,10 @@ from .maps import (degree_rescaling, diagonal_contraction,
                    diagonal_contraction_finite, log_ratio_map,
                    log_ratio_map_inverse, log_ratio_map_jacobian,
                    log_ratio_map_preimage, pattern_image, ratio_map,
-                   recursion_step, two_step_map, two_step_sum_limit)
+                   two_step_map, two_step_sum_limit)
 from .trees import (BoundaryCondition, BoundaryFile, TreeSpec,
                     read_boundary_file, write_boundary_file)
-from .oracle import (brute_force_Z, conditional_root_distribution, dp_Z,
+from .oracle import (brute_force_Z, conditional_root_distribution,
                      dp_log_Z, enumerate_log_ratio_sets, max_uniform_deviation,
                      recursion_root_log_ratios, root_log_ratios)
 from .polytope import (MembershipReport, convexity_probe,
@@ -45,17 +45,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError", "CertificationError", "DomainError", "NotInImageError",
     "ParseError",
-    "INFINITY", "ModelParams", "classify_pattern", "interaction_weight",
-    "leaf_pattern", "validate_log_ratio",
+    "INFINITY", "ModelParams", "classify_pattern", "leaf_pattern",
+    "validate_log_ratio",
     "all_permutations", "apply_permutation", "compose", "identity_permutation",
     "invert", "is_permutation", "random_permutation", "transposition",
     "degree_rescaling", "diagonal_contraction", "diagonal_contraction_finite",
     "log_ratio_map", "log_ratio_map_inverse", "log_ratio_map_jacobian",
-    "log_ratio_map_preimage", "pattern_image", "ratio_map", "recursion_step",
-    "two_step_map", "two_step_sum_limit",
+    "log_ratio_map_preimage", "pattern_image", "ratio_map", "two_step_map",
+    "two_step_sum_limit",
     "BoundaryCondition", "BoundaryFile", "TreeSpec", "read_boundary_file",
     "write_boundary_file",
-    "brute_force_Z", "conditional_root_distribution", "dp_Z", "dp_log_Z",
+    "brute_force_Z", "conditional_root_distribution", "dp_log_Z",
     "enumerate_log_ratio_sets", "max_uniform_deviation",
     "recursion_root_log_ratios", "root_log_ratios",
     "MembershipReport", "convexity_probe", "convexity_witness_search",

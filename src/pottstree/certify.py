@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, DomainError
-from .maps import (diagonal_contraction, log_ratio_map, pattern_image,
+from .maps import (diagonal_contraction, leaf_counts_log_ratios, log_ratio_map,
                    two_step_map, two_step_sum_limit)
 from .params import INFINITY, ModelParams
-from .polytope import level, polytope_vertices, sample_face, sample_fundamental
+from .polytope import level, sample_face, sample_fundamental
 from .reporting import DEFAULT_CHUNK, chunk_sizes, format_value, parallel_chunk_map, spawn_rng
 
 #: Additive cushion per contraction step: keeps each certified level strictly
@@ -240,8 +240,7 @@ def convergence_experiment(q: int, d: int, alpha: float, n_max: int,
     else:
         rng = spawn_rng(seed)
         counts = rng.multinomial(d, np.full(q, 1.0 / q), size=trials).astype(float)
-    images = np.stack([pattern_image(cc, params) for cc in range(1, q + 1)])
-    x = counts @ images / d  # depth-1 log-ratios, one row per trial
+    x = leaf_counts_log_ratios(counts, params)  # one row per trial
 
     depths, devs, ratios = [], [], []
     for n in range(1, n_max + 1):

@@ -82,6 +82,18 @@ def pattern_image(color: int, params: ModelParams) -> np.ndarray:
     return out
 
 
+def leaf_counts_log_ratios(counts: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Depth-1 log-ratio vectors from leaf color counts (finite ``d``).
+
+    Row ``k`` of ``counts`` holds how many of a parent's ``d`` pinned leaf
+    children carry each color ``1..q``; the parent's vector is the
+    count-weighted mean of the pattern images.
+    """
+    q = params.q
+    images = np.stack([pattern_image(c, params) for c in range(1, q + 1)])
+    return counts @ images / params.d
+
+
 def log_ratio_map(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """Evaluate ``F`` on a log-ratio vector or batch.
 
@@ -227,32 +239,6 @@ def diagonal_contraction_finite(x: np.ndarray | float, params: ModelParams) -> n
     diag = np.repeat(-x[..., None] / (params.q - 1.0), params.q - 1, axis=-1)
     out = -two_step_map(diag, params).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def recursion_step(children: np.ndarray | list, params: ModelParams) -> np.ndarray:
-    """Combine ``d`` child log-ratio vectors into the parent's vector.
-
-    ``children`` is a sequence of exactly ``d`` log-ratio vectors, each either
-    finite or one of the two depth-0 patterns.  ``d`` must be integral since
-    it is an arity here.
-    """
-    d = params.d
-    if d == INFINITY or d != int(d):
-        raise DomainError("recursion_step requires a finite integer degree")
-    d = int(d)
-    children = [validate_log_ratio(c, params.q) for c in children]
-    if len(children) != d:
-        raise DomainError(f"expected exactly d={d} children, got {len(children)}")
-    total = np.zeros(params.q - 1)
-    finite_rows = []
-    for c in children:
-        if np.isfinite(c).all():
-            finite_rows.append(c)
-        else:
-            total += log_ratio_map(c, params)
-    if finite_rows:
-        total += log_ratio_map(np.stack(finite_rows), params).sum(axis=0)
-    return total / d
 
 
 def degree_rescaling(params: ModelParams) -> tuple[float, float]:

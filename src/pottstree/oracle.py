@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .maps import log_ratio_map, pattern_image
+from .maps import leaf_counts_log_ratios, log_ratio_map
 from .params import ModelParams
 from .trees import BoundaryCondition, TreeSpec
 
@@ -33,8 +33,13 @@ BRUTE_FORCE_BUDGET = 10_000_000
 DP_VERTEX_BUDGET = 1_000_000
 
 
-def _collect_pins(tree: TreeSpec, q: int, boundary: BoundaryCondition | None,
+def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition | None,
                   pinned_root: int | None) -> dict[int, int]:
+    """Validate an oracle query and return its pinned vertices and colors."""
+    if not (isinstance(q, (int, np.integer)) and q >= 2):
+        raise DomainError(f"q must be an integer >= 2, got {q!r}")
+    if not 0.0 <= w <= 1.0:
+        raise DomainError(f"w must lie in [0, 1], got {w!r}")
     pinned: dict[int, int] = {}
     if boundary is not None:
         boundary.validate(tree, q, leaves_only=False)
@@ -54,11 +59,7 @@ def brute_force_Z(tree: TreeSpec, q: int, w: float,
                   budget: int = BRUTE_FORCE_BUDGET,
                   chunk: int = 200_000) -> float:
     """Partition function by direct enumeration of all free-vertex colorings."""
-    if not (isinstance(q, (int, np.integer)) and q >= 2):
-        raise DomainError(f"q must be an integer >= 2, got {q!r}")
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"w must lie in [0, 1], got {w!r}")
-    pinned = _collect_pins(tree, q, boundary, pinned_root)
+    pinned = _collect_pins(tree, q, w, boundary, pinned_root)
     free = [v for v in range(tree.n_vertices) if v not in pinned]
     total = q ** len(free)
     if total > budget:
@@ -94,13 +95,6 @@ def dp_log_Z(tree: TreeSpec, q: int, w: float,
     return _logsumexp(table[tree.root])
 
 
-def dp_Z(tree: TreeSpec, q: int, w: float,
-         boundary: BoundaryCondition | None = None,
-         pinned_root: int | None = None) -> float:
-    """``Z`` itself; overflows to ``inf`` only for astronomically large values."""
-    return float(math.exp(dp_log_Z(tree, q, w, boundary, pinned_root)))
-
-
 def _logsumexp(a: np.ndarray) -> float:
     m = a.max()
     if not np.isfinite(m):
@@ -112,13 +106,9 @@ def _dp_tables(tree: TreeSpec, q: int, w: float,
                boundary: BoundaryCondition | None,
                pinned_root: int | None) -> np.ndarray:
     """Per-vertex arrays ``L[v][i] = log Z(subtree of v | v colored i+1)``."""
-    if not (isinstance(q, (int, np.integer)) and q >= 2):
-        raise DomainError(f"q must be an integer >= 2, got {q!r}")
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"w must lie in [0, 1], got {w!r}")
+    pinned = _collect_pins(tree, q, w, boundary, pinned_root)
     if tree.n_vertices > DP_VERTEX_BUDGET:
         raise BudgetError(f"{tree.n_vertices} vertices exceed the dp budget")
-    pinned = _collect_pins(tree, q, boundary, pinned_root)
     table = np.zeros((tree.n_vertices, q))
     for v in reversed(tree.topological_order()):
         lv = np.zeros(q)
@@ -193,11 +183,10 @@ def recursion_root_log_ratios(q: int, d: int, n: int, w: float, leaf_colors) -> 
         raise DomainError(f"need {d**n} leaf colors, got shape {leaf_colors.shape}")
     if leaf_colors.min() < 1 or leaf_colors.max() > q:
         raise DomainError("leaf colors must lie in 1..q")
-    images = np.stack([pattern_image(c, params) for c in range(1, q + 1)])
-    # Depth n-1: each parent sees a color multiset; average the pattern images.
+    # Depth n-1: each parent sees a color multiset.
     groups = leaf_colors.reshape(-1, d)
     counts = np.stack([(groups == c).sum(axis=1) for c in range(1, q + 1)], axis=1)
-    level = counts @ images / d
+    level = leaf_counts_log_ratios(counts, params)
     # Depths n-2 .. 0: plain batched recursion steps.
     for _ in range(n - 1):
         level = log_ratio_map(level, params).reshape(-1, d, q - 1).mean(axis=1)
@@ -220,10 +209,9 @@ def enumerate_log_ratio_sets(n: int, d: int, q: int, w: float,
     params = ModelParams.from_weight(q, d, w)
     if params.w <= 0.0:
         raise DomainError("enumeration requires w > 0")
-    images = np.stack([pattern_image(c, params) for c in range(1, q + 1)])
     counts = np.array([k for k in itertools.product(range(d + 1), repeat=q)
                        if sum(k) == d])
-    level = _dedup(counts @ images / d)
+    level = _dedup(leaf_counts_log_ratios(counts, params))
     for _ in range(n - 1):
         m = len(level)
         predicted = math.comb(m + d - 1, d)

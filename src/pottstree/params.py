@@ -38,30 +38,6 @@ from .errors import DomainError
 INFINITY = math.inf
 
 
-def interaction_weight(q: int, d: int | float, alpha: float) -> float:
-    """Return ``w = 1 - alpha*q/(d+1)``, validating the admissible range.
-
-    Raises:
-        DomainError: if ``q < 3``, ``d < 2``, ``alpha`` is outside ``(0, 1]``,
-            or the resulting weight would be negative (anti-ferromagnetic
-            weights below the zero-temperature point are not modeled).
-    """
-    if not isinstance(q, (int, np.integer)) or q < 3:
-        raise DomainError(f"q must be an integer >= 3, got {q!r}")
-    if d == INFINITY:
-        raise DomainError("interaction weight is undefined at infinite degree")
-    if not d >= 2:
-        raise DomainError(f"d must be >= 2, got {d!r}")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    w = 1.0 - alpha * q / (d + 1.0)
-    if w < 0.0:
-        raise DomainError(
-            f"w = 1 - alpha*q/(d+1) = {w} is negative for q={q}, d={d}, alpha={alpha}"
-        )
-    return w
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Parameter triple ``(q, d, alpha)`` with the derived weight ``w``.

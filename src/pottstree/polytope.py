@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .maps import log_ratio_map, log_ratio_map_preimage
-from .params import INFINITY, ModelParams
+from .params import ModelParams
 from .reporting import DEFAULT_CHUNK, CertificationReport, chunk_sizes, parallel_chunk_map, spawn_rng
 
 WITNESS_THRESHOLD = 1e-6

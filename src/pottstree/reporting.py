@@ -91,21 +91,18 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _atomic_write(path: str | os.PathLike, data: str) -> None:
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary sibling and a rename."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_text_atomic(path, text: str) -> None:
-    _atomic_write(path, text)
 
 
 def write_csv_atomic(path, header: list[str], rows: list[list]) -> None:
@@ -115,7 +112,7 @@ def write_csv_atomic(path, header: list[str], rows: list[list]) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([format_value(v) for v in row])
-    _atomic_write(path, buf.getvalue())
+    write_text_atomic(path, buf.getvalue())
 
 
 def code_version() -> str:

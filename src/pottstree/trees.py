@@ -115,7 +115,7 @@ class BoundaryCondition:
     colors: dict[int, int] = field(default_factory=dict)
 
     def validate(self, tree: TreeSpec, q: int, leaves_only: bool = True) -> None:
-        leaf_set = set(tree.leaves())
+        leaf_set = set(tree.leaves()) if leaves_only else set()
         for v, c in self.colors.items():
             if not 0 <= v < tree.n_vertices:
                 raise DomainError(f"pinned vertex {v} not in tree")

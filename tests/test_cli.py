@@ -1,9 +1,14 @@
 """Command-line entry points: outputs, exit codes, and determinism."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from pottstree import write_boundary_file
-from pottstree.cli import main
+from pottstree.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_recursion_command_prints_depth_table(capsys):
@@ -128,6 +133,16 @@ def test_oracle_command_cross_checks_pass(capsys):
     assert out.count("PASS") == 2 and "FAIL" not in out
 
 
+def test_oracle_command_prints_inf_beyond_float_range(capsys):
+    # 3,280 vertices, 2,187 of them pinned leaves: log Z = 1093*log(3) > log(float max)
+    code = main(["oracle", "--q", "3", "--d", "3", "--n", "7", "--w", "1.0",
+                 "--check-recursion"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "\nZ=inf\n" in out
+    assert "recursion_vs_dp_max_abs_diff=" in out and out.rstrip().endswith("PASS")
+
+
 def test_oracle_command_reads_boundary_files(tmp_path, capsys):
     path = tmp_path / "b.txt"
     write_boundary_file(path, q=3, d=2, n=2, leaf_colors=[1, 2, 3, 1])
@@ -178,3 +193,13 @@ def test_missing_boundary_file_is_a_clean_error(capsys, tmp_path):
     code = main(["oracle", "--boundary-file", str(tmp_path / "nope.txt"), "--w", "0.5"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    text = README.read_text().replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in text.splitlines()
+                if line.startswith("pottstree ")]
+    assert {argv[0] for argv in commands} == {"recursion", "certify", "lemmas", "oracle"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -22,7 +22,6 @@ from pottstree import (
     log_ratio_map_preimage,
     pattern_image,
     ratio_map,
-    recursion_step,
     two_step_map,
     two_step_sum_limit,
 )
@@ -225,7 +224,7 @@ def test_diagonal_contraction_large_argument_is_finite():
     assert np.isfinite(diagonal_contraction(1e4, 3))
 
 
-# --- degree rescaling and recursion-step plumbing ---------------------------
+# --- degree rescaling and input checks ---------------------------------------
 
 
 def test_degree_rescaling_identity():
@@ -243,28 +242,6 @@ def test_degree_rescaling_identity():
         np.testing.assert_allclose(
             log_ratio_map(x, params), ratio * log_ratio_map(x, unit), rtol=0, atol=1e-12
         )
-
-
-def test_recursion_step_averages_child_images():
-    params = ModelParams(3, 4, 0.9)
-    rng = np.random.default_rng(2)
-    children = rng.normal(size=(4, 2))
-    expected = log_ratio_map(children, params).mean(axis=0)
-    np.testing.assert_allclose(recursion_step(children, params), expected, rtol=0, atol=1e-13)
-
-
-def test_recursion_step_accepts_frozen_children():
-    params = ModelParams(3, 2, 0.8)
-    children = np.vstack([leaf_pattern(1, 3), leaf_pattern(3, 3)])
-    out = recursion_step(children, params)
-    expected = (pattern_image(1, params) + pattern_image(3, params)) / 2
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
-
-
-def test_recursion_step_rejects_wrong_child_count():
-    params = ModelParams(3, 4, 0.9)
-    with pytest.raises(DomainError):
-        recursion_step(np.zeros((3, 2)), params)
 
 
 def test_map_rejects_nan_input():

@@ -12,7 +12,6 @@ from pottstree import (
     TreeSpec,
     brute_force_Z,
     conditional_root_distribution,
-    dp_Z,
     dp_log_Z,
     enumerate_log_ratio_sets,
     level,
@@ -28,7 +27,7 @@ def test_single_edge_closed_form():
     t = TreeSpec.regular(1, 1)
     for q, w in [(3, 0.5), (4, 0.25), (5, 1.0)]:
         assert brute_force_Z(t, q, w) == pytest.approx(q * (w + q - 1), rel=1e-14)
-        assert dp_Z(t, q, w) == pytest.approx(q * (w + q - 1), rel=1e-12)
+        assert math.exp(dp_log_Z(t, q, w)) == pytest.approx(q * (w + q - 1), rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -37,7 +36,7 @@ def test_free_star_closed_form(d):
     q, w = 4, 0.3
     expected = q * (w + q - 1) ** d
     assert brute_force_Z(t, q, w) == pytest.approx(expected, rel=1e-13)
-    assert dp_Z(t, q, w) == pytest.approx(expected, rel=1e-12)
+    assert math.exp(dp_log_Z(t, q, w)) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("q,w", [(3, 0.7), (4, 0.2), (3, 1.0), (3, 0.0)])
@@ -47,7 +46,7 @@ def test_brute_force_and_dp_agree_on_irregular_tree(q, w):
     for boundary in (None, b):
         for pin in (None, 1, q):
             z_brute = brute_force_Z(IRREGULAR, q, w, boundary, pinned_root=pin)
-            z_dp = dp_Z(IRREGULAR, q, w, boundary, pinned_root=pin)
+            z_dp = math.exp(dp_log_Z(IRREGULAR, q, w, boundary, pinned_root=pin))
             assert z_dp == pytest.approx(z_brute, rel=1e-12, abs=1e-300)
 
 

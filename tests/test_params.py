@@ -10,29 +10,9 @@ from pottstree import (
     DomainError,
     ModelParams,
     classify_pattern,
-    interaction_weight,
     leaf_pattern,
     validate_log_ratio,
 )
-
-
-def test_interaction_weight_formula():
-    assert interaction_weight(3, 2, 1.0) == 0.0
-    assert interaction_weight(3, 5, 1.0) == 0.5
-    assert interaction_weight(5, 200, 0.5) == pytest.approx(1 - 0.5 * 5 / 201, abs=0)
-    assert interaction_weight(4, 9, 0.25) == 0.9
-
-
-@pytest.mark.parametrize("q,d,alpha", [(2, 3, 1.0), (3, 1, 1.0), (3, 3, 0.0), (3, 3, 1.5)])
-def test_interaction_weight_rejects_bad_inputs(q, d, alpha):
-    with pytest.raises(DomainError):
-        interaction_weight(q, d, alpha)
-
-
-def test_interaction_weight_rejects_negative_weight():
-    # alpha*q > d+1 would put the weight below zero
-    with pytest.raises(DomainError):
-        interaction_weight(5, 3, 1.0)
 
 
 def test_model_params_derives_weight():
@@ -52,6 +32,8 @@ def test_model_params_limit_degree_requires_unit_alpha():
     assert math.isinf(p.d)
     with pytest.raises(DomainError):
         ModelParams(3, INFINITY, 0.5)
+    with pytest.raises(DomainError):
+        ModelParams(3, 3, 1.5)  # beyond the uniqueness threshold at any degree
 
 
 def test_model_params_allows_free_boundary_weight_one():
