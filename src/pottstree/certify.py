@@ -28,7 +28,7 @@ from .maps import (diagonal_contraction, leaf_counts_log_ratios, log_ratio_map,
                    two_step_map, two_step_sum_limit)
 from .params import INFINITY, ModelParams
 from .polytope import level, sample_face, sample_fundamental
-from .reporting import DEFAULT_CHUNK, chunk_sizes, format_value, parallel_chunk_map, spawn_rng
+from .reporting import sampled_sweep, spawn_rng
 
 #: Additive cushion per contraction step: keeps each certified level strictly
 #: above the sampled estimate so the sequence is a genuine upper bound.
@@ -51,12 +51,6 @@ class InvarianceReport:
     diagonal_bound: float | None
     passed: bool
 
-    def to_text(self) -> str:
-        rows = [(k, getattr(self, k)) for k in (
-            "q", "d", "alpha", "c_in", "c_out_estimate", "margin",
-            "sample_count", "seed", "diagonal_bound", "passed")]
-        return "\n".join(f"{k}={format_value(v)}" for k, v in rows) + "\n"
-
 
 def _fundamental_probe_points(c: float, q: int) -> np.ndarray:
     """Deterministic must-test points: origin, vertices, diagonal face point."""
@@ -76,17 +70,13 @@ def two_step_level(c: float, params: ModelParams, sample_count: int = 100_000,
     if not c > 0:
         raise DomainError(f"level must be positive, got {c}")
     q = params.q
-    sizes = chunk_sizes(sample_count, DEFAULT_CHUNK)
 
-    def run_chunk(i: int) -> float:
-        if i == 0:
-            x = _fundamental_probe_points(c, q)
-        else:
-            x = sample_fundamental(c, q, sizes[i - 1], spawn_rng(seed, i - 1))
+    def peak(x: np.ndarray) -> float:
         return float(np.max(level(two_step_map(x, params))))
 
-    peaks = parallel_chunk_map(run_chunk, len(sizes) + 1, threads)
-    estimate = max(peaks)
+    sampled = sampled_sweep(lambda rng, n: peak(sample_fundamental(c, q, n, rng)),
+                            sample_count, seed, threads)
+    estimate = max([peak(_fundamental_probe_points(c, q))] + sampled)
     bound = diagonal_contraction(c, q) if params.d == INFINITY else None
     return InvarianceReport(
         q=q, d=params.d, alpha=params.alpha,

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError
 from .maps import log_ratio_map, two_step_sum_limit
 from .params import INFINITY, ModelParams
-from .reporting import DEFAULT_CHUNK, CertificationReport, chunk_sizes, parallel_chunk_map, spawn_rng
+from .reporting import CertificationReport, sampled_sweep, spawn_rng
 
 
 def comparator_values(y: np.ndarray, q: int) -> np.ndarray:
@@ -190,11 +190,9 @@ def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
     if not 1 <= l <= q - 2:
         raise DomainError(f"l must lie in 1..{q - 2}, got {l}")
     t = float(q - 1)
-    sizes = chunk_sizes(trials, DEFAULT_CHUNK)
 
-    def run_chunk(i: int):
-        rng = spawn_rng(seed, i)
-        x1, x2, x3 = _draw_triples(sizes[i], rng)
+    def run_chunk(rng: np.random.Generator, n: int):
+        x1, x2, x3 = _draw_triples(n, rng)
         gap = comparator_gap(x1, x2, x3, t, l)
         c1 = comparator_exponent(1, x1, x2, x3, t, l)
         c2 = comparator_exponent(2, x1, x2, x3, t, l)
@@ -212,7 +210,7 @@ def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
                 (float(x1[k]), float(x2[k]), float(x3[k]),
                  float(gap[k]), float(value[k]), float(slope[k])))
 
-    results = parallel_chunk_map(run_chunk, len(sizes), threads)
+    results = sampled_sweep(run_chunk, trials, seed, threads)
     min_margin = min(r[0] for r in results)
     closed_err = max(r[1] for r in results)
     linear_err = max(r[2] for r in results)
@@ -240,14 +238,14 @@ SWEEP_CSV_HEADER = ["q", "l", "x1", "x2", "x3", "Delta", "r_l1", "slope",
                     "min_margin", "seed"]
 
 
-def gradient_identity_sweep(q: int, points: int = 1000, seed: int = 0,
-                            step: float = 1e-5) -> CertificationReport:
+def gradient_identity_sweep(q: int, points: int = 1000, seed: int = 0) -> CertificationReport:
     """Check the closed-form gradient against central finite differences.
 
     Points are standard-normal draws in log-ratio space; the error metric is
     ``|fd - grad| / max(1, |grad|)`` per component, and the sweep passes at
     1e-6.
     """
+    step = 1e-5
     rng = spawn_rng(seed)
     x = rng.standard_normal((points, q - 1))
     grad = two_step_sum_gradient(x, q)

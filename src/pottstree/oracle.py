@@ -30,6 +30,7 @@ from .params import ModelParams
 from .trees import BoundaryCondition, TreeSpec
 
 BRUTE_FORCE_BUDGET = 10_000_000
+BRUTE_FORCE_CHUNK = 200_000
 DP_VERTEX_BUDGET = 1_000_000
 
 
@@ -42,7 +43,7 @@ def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition 
         raise DomainError(f"w must lie in [0, 1], got {w!r}")
     pinned: dict[int, int] = {}
     if boundary is not None:
-        boundary.validate(tree, q, leaves_only=False)
+        boundary.validate(tree, q)
         pinned.update(boundary.colors)
     if pinned_root is not None:
         if not 1 <= pinned_root <= q:
@@ -55,22 +56,20 @@ def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition 
 
 def brute_force_Z(tree: TreeSpec, q: int, w: float,
                   boundary: BoundaryCondition | None = None,
-                  pinned_root: int | None = None,
-                  budget: int = BRUTE_FORCE_BUDGET,
-                  chunk: int = 200_000) -> float:
+                  pinned_root: int | None = None) -> float:
     """Partition function by direct enumeration of all free-vertex colorings."""
     pinned = _collect_pins(tree, q, w, boundary, pinned_root)
     free = [v for v in range(tree.n_vertices) if v not in pinned]
     total = q ** len(free)
-    if total > budget:
-        raise BudgetError(f"{total} colorings exceed the enumeration budget {budget}")
+    if total > BRUTE_FORCE_BUDGET:
+        raise BudgetError(f"{total} colorings exceed the enumeration budget {BRUTE_FORCE_BUDGET}")
     base = np.zeros(tree.n_vertices, dtype=np.int16)
     for v, c in pinned.items():
         base[v] = c
     edges = tree.edges()
     z = 0.0
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+    for lo in range(0, total, BRUTE_FORCE_CHUNK):
+        idx = np.arange(lo, min(lo + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
         cols = np.tile(base, (len(idx), 1))
         for j, v in enumerate(free):
             cols[:, v] = (idx // q**j) % q + 1
@@ -136,13 +135,13 @@ def root_log_ratios(tree: TreeSpec, q: int, w: float,
     """Exact log-ratio vector of the root: ``log Z_i - log Z_q`` for i < q.
 
     Requires ``w > 0`` and a root that is not itself a boundary vertex (for a
-    single pinned vertex the ratios degenerate to the infinite patterns).
+    pinned root the ratios degenerate to the infinite patterns).
     """
     if not 0.0 < w <= 1.0:
         raise DomainError("log-ratios require w in (0, 1]")
-    if not tree.children[tree.root]:
-        raise DomainError("log-ratios are undefined when the root is a leaf "
-                          "(single pinned vertices are the infinite patterns)")
+    if tree.root in boundary.colors:
+        raise DomainError("log-ratios are undefined when the root is pinned "
+                          "(a pinned vertex has the infinite patterns)")
     table = _dp_tables(tree, q, w, boundary, None)
     root = table[tree.root]
     return root[: q - 1] - root[q - 1]
@@ -224,7 +223,7 @@ def enumerate_log_ratio_sets(n: int, d: int, q: int, w: float,
     return level
 
 
-def _dedup(rows: np.ndarray, decimals: int = 12) -> np.ndarray:
-    rounded = np.round(rows, decimals) + 0.0  # +0.0 folds -0.0 into 0.0 for the byte view
+def _dedup(rows: np.ndarray) -> np.ndarray:
+    rounded = np.round(rows, 12) + 0.0  # +0.0 folds -0.0 into 0.0 for the byte view
     _, keep = np.unique(rounded, axis=0, return_index=True)
     return rows[np.sort(keep)]

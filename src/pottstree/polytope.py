@@ -32,9 +32,11 @@ import numpy as np
 from .errors import DomainError
 from .maps import log_ratio_map, log_ratio_map_preimage
 from .params import ModelParams
-from .reporting import DEFAULT_CHUNK, CertificationReport, chunk_sizes, parallel_chunk_map, spawn_rng
+from .reporting import DEFAULT_CHUNK, CertificationReport, sampled_sweep, spawn_rng
 
 WITNESS_THRESHOLD = 1e-6
+#: Share of :func:`convexity_probe` samples resampled onto a facet of ``P_c``.
+BOUNDARY_FRACTION = 0.5
 
 
 def polytope_vertices(c: float, q: int) -> np.ndarray:
@@ -85,37 +87,28 @@ def fundamental_membership(x: np.ndarray, c: float) -> bool:
     return bool((x <= 0).all(axis=-1) and x.sum(axis=-1) >= -c)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return spawn_rng(int(seed))
-
-
-def sample_fundamental(c: float, q: int, count: int, seed) -> np.ndarray:
+def sample_fundamental(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples of ``D_c`` (Dirichlet weights over its q vertices)."""
     if c <= 0:
         raise DomainError(f"level must be positive, got {c}")
-    rng = _as_rng(seed)
     w = rng.dirichlet(np.ones(q), size=count)
     return -c * w[:, : q - 1]
 
 
-def sample_face(c: float, q: int, count: int, seed) -> np.ndarray:
+def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples of the facet ``{x <= 0, sum x = -c}`` of ``D_c``."""
     if c <= 0:
         raise DomainError(f"level must be positive, got {c}")
-    rng = _as_rng(seed)
     return -c * rng.dirichlet(np.ones(q - 1), size=count)
 
 
-def sample_polytope(c: float, q: int, count: int, seed,
+def sample_polytope(c: float, q: int, count: int, rng: np.random.Generator,
                     boundary_fraction: float = 0.0) -> np.ndarray:
     """Uniform samples of ``P_c``, optionally biased onto its boundary.
 
     With ``boundary_fraction > 0`` that fraction of points is resampled on a
     uniformly chosen facet (one Dirichlet weight zeroed out).
     """
-    rng = _as_rng(seed)
     w = rng.dirichlet(np.ones(q), size=count)
     if boundary_fraction > 0:
         onto = rng.random(count) < boundary_fraction
@@ -137,7 +130,7 @@ def _midpoint_pullback_levels(x: np.ndarray, y: np.ndarray, params: ModelParams)
 
 
 def convexity_probe(c: float, params: ModelParams, pair_count: int, seed: int,
-                    threads: int = 1, boundary_fraction: float = 0.5) -> CertificationReport:
+                    threads: int = 1) -> CertificationReport:
     """Sampled test that midpoints of ``F(P_c)`` pull back into ``P_c``.
 
     Draws ``pair_count`` random pairs from ``P_c`` (plus every pair of
@@ -152,21 +145,16 @@ def convexity_probe(c: float, params: ModelParams, pair_count: int, seed: int,
     det_x = vx[[i for i, _ in pairs]]
     det_y = vx[[j for _, j in pairs]]
 
-    sizes = chunk_sizes(pair_count, DEFAULT_CHUNK)
-
-    def run_chunk(i: int):
-        if i == 0:
-            x, y = det_x, det_y
-        else:
-            rng = spawn_rng(seed, i - 1)
-            n = sizes[i - 1]
-            x = sample_polytope(c, q, n, rng, boundary_fraction)
-            y = sample_polytope(c, q, n, rng, boundary_fraction)
+    def worst_pair(x: np.ndarray, y: np.ndarray):
         lev = _midpoint_pullback_levels(x, y, params)
         k = int(np.argmax(lev))
         return float(lev[k]), x[k], y[k]
 
-    results = parallel_chunk_map(run_chunk, len(sizes) + 1, threads)
+    def run_chunk(rng: np.random.Generator, n: int):
+        x = sample_polytope(c, q, n, rng, BOUNDARY_FRACTION)
+        return worst_pair(x, sample_polytope(c, q, n, rng, BOUNDARY_FRACTION))
+
+    results = [worst_pair(det_x, det_y)] + sampled_sweep(run_chunk, pair_count, seed, threads)
     worst_level, worst_x, worst_y = max(results, key=lambda r: r[0])
     violation = worst_level - c
     passed = bool(violation <= WITNESS_THRESHOLD)
@@ -181,8 +169,8 @@ def convexity_probe(c: float, params: ModelParams, pair_count: int, seed: int,
     return CertificationReport(
         kind="midpoint_convexity",
         parameters={"q": q, "d": params.d, "alpha": params.alpha, "c": c,
-                    "boundary_fraction": boundary_fraction},
-        sample_count=int(sum(sizes) + len(det_x)),
+                    "boundary_fraction": BOUNDARY_FRACTION},
+        sample_count=int(pair_count + len(det_x)),
         seed=seed,
         min_margin=float(c - worst_level),
         passed=passed,
@@ -204,7 +192,6 @@ def convexity_witness_search(params: ModelParams, c_values, pairs_per_c: int = 2
     best: dict | None = None
     for ci, c in enumerate(c_values):
         vx = polytope_vertices(c, q)
-        rng = spawn_rng(seed, ci)
         # point cloud on the boundary, in vertex-weight coordinates
         m = max(8, int(np.sqrt(pairs_per_c / max(1, q * (q - 1) // 2))))
         weights = []

@@ -2,11 +2,14 @@
 
 Conventions used by every sweep in the package:
 
-* Randomness comes from numpy's PCG64.  A sweep with master seed ``s`` is cut
-  into fixed-size chunks numbered ``0, 1, ...``; chunk ``i`` draws from
-  ``Generator(PCG64(SeedSequence([s, i])))``.  The chunk layout depends only
-  on the sample count, never on the thread count, and per-chunk results are
-  reduced in chunk order — so outputs are byte-identical for any ``--threads``.
+* Randomness comes from numpy's PCG64.  :func:`sampled_sweep` is the one
+  place that owns the chunk and seed layout: a sweep with master seed ``s``
+  is cut into ``DEFAULT_CHUNK``-sized chunks numbered ``0, 1, ...``; chunk
+  ``i`` draws from ``Generator(PCG64(SeedSequence([s, i])))``.  The chunk
+  layout depends only on the sample count, never on the thread count, and
+  per-chunk results are reduced in chunk order — so outputs are
+  byte-identical for any ``--threads``.  Must-test points are evaluated by
+  the caller, outside the sweep.
 * Floats are serialized with ``repr`` (shortest round-trip form), decimal
   point, no locale.
 * Files are written to a temporary sibling and atomically renamed, so a
@@ -36,12 +39,12 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, key)])))
 
 
-def chunk_sizes(total: int, chunk: int = DEFAULT_CHUNK) -> list[int]:
+def chunk_sizes(total: int) -> list[int]:
     """Sizes of the fixed chunk decomposition of ``total`` samples."""
     if total < 0:
         raise DomainError(f"sample count must be >= 0, got {total}")
-    full, rest = divmod(total, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+    full, rest = divmod(total, DEFAULT_CHUNK)
+    return [DEFAULT_CHUNK] * full + ([rest] if rest else [])
 
 
 def parallel_chunk_map(fn, n_chunks: int, threads: int = 1) -> list:
@@ -54,6 +57,16 @@ def parallel_chunk_map(fn, n_chunks: int, threads: int = 1) -> list:
         return [fn(i) for i in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_chunks)))
+
+
+def sampled_sweep(fn, total: int, seed: int, threads: int) -> list:
+    """Run ``fn(rng, n)`` on each chunk of ``total`` samples, results in chunk order.
+
+    Chunk ``i`` has ``n = chunk_sizes(total)[i]`` samples and draws from
+    ``rng = spawn_rng(seed, i)``, so the results do not depend on ``threads``.
+    """
+    sizes = chunk_sizes(total)
+    return parallel_chunk_map(lambda i: fn(spawn_rng(seed, i), sizes[i]), len(sizes), threads)
 
 
 def parse_grid(text: str) -> list[float]:
@@ -168,18 +181,3 @@ class CertificationReport:
     min_margin: float
     passed: bool
     witness: dict | None = None
-
-    def to_text(self) -> str:
-        lines = [f"kind={self.kind}"]
-        for k, v in self.parameters.items():
-            lines.append(f"{k}={format_value(v)}")
-        lines += [
-            f"sample_count={self.sample_count}",
-            f"seed={self.seed}",
-            f"min_margin={format_value(self.min_margin)}",
-            f"passed={format_value(self.passed)}",
-        ]
-        if self.witness is not None:
-            for k, v in self.witness.items():
-                lines.append(f"witness_{k}={format_value(v)}")
-        return "\n".join(lines) + "\n"

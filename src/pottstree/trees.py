@@ -114,13 +114,10 @@ class BoundaryCondition:
 
     colors: dict[int, int] = field(default_factory=dict)
 
-    def validate(self, tree: TreeSpec, q: int, leaves_only: bool = True) -> None:
-        leaf_set = set(tree.leaves()) if leaves_only else set()
+    def validate(self, tree: TreeSpec, q: int) -> None:
         for v, c in self.colors.items():
             if not 0 <= v < tree.n_vertices:
                 raise DomainError(f"pinned vertex {v} not in tree")
-            if leaves_only and v not in leaf_set:
-                raise DomainError(f"pinned vertex {v} is not a leaf")
             if not 1 <= c <= q:
                 raise DomainError(f"color {c} for vertex {v} outside 1..{q}")
 

@@ -40,12 +40,6 @@ def test_two_step_level_near_limit_stays_below_diagonal_profile():
     assert report.c_out_estimate <= diagonal_contraction(c, q) + 1e-3
 
 
-def test_two_step_level_report_text():
-    report = two_step_level(1.0, ModelParams(3, INFINITY), sample_count=100, seed=0)
-    text = report.to_text()
-    assert "c_in=1.0" in text and "passed=true" in text
-
-
 def test_contraction_sequence_reaches_epsilon():
     params = ModelParams(4, 50, 0.8)
     seq = contraction_sequence(params, epsilon=0.25, max_iters=60, sample_count=2000, seed=0)

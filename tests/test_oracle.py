@@ -76,6 +76,19 @@ def test_root_log_ratios_rejects_degenerate_calls():
         root_log_ratios(single, 3, 0.5, BoundaryCondition({0: 1}))
 
 
+def test_root_log_ratios_rejects_a_pinned_root():
+    t = TreeSpec.regular(2, 2)
+    b = BoundaryCondition({0: 1, **{v: 2 for v in t.leaves()}})
+    with pytest.raises(DomainError, match="root is pinned"):
+        root_log_ratios(t, 3, 0.5, b)
+
+
+def test_root_log_ratios_of_a_free_single_vertex_are_zero():
+    single = TreeSpec.regular(1, 0)
+    np.testing.assert_array_equal(root_log_ratios(single, 3, 0.5, BoundaryCondition()),
+                                  np.zeros(2))
+
+
 def test_conditional_distribution_monochromatic_star():
     q, d, w = 3, 4, 0.6
     t = TreeSpec.regular(d, 1)

@@ -23,6 +23,7 @@ from pottstree import (
     sample_face,
     sample_fundamental,
     sample_polytope,
+    spawn_rng,
     transposition,
 )
 
@@ -87,9 +88,9 @@ def test_membership_rejects_batches_and_bad_levels():
 
 @pytest.mark.parametrize("q,c", [(3, 1.0), (4, 2.5), (5, 6.0)])
 def test_sampled_points_lie_inside(q, c):
-    x = sample_polytope(c, q, 500, seed=1)
+    x = sample_polytope(c, q, 500, spawn_rng(1))
     assert (level(x) <= c * (1 + 1e-12)).all()
-    x = sample_fundamental(c, q, 500, seed=2)
+    x = sample_fundamental(c, q, 500, spawn_rng(2))
     assert (x <= 1e-12).all()
     assert (x.sum(axis=1) >= -c * (1 + 1e-12)).all()
 
@@ -103,7 +104,7 @@ def test_fundamental_membership_flags():
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_every_point_has_an_orbit_representative_in_the_fundamental_domain(q):
     c = 3.0
-    x = sample_polytope(c, q, 300, seed=7)
+    x = sample_polytope(c, q, 300, spawn_rng(7))
     for row in x:
         embedded_max = max(float(row.max()), 0.0)
         k = int(np.argmax(row)) + 1 if row.max() > 0 else q
@@ -116,7 +117,7 @@ def test_every_point_has_an_orbit_representative_in_the_fundamental_domain(q):
 
 def test_face_samples_sit_on_the_sum_facet():
     q, c = 4, 2.0
-    x = sample_face(c, q, 4000, seed=3)
+    x = sample_face(c, q, 4000, spawn_rng(3))
     np.testing.assert_allclose(x.sum(axis=1), -c, rtol=0, atol=1e-12)
     assert (x <= 0).all()
     np.testing.assert_allclose(level(x), np.full(len(x), c), rtol=0, atol=1e-12)
@@ -126,7 +127,7 @@ def test_face_samples_sit_on_the_sum_facet():
 
 def test_boundary_fraction_puts_samples_on_facets():
     q, c = 3, 2.0
-    x = sample_polytope(c, q, 400, seed=4, boundary_fraction=1.0)
+    x = sample_polytope(c, q, 400, spawn_rng(4), boundary_fraction=1.0)
     np.testing.assert_allclose(level(x), np.full(len(x), c), rtol=0, atol=1e-9)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pottstree import DomainError, parse_grid, spawn_rng, write_csv_atomic
-from pottstree.reporting import chunk_sizes, format_value, parallel_chunk_map
+from pottstree.reporting import DEFAULT_CHUNK, chunk_sizes, format_value, parallel_chunk_map, sampled_sweep
 
 
 def test_spawn_rng_streams_are_reproducible_and_distinct():
@@ -16,9 +16,9 @@ def test_spawn_rng_streams_are_reproducible_and_distinct():
 
 
 def test_chunk_sizes_partition_the_total():
-    assert chunk_sizes(10, chunk=4) == [4, 4, 2]
-    assert chunk_sizes(8, chunk=4) == [4, 4]
-    assert chunk_sizes(3, chunk=4) == [3]
+    assert chunk_sizes(2 * DEFAULT_CHUNK + 7) == [DEFAULT_CHUNK, DEFAULT_CHUNK, 7]
+    assert chunk_sizes(2 * DEFAULT_CHUNK) == [DEFAULT_CHUNK, DEFAULT_CHUNK]
+    assert chunk_sizes(3) == [3]
     assert chunk_sizes(0) == []
     with pytest.raises(DomainError):
         chunk_sizes(-1)
@@ -28,6 +28,14 @@ def test_parallel_chunk_map_preserves_index_order():
     inline = parallel_chunk_map(lambda i: i * i, 17, threads=1)
     pooled = parallel_chunk_map(lambda i: i * i, 17, threads=8)
     assert inline == pooled == [i * i for i in range(17)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sampled_sweep_pins_the_chunk_and_seed_layout(threads):
+    got = sampled_sweep(lambda rng, n: (n, int(rng.integers(2**32))), 60_000,
+                        seed=3, threads=threads)
+    draws = [int(spawn_rng(3, i).integers(2**32)) for i in range(3)]
+    assert got == [(25_000, draws[0]), (25_000, draws[1]), (10_000, draws[2])]
 
 
 def test_parse_grid():

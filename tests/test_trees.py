@@ -77,8 +77,8 @@ def test_boundary_validate_rejects_bad_pins():
     with pytest.raises(DomainError):
         BoundaryCondition({1: 5}).validate(t, q=4)  # color out of range
     with pytest.raises(DomainError):
-        BoundaryCondition({0: 1}).validate(t, q=4)  # root is not a leaf
-    BoundaryCondition({0: 1}).validate(t, q=4, leaves_only=False)
+        BoundaryCondition({3: 1}).validate(t, q=4)  # vertex not in the tree
+    BoundaryCondition({0: 1}).validate(t, q=4)  # internal pins are allowed
 
 
 def test_boundary_file_round_trip(tmp_path):
