@@ -37,8 +37,8 @@ from .gradients import (BalancingReport, TripleParams, comparator_exponent,
                         constant_exponent_point, gradient_identity_sweep,
                         positivity_sweep, rescaled_gap, rescaled_gap_line,
                         tail_averaging_check, two_step_sum_gradient)
-from .reporting import (CertificationReport, RunManifest, parse_grid,
-                        spawn_rng, write_csv_atomic)
+from .reporting import (CertificationReport, parse_grid, spawn_rng,
+                        write_csv_atomic)
 
 __version__ = "0.1.0"
 
@@ -68,6 +68,5 @@ __all__ = [
     "comparator_values", "constant_exponent_point", "gradient_identity_sweep",
     "positivity_sweep", "rescaled_gap", "rescaled_gap_line",
     "tail_averaging_check", "two_step_sum_gradient",
-    "CertificationReport", "RunManifest", "parse_grid", "spawn_rng",
-    "write_csv_atomic",
+    "CertificationReport", "parse_grid", "spawn_rng", "write_csv_atomic",
 ]

@@ -30,8 +30,9 @@ from .params import INFINITY, ModelParams
 from .polytope import level, sample_face, sample_fundamental
 from .reporting import sampled_sweep, spawn_rng
 
-#: Additive cushion per contraction step: keeps each certified level strictly
-#: above the sampled estimate so the sequence is a genuine upper bound.
+#: Additive cushion per contraction step, so each next level lies strictly
+#: above the sampled estimate.  That estimate is a sampled maximum, so the
+#: levels are evidence, not proven upper bounds.
 STEP_CUSHION = 1e-6
 
 
@@ -179,11 +180,6 @@ class ConvergenceReport:
     fitted_rate: float | None = None
     rate_bound: float | None = None
     passed: bool = False
-
-    def rows(self) -> list[list]:
-        return [[n, self.boundary, self.trials, dev, ratio]
-                for n, dev, ratio in zip(self.depths, self.max_deviations,
-                                         self.two_step_ratios)]
 
 
 def _uniform_deviation_from_ratios(x: np.ndarray, q: int) -> np.ndarray:

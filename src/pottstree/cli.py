@@ -10,9 +10,10 @@ Four subcommands mirror the library's main entry points:
 * ``oracle``    — exact partition functions / root distributions for a given
                   boundary condition, with an optional recursion cross-check.
 
-Every run that writes files also writes a ``<output>.manifest.txt`` with the
-full parameter set, seed, code version and wall time.  CSV outputs are
-byte-identical for a fixed seed regardless of ``--threads``.
+This module owns every output format: the CSV layouts, the oracle report
+and the ``<output>.manifest.txt`` that every file-writing run also writes
+(command, code version, each parsed argument in parser order, wall time).
+CSV outputs are byte-identical for a fixed seed regardless of ``--threads``.
 
 Exit codes: 0 = success, 1 = usage or domain error, 2 = a check failed.
 """
@@ -22,17 +23,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 
 import numpy as np
 
 from .certify import contraction_sequence, convergence_experiment, two_step_level
 from .errors import BudgetError, CertificationError, DomainError, NotInImageError, ParseError
-from .gradients import SWEEP_CSV_HEADER, gradient_identity_sweep, positivity_sweep, sweep_csv_row
+from .gradients import gradient_identity_sweep, positivity_sweep
 from .oracle import (brute_force_Z, conditional_root_distribution, dp_log_Z,
                      recursion_root_log_ratios, root_log_ratios)
 from .params import INFINITY, ModelParams
 from .polytope import convexity_probe
-from .reporting import (RunManifest, format_value, parse_grid, spawn_rng, write_csv_atomic,
+from .reporting import (code_version, format_value, parse_grid, spawn_rng, write_csv_atomic,
                         write_text_atomic)
 from .trees import BoundaryCondition, TreeSpec, read_boundary_file
 
@@ -125,26 +127,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_manifest(path_prefix: str | None, manifest: RunManifest) -> None:
-    if path_prefix:
-        manifest.finish()
-        manifest.write(f"{path_prefix}.manifest.txt")
-
-
-def _manifest(args) -> RunManifest:
-    # Built before any computation so wall_time_s covers the whole run; the
-    # subcommand name already heads the manifest, so drop it from the dict.
-    params = vars(args).copy()
-    params.pop("command", None)
-    return RunManifest(args.command, params)
+def _write_manifest(path: str, args, started: float) -> None:
+    """Write ``<path>.manifest.txt``: the run's command, version, arguments and wall time."""
+    lines = [f"command={args.command}", f"code_version={code_version()}"]
+    lines += [f"{k}={format_value(v)}" for k, v in vars(args).items() if k != "command"]
+    lines.append(f"wall_time_s={format_value(time.time() - started)}")
+    write_text_atomic(f"{path}.manifest.txt", "\n".join(lines) + "\n")
 
 
 def _cmd_recursion(args) -> int:
-    manifest = _manifest(args)
+    started = time.time()
     report = convergence_experiment(args.q, args.d, args.alpha, args.n_max,
                                     boundary=args.boundary, trials=args.trials,
                                     seed=args.seed, color=args.color)
+    rows = []
     for n, dev, ratio in zip(report.depths, report.max_deviations, report.two_step_ratios):
+        rows.append([n, report.boundary, report.trials, dev, ratio])
         extra = f" ratio_vs_n-2={format_value(ratio)}" if ratio is not None else ""
         print(f"depth={n} max_deviation={format_value(dev)}{extra}")
     print(f"fitted_rate={format_value(report.fitted_rate)} "
@@ -152,13 +150,13 @@ def _cmd_recursion(args) -> int:
           f"{PASS if report.passed else FAIL}")
     if args.out:
         write_csv_atomic(args.out, ["depth", "boundary", "trials", "max_deviation",
-                                    "two_step_ratio"], report.rows())
-        _write_manifest(args.out, manifest)
+                                    "two_step_ratio"], rows)
+        _write_manifest(args.out, args, started)
     return 0 if report.passed else 2
 
 
 def _cmd_certify(args) -> int:
-    manifest = _manifest(args)
+    started = time.time()
     params = ModelParams(args.q, args.d, args.alpha)
     if not params.alpha > 0.0:
         raise DomainError(f"certification requires alpha > 0, got {args.alpha}")
@@ -206,19 +204,21 @@ def _cmd_certify(args) -> int:
                          ["check", "q", "d", "alpha", "c", "samples", "seed",
                           "estimate", "diagonal_bound", "margin", "witness", "status"],
                          rows)
-        _write_manifest(args.out_prefix, manifest)
+        _write_manifest(args.out_prefix, args, started)
     return 0 if all_passed else 2
 
 
 def _cmd_lemmas(args) -> int:
-    manifest = _manifest(args)
+    started = time.time()
     if args.q_max < 3:
         raise DomainError(f"--q-max must be >= 3, got {args.q_max}")
     rows, all_passed = [], True
     for q in range(3, args.q_max + 1):
         for l in range(1, q - 1):
             rep = positivity_sweep(q, l, args.trials, seed=args.seed, threads=args.threads)
-            rows.append(sweep_csv_row(rep))
+            p = rep.parameters
+            rows.append([q, l, p["x1"], p["x2"], p["x3"], p["gap"], p["line_value"],
+                         p["line_slope"], rep.min_margin, rep.seed])
             all_passed &= rep.passed
             print(f"positivity q={q} l={l} min_margin={format_value(rep.min_margin)} "
                   f"{PASS if rep.passed else FAIL}")
@@ -228,13 +228,14 @@ def _cmd_lemmas(args) -> int:
               f"max_scaled_error={format_value(grad.parameters['max_scaled_error'])} "
               f"{PASS if grad.passed else FAIL}")
     if args.out:
-        write_csv_atomic(args.out, SWEEP_CSV_HEADER, rows)
-        _write_manifest(args.out, manifest)
+        write_csv_atomic(args.out, ["q", "l", "x1", "x2", "x3", "Delta", "r_l1", "slope",
+                                    "min_margin", "seed"], rows)
+        _write_manifest(args.out, args, started)
     return 0 if all_passed else 2
 
 
 def _cmd_oracle(args) -> int:
-    manifest = _manifest(args)
+    started = time.time()
     if args.boundary_file:
         bf = read_boundary_file(args.boundary_file)
         for name, flag in (("q", args.q), ("d", args.d), ("n", args.n)):
@@ -302,7 +303,7 @@ def _cmd_oracle(args) -> int:
     print(text, end="")
     if args.out:
         write_text_atomic(args.out, text)
-        _write_manifest(args.out, manifest)
+        _write_manifest(args.out, args, started)
     return 2 if failed else 0
 
 

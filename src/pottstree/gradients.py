@@ -227,17 +227,6 @@ def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
     )
 
 
-def sweep_csv_row(report: CertificationReport) -> list:
-    """Flatten a positivity sweep report into the standard CSV row."""
-    p = report.parameters
-    return [p["q"], p["l"], p["x1"], p["x2"], p["x3"], p["gap"],
-            p["line_value"], p["line_slope"], report.min_margin, report.seed]
-
-
-SWEEP_CSV_HEADER = ["q", "l", "x1", "x2", "x3", "Delta", "r_l1", "slope",
-                    "min_margin", "seed"]
-
-
 def gradient_identity_sweep(q: int, points: int = 1000, seed: int = 0) -> CertificationReport:
     """Check the closed-form gradient against central finite differences.
 

@@ -35,7 +35,7 @@ from .params import ModelParams
 from .reporting import DEFAULT_CHUNK, CertificationReport, sampled_sweep, spawn_rng
 
 WITNESS_THRESHOLD = 1e-6
-#: Share of :func:`convexity_probe` samples resampled onto a facet of ``P_c``.
+#: Share of :func:`sample_polytope` samples moved onto a facet of ``P_c``.
 BOUNDARY_FRACTION = 0.5
 
 
@@ -102,19 +102,18 @@ def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.nd
     return -c * rng.dirichlet(np.ones(q - 1), size=count)
 
 
-def sample_polytope(c: float, q: int, count: int, rng: np.random.Generator,
-                    boundary_fraction: float = 0.0) -> np.ndarray:
-    """Uniform samples of ``P_c``, optionally biased onto its boundary.
+def sample_polytope(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Samples of ``P_c``, biased onto its boundary.
 
-    With ``boundary_fraction > 0`` that fraction of points is resampled on a
-    uniformly chosen facet (one Dirichlet weight zeroed out).
+    Points are uniform in ``P_c``, except that a ``BOUNDARY_FRACTION`` share
+    of them is moved onto a uniformly chosen facet (one Dirichlet weight
+    zeroed out).
     """
     w = rng.dirichlet(np.ones(q), size=count)
-    if boundary_fraction > 0:
-        onto = rng.random(count) < boundary_fraction
-        drop = rng.integers(0, q, size=count)
-        w[onto, drop[onto]] = 0.0
-        w /= w.sum(axis=1, keepdims=True)
+    onto = rng.random(count) < BOUNDARY_FRACTION
+    drop = rng.integers(0, q, size=count)
+    w[onto, drop[onto]] = 0.0
+    w /= w.sum(axis=1, keepdims=True)
     return w @ polytope_vertices(c, q)
 
 
@@ -151,8 +150,8 @@ def convexity_probe(c: float, params: ModelParams, pair_count: int, seed: int,
         return float(lev[k]), x[k], y[k]
 
     def run_chunk(rng: np.random.Generator, n: int):
-        x = sample_polytope(c, q, n, rng, BOUNDARY_FRACTION)
-        return worst_pair(x, sample_polytope(c, q, n, rng, BOUNDARY_FRACTION))
+        x = sample_polytope(c, q, n, rng)
+        return worst_pair(x, sample_polytope(c, q, n, rng))
 
     results = [worst_pair(det_x, det_y)] + sampled_sweep(run_chunk, pair_count, seed, threads)
     worst_level, worst_x, worst_y = max(results, key=lambda r: r[0])

@@ -1,4 +1,4 @@
-"""Reproducibility plumbing: seeds, chunking, grids, CSV and manifests.
+"""Reproducibility plumbing: seeds, chunking, grids, value formatting and atomic files.
 
 Conventions used by every sweep in the package:
 
@@ -23,9 +23,8 @@ import io
 import os
 import subprocess
 import tempfile
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,27 +141,6 @@ def code_version() -> str:
         pass
     from . import __version__
     return f"pottstree-{__version__}"
-
-
-@dataclass
-class RunManifest:
-    """Key=value record of one CLI run (parameters, seeds, version, timing)."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    started: float = field(default_factory=time.time)
-
-    def finish(self) -> None:
-        self.parameters["wall_time_s"] = time.time() - self.started
-
-    def to_text(self) -> str:
-        lines = [f"command={self.command}", f"code_version={code_version()}"]
-        for k, v in self.parameters.items():
-            lines.append(f"{k}={format_value(v)}")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
-        write_text_atomic(path, self.to_text())
 
 
 @dataclass

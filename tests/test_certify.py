@@ -100,7 +100,6 @@ def test_convergence_experiment_random_boundaries():
                                     trials=20, seed=3)
     assert report.passed
     assert report.trials == 20
-    assert len(report.rows()) == 6
 
 
 def test_convergence_experiment_free_model_is_exactly_uniform():

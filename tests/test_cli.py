@@ -7,6 +7,7 @@ import pytest
 
 from pottstree import write_boundary_file
 from pottstree.cli import build_parser, main
+from pottstree.reporting import format_value
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,6 +34,41 @@ def test_recursion_command_writes_csv_and_manifest(tmp_path, capsys):
     manifest = (tmp_path / "conv.csv.manifest.txt").read_text()
     assert "command=recursion" in manifest
     assert "seed=2" in manifest
+    capsys.readouterr()
+
+
+# subcommand -> (flags, written file, argument names in parser order)
+MANIFEST_RUNS = {
+    "recursion": (["--q", "3", "--d", "8", "--alpha", "0.6", "--n-max", "3",
+                   "--seed", "2", "--out", "{tmp}/conv.csv"], "conv.csv",
+                  ["q", "d", "alpha", "n_max", "boundary", "color", "trials", "seed",
+                   "out", "threads"]),
+    "certify": (["--q", "3", "--d", "inf", "--c", "2.0", "--samples", "2000",
+                 "--pairs", "1000", "--out-prefix", "{tmp}/cert"], "cert",
+                ["q", "d", "alpha", "c", "c_grid", "samples", "pairs", "seed",
+                 "contract_to", "max_iters", "out_prefix", "threads"]),
+    "lemmas": (["--q-max", "3", "--trials", "2000", "--gradient-points", "50",
+                "--out", "{tmp}/lemmas.csv"], "lemmas.csv",
+               ["q_max", "trials", "gradient_points", "seed", "out", "threads"]),
+    "oracle": (["--q", "3", "--d", "2", "--n", "2", "--w", "0.5",
+                "--out", "{tmp}/report.txt"], "report.txt",
+               ["boundary_file", "q", "d", "n", "w", "alpha", "boundary", "color", "seed",
+                "pin_root", "brute_check", "check_recursion", "out"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_lists_command_version_arguments_and_wall_time(command, tmp_path, capsys):
+    flags, written, keys = MANIFEST_RUNS[command]
+    argv = [command] + [f.format(tmp=tmp_path) for f in flags]
+    assert main(argv) == 0
+    args = build_parser().parse_args(argv)
+    lines = (tmp_path / f"{written}.manifest.txt").read_text().splitlines()
+    assert lines[0] == f"command={command}"
+    assert lines[1].startswith("code_version=") and lines[1] != "code_version="
+    assert lines[2:-1] == [f"{k}={format_value(getattr(args, k))}" for k in keys]
+    key, value = lines[-1].split("=")
+    assert key == "wall_time_s" and float(value) >= 0.0
     capsys.readouterr()
 
 

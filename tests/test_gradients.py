@@ -19,7 +19,6 @@ from pottstree import (
     tail_averaging_check,
     two_step_sum_gradient,
 )
-from pottstree.gradients import SWEEP_CSV_HEADER, sweep_csv_row
 
 triples = st.tuples(
     st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)
@@ -154,13 +153,6 @@ def test_positivity_sweep_is_deterministic_across_threads():
 def test_positivity_sweep_rejects_bad_block_index():
     with pytest.raises(DomainError):
         positivity_sweep(3, 2, trials=10)
-
-
-def test_sweep_csv_row_shape():
-    report = positivity_sweep(4, 1, trials=100, seed=1)
-    row = sweep_csv_row(report)
-    assert len(row) == len(SWEEP_CSV_HEADER)
-    assert row[0] == 4 and row[1] == 1
 
 
 @pytest.mark.parametrize("q", [3, 5, 8])

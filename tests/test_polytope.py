@@ -127,8 +127,9 @@ def test_face_samples_sit_on_the_sum_facet():
 
 def test_boundary_fraction_puts_samples_on_facets():
     q, c = 3, 2.0
-    x = sample_polytope(c, q, 400, spawn_rng(4), boundary_fraction=1.0)
-    np.testing.assert_allclose(level(x), np.full(len(x), c), rtol=0, atol=1e-9)
+    x = sample_polytope(c, q, 4000, spawn_rng(4))
+    on_facet = np.abs(level(x) - c) <= 1e-9
+    assert 0.45 <= on_facet.mean() <= 0.55  # BOUNDARY_FRACTION = 0.5
 
 
 @pytest.mark.parametrize("params", [ModelParams(3, 1000, 1.0), ModelParams(3, INFINITY)])
