@@ -24,7 +24,7 @@ from .trees import (BoundaryCondition, BoundaryFile, TreeSpec,
                     read_boundary_file, write_boundary_file)
 from .oracle import (brute_force_Z, conditional_root_distribution,
                      dp_log_Z, enumerate_log_ratio_sets, max_uniform_deviation,
-                     recursion_root_log_ratios, root_log_ratios)
+                     recursion_root_log_ratios, root_log_ratios, root_summary)
 from .polytope import (MembershipReport, convexity_probe,
                        convexity_witness_search, fundamental_membership, level,
                        limit_normal_alignment, membership, polytope_vertices,
@@ -57,7 +57,7 @@ __all__ = [
     "write_boundary_file",
     "brute_force_Z", "conditional_root_distribution", "dp_log_Z",
     "enumerate_log_ratio_sets", "max_uniform_deviation",
-    "recursion_root_log_ratios", "root_log_ratios",
+    "recursion_root_log_ratios", "root_log_ratios", "root_summary",
     "MembershipReport", "convexity_probe", "convexity_witness_search",
     "fundamental_membership", "level", "limit_normal_alignment", "membership",
     "polytope_vertices", "sample_face", "sample_fundamental", "sample_polytope",

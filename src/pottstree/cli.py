@@ -30,8 +30,7 @@ import numpy as np
 from .certify import contraction_sequence, convergence_experiment, two_step_level
 from .errors import BudgetError, CertificationError, DomainError, NotInImageError, ParseError
 from .gradients import gradient_identity_sweep, positivity_sweep
-from .oracle import (brute_force_Z, conditional_root_distribution, dp_log_Z,
-                     recursion_root_log_ratios, root_log_ratios)
+from .oracle import brute_force_Z, dp_log_Z, recursion_root_log_ratios, root_summary
 from .params import INFINITY, ModelParams
 from .polytope import convexity_probe
 from .reporting import (code_version, format_value, parse_grid, spawn_rng, write_csv_atomic,
@@ -267,7 +266,7 @@ def _cmd_oracle(args) -> int:
         raise DomainError(f"need interaction weight in (0, 1], got w={w}")
 
     lines = [f"q={q} d={d} n={n} w={format_value(w)}"]
-    log_z = dp_log_Z(tree, q, w, boundary)
+    log_z, p, ratios = root_summary(tree, q, w, boundary)
     lines.append(f"log_Z={format_value(log_z)}")
     try:
         z = math.exp(log_z)
@@ -277,9 +276,7 @@ def _cmd_oracle(args) -> int:
     if args.pin_root is not None:
         lines.append(f"log_Z_root_pinned_{args.pin_root}="
                      f"{format_value(dp_log_Z(tree, q, w, boundary, pinned_root=args.pin_root))}")
-    p = conditional_root_distribution(tree, q, w, boundary)
     lines.append("conditional_distribution=" + ",".join(format_value(v) for v in p))
-    ratios = root_log_ratios(tree, q, w, boundary)
     lines.append("log_ratios=" + ",".join(format_value(v) for v in ratios))
 
     failed = False

@@ -7,7 +7,8 @@ be validated against it:
 * :func:`dp_log_Z` runs a leaf-to-root dynamic program in log space, exact up
   to floating point for trees far beyond enumeration range;
 * :func:`root_log_ratios` / :func:`conditional_root_distribution` derive the
-  quantities the recursion predicts, straight from the dynamic program;
+  quantities the recursion predicts, straight from the dynamic program, and
+  :func:`root_summary` gives both with ``log Z`` from a single pass;
 * :func:`recursion_root_log_ratios` runs the recursion-map pipeline on an
   explicit regular tree (the thing being cross-checked);
 * :func:`enumerate_log_ratio_sets` enumerates every achievable log-ratio
@@ -130,6 +131,22 @@ def _dp_tables(tree: TreeSpec, q: int, w: float,
     return table
 
 
+def root_summary(tree: TreeSpec, q: int, w: float,
+                 boundary: BoundaryCondition) -> tuple[float, np.ndarray, np.ndarray]:
+    """``log Z``, the conditional root law and the root log-ratios, from one DP pass.
+
+    The same values as :func:`dp_log_Z`, :func:`conditional_root_distribution`
+    and :func:`root_log_ratios`, under the latter's requirements.
+    """
+    if not 0.0 < w <= 1.0:
+        raise DomainError("log-ratios require w in (0, 1]")
+    if tree.root in boundary.colors:
+        raise DomainError("log-ratios are undefined when the root is pinned "
+                          "(a pinned vertex has the infinite patterns)")
+    root = _dp_tables(tree, q, w, boundary, None)[tree.root]
+    return _logsumexp(root), _root_law(root), root[: q - 1] - root[q - 1]
+
+
 def root_log_ratios(tree: TreeSpec, q: int, w: float,
                     boundary: BoundaryCondition) -> np.ndarray:
     """Exact log-ratio vector of the root: ``log Z_i - log Z_q`` for i < q.
@@ -137,14 +154,7 @@ def root_log_ratios(tree: TreeSpec, q: int, w: float,
     Requires ``w > 0`` and a root that is not itself a boundary vertex (for a
     pinned root the ratios degenerate to the infinite patterns).
     """
-    if not 0.0 < w <= 1.0:
-        raise DomainError("log-ratios require w in (0, 1]")
-    if tree.root in boundary.colors:
-        raise DomainError("log-ratios are undefined when the root is pinned "
-                          "(a pinned vertex has the infinite patterns)")
-    table = _dp_tables(tree, q, w, boundary, None)
-    root = table[tree.root]
-    return root[: q - 1] - root[q - 1]
+    return root_summary(tree, q, w, boundary)[2]
 
 
 def conditional_root_distribution(tree: TreeSpec, q: int, w: float,
@@ -152,8 +162,10 @@ def conditional_root_distribution(tree: TreeSpec, q: int, w: float,
     """Distribution of the root color conditioned on the boundary."""
     if not 0.0 < w <= 1.0:
         raise DomainError("the conditional distribution requires w in (0, 1]")
-    table = _dp_tables(tree, q, w, boundary, None)
-    root = table[tree.root]
+    return _root_law(_dp_tables(tree, q, w, boundary, None)[tree.root])
+
+
+def _root_law(root: np.ndarray) -> np.ndarray:
     p = np.exp(root - root.max())
     return p / p.sum()
 

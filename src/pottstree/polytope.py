@@ -35,6 +35,8 @@ from .params import ModelParams
 from .reporting import DEFAULT_CHUNK, CertificationReport, sampled_sweep, spawn_rng
 
 WITNESS_THRESHOLD = 1e-6
+#: Rounds of local refinement around the worst pair of each witness-search scan.
+WITNESS_REFINE_ROUNDS = 12
 #: Share of :func:`sample_polytope` samples moved onto a facet of ``P_c``.
 BOUNDARY_FRACTION = 0.5
 
@@ -117,12 +119,20 @@ def sample_polytope(c: float, q: int, count: int, rng: np.random.Generator) -> n
     return w @ polytope_vertices(c, q)
 
 
-def _midpoint_pullback_levels(x: np.ndarray, y: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Level of the preimage of ``(F(x)+F(y))/2``; +inf where no preimage."""
-    mid = 0.5 * (log_ratio_map(x, params) + log_ratio_map(y, params))
+def _midpoint_pullback_levels(fx: np.ndarray, fy: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Level of the preimage of ``(fx+fy)/2``, for images ``fx = F(x)``, ``fy = F(y)``.
+
+    +inf where the midpoint has no preimage.  Symmetric in ``fx, fy`` bit for
+    bit, since floating-point addition commutes.
+    """
+    mid = 0.5 * (fx + fy)
+    # drop the images before the preimage allocates: a caller that passes
+    # freshly mapped batches holds no other reference, so they are freed here
+    # and the peak memory holds one batch (the midpoint), not three
+    del fx, fy
     back, valid = log_ratio_map_preimage(mid, params)
     # level only on rows with a preimage, +inf elsewhere (a definite violation)
-    out = np.full(x.shape[:-1], np.inf)
+    out = np.full(valid.shape, np.inf)
     if valid.any():
         out[valid] = level(back[valid])
     return out
@@ -145,7 +155,8 @@ def convexity_probe(c: float, params: ModelParams, pair_count: int, seed: int,
     det_y = vx[[j for _, j in pairs]]
 
     def worst_pair(x: np.ndarray, y: np.ndarray):
-        lev = _midpoint_pullback_levels(x, y, params)
+        lev = _midpoint_pullback_levels(log_ratio_map(x, params), log_ratio_map(y, params),
+                                        params)
         k = int(np.argmax(lev))
         return float(lev[k]), x[k], y[k]
 
@@ -177,60 +188,81 @@ def convexity_probe(c: float, params: ModelParams, pair_count: int, seed: int,
     )
 
 
+def _witness_cloud(q: int, pairs_per_c: int, seed: int, ci: int) -> np.ndarray:
+    """Vertex weights of the witness search's point cloud on the boundary of ``P_c``.
+
+    Edge grids between every pair of vertices (each vertex recurs at the end
+    of ``q-1`` of them), plus random facet points drawn for level index ``ci``.
+    """
+    m = max(8, int(np.sqrt(pairs_per_c / max(1, q * (q - 1) // 2))))
+    weights = []
+    for i, j in itertools.combinations(range(q), 2):
+        s = np.linspace(0.0, 1.0, m)
+        w = np.zeros((m, q))
+        w[:, i], w[:, j] = 1.0 - s, s
+        weights.append(w)
+    n_rand = min(pairs_per_c // 10, 2000)
+    wr = spawn_rng(seed, ci, 1).dirichlet(np.ones(q), size=n_rand)
+    wr[np.arange(n_rand), spawn_rng(seed, ci, 2).integers(0, q, n_rand)] = 0.0
+    wr /= wr.sum(axis=1, keepdims=True)
+    weights.append(wr)
+    return np.vstack(weights)
+
+
+def _worst_unordered_pair(fc: np.ndarray, params: ModelParams) -> tuple[float, int, int]:
+    """Highest midpoint pullback level over the pairs ``i <= j`` of images ``fc``.
+
+    Returns ``(level, i, j)`` for the first maximum of the ordered ``n x n``
+    scan in row-major order: the levels are symmetric, so that maximum has
+    ``i <= j``, and the strict ``>`` over row-major blocks of the triangle
+    (``DEFAULT_CHUNK`` pairs each) picks it, ties included.
+    """
+    n = len(fc)
+    n_pairs = n * (n + 1) // 2
+    row_start = np.concatenate([[0], np.cumsum(np.arange(n, 1, -1))])  # index of (i, i)
+    top_level, top_i, top_j = -np.inf, 0, 0
+    for lo in range(0, n_pairs, DEFAULT_CHUNK):
+        flat = np.arange(lo, min(lo + DEFAULT_CHUNK, n_pairs))
+        ii = np.searchsorted(row_start, flat, side="right") - 1
+        jj = flat - row_start[ii] + ii
+        lev = _midpoint_pullback_levels(fc[ii], fc[jj], params)
+        k = int(np.argmax(lev))
+        if lev[k] > top_level:
+            top_level, top_i, top_j = float(lev[k]), int(ii[k]), int(jj[k])
+    return top_level, top_i, top_j
+
+
 def convexity_witness_search(params: ModelParams, c_values, pairs_per_c: int = 250_000,
-                             seed: int = 0, refine_rounds: int = 12) -> dict | None:
+                             seed: int = 0) -> dict | None:
     """Best-effort search for a genuine convexity violation.
 
     Scans dense point clouds on the boundary of ``P_c`` (edge grids plus
-    random facet points) over all pairs, then locally refines the worst pair
-    by perturbing its vertex-weight coordinates.  Returns the strongest
-    witness found (violation > 1e-6) or ``None`` if the budget is exhausted
-    without one.
+    random facet points) over all unordered pairs (the midpoint is
+    symmetric); ``F`` is evaluated once per cloud point.  Then it locally
+    refines the worst pair by perturbing its vertex-weight coordinates.
+    Returns the strongest witness found (violation > 1e-6) or ``None`` if the
+    budget is exhausted without one.
     """
     q = params.q
     best: dict | None = None
     for ci, c in enumerate(c_values):
         vx = polytope_vertices(c, q)
-        # point cloud on the boundary, in vertex-weight coordinates
-        m = max(8, int(np.sqrt(pairs_per_c / max(1, q * (q - 1) // 2))))
-        weights = []
-        for i, j in itertools.combinations(range(q), 2):
-            s = np.linspace(0.0, 1.0, m)
-            w = np.zeros((m, q))
-            w[:, i], w[:, j] = 1.0 - s, s
-            weights.append(w)
-        n_rand = min(pairs_per_c // 10, 2000)
-        wr = spawn_rng(seed, ci, 1).dirichlet(np.ones(q), size=n_rand)
-        wr[np.arange(n_rand), spawn_rng(seed, ci, 2).integers(0, q, n_rand)] = 0.0
-        wr /= wr.sum(axis=1, keepdims=True)
-        weights.append(wr)
-        w_cloud = np.vstack(weights)
-        cloud = w_cloud @ vx
-
-        # all pairs, chunked along the first index
-        n = len(cloud)
-        block = max(1, DEFAULT_CHUNK // n)
-        top_level, top_i, top_j = -np.inf, 0, 0
-        for lo in range(0, n, block):
-            xs = np.repeat(cloud[lo:lo + block], n, axis=0)
-            ys = np.tile(cloud, (len(cloud[lo:lo + block]), 1))
-            lev = _midpoint_pullback_levels(xs, ys, params)
-            k = int(np.argmax(lev))
-            if lev[k] > top_level:
-                top_level = float(lev[k])
-                top_i, top_j = lo + k // n, k % n
+        w_cloud = _witness_cloud(q, pairs_per_c, seed, ci)
+        fc = log_ratio_map(w_cloud @ vx, params)
+        top_level, top_i, top_j = _worst_unordered_pair(fc, params)
         wx, wy = w_cloud[top_i].copy(), w_cloud[top_j].copy()
 
         # local refinement in weight space (stays inside P_c by construction)
         sigma = 0.15
-        for r in range(refine_rounds):
+        for r in range(WITNESS_REFINE_ROUNDS):
             rr = spawn_rng(seed, ci, 3, r)
             px = np.abs(wx + sigma * rr.standard_normal((400, q)))
             py = np.abs(wy + sigma * rr.standard_normal((400, q)))
-            px = np.vstack([wx, *px]) ; py = np.vstack([wy, *py])
+            px = np.vstack([wx, px]) ; py = np.vstack([wy, py])
             px /= px.sum(axis=1, keepdims=True)
             py /= py.sum(axis=1, keepdims=True)
-            lev = _midpoint_pullback_levels(px @ vx, py @ vx, params)
+            lev = _midpoint_pullback_levels(log_ratio_map(px @ vx, params),
+                                            log_ratio_map(py @ vx, params), params)
             k = int(np.argmax(lev))
             if lev[k] > top_level:
                 top_level, wx, wy = float(lev[k]), px[k].copy(), py[k].copy()

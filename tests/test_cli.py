@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pottstree import write_boundary_file
+from pottstree import oracle, write_boundary_file
 from pottstree.cli import build_parser, main
 from pottstree.reporting import format_value
 
@@ -177,6 +177,16 @@ def test_oracle_command_prints_inf_beyond_float_range(capsys):
     assert code == 0
     assert "\nZ=inf\n" in out
     assert "recursion_vs_dp_max_abs_diff=" in out and out.rstrip().endswith("PASS")
+
+
+def test_oracle_command_makes_one_dp_pass(monkeypatch, capsys):
+    passes = []
+    dp_tables = oracle._dp_tables
+    monkeypatch.setattr(oracle, "_dp_tables", lambda *a: passes.append(a) or dp_tables(*a))
+    code = main(["oracle", "--q", "3", "--d", "3", "--n", "8", "--check-recursion"])
+    assert code == 0
+    assert len(passes) == 1
+    capsys.readouterr()
 
 
 def test_oracle_command_reads_boundary_files(tmp_path, capsys):

@@ -18,6 +18,7 @@ from pottstree import (
     max_uniform_deviation,
     recursion_root_log_ratios,
     root_log_ratios,
+    root_summary,
 )
 
 IRREGULAR = TreeSpec(children=((1, 2, 3), (4, 5), (), (6,), (), (), ()), root=0)
@@ -87,6 +88,16 @@ def test_root_log_ratios_of_a_free_single_vertex_are_zero():
     single = TreeSpec.regular(1, 0)
     np.testing.assert_array_equal(root_log_ratios(single, 3, 0.5, BoundaryCondition()),
                                   np.zeros(2))
+
+
+@pytest.mark.parametrize("q, d, n, w", [(3, 3, 4, 0.25), (5, 2, 5, 0.8)])
+def test_root_summary_is_bitwise_the_three_oracles(q, d, n, w):
+    t = TreeSpec.regular(d, n)
+    b = BoundaryCondition.random(t, q, np.random.default_rng(q))
+    log_z, p, ratios = root_summary(t, q, w, b)
+    assert log_z == dp_log_Z(t, q, w, b)
+    np.testing.assert_array_equal(p, conditional_root_distribution(t, q, w, b))
+    np.testing.assert_array_equal(ratios, root_log_ratios(t, q, w, b))
 
 
 def test_conditional_distribution_monochromatic_star():

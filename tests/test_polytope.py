@@ -26,6 +26,8 @@ from pottstree import (
     spawn_rng,
     transposition,
 )
+from pottstree import polytope
+from pottstree.polytope import _midpoint_pullback_levels, _witness_cloud, _worst_unordered_pair
 
 
 def orbit_margin(x, c, q):
@@ -156,8 +158,32 @@ def test_witness_search_finds_nonconvexity_at_low_degree():
 
 def test_witness_search_reports_none_when_there_is_nothing_to_find():
     params = ModelParams(3, 1000, 1.0)
-    assert convexity_witness_search(params, [1.0], pairs_per_c=500, seed=0,
-                                    refine_rounds=2) is None
+    assert convexity_witness_search(params, [1.0], pairs_per_c=500, seed=0) is None
+
+
+@pytest.mark.parametrize("chunk", [polytope.DEFAULT_CHUNK, 97])
+@pytest.mark.parametrize("params, c", [(ModelParams(3, 3, 1.0), 6.0),
+                                       (ModelParams(4, 5, 1.0), 5.0)])
+def test_witness_scan_picks_the_pair_of_the_ordered_scan(params, c, chunk, monkeypatch):
+    monkeypatch.setattr(polytope, "DEFAULT_CHUNK", chunk)  # 97: blocks end mid-row
+    q = params.q
+    cloud = _witness_cloud(q, 500, seed=0, ci=0) @ polytope_vertices(c, q)
+    n = len(cloud)
+    assert len(np.unique(cloud, axis=0)) < n  # vertices recur at the ends of edge grids
+    # reference: every ordered pair, F evaluated on the repeated and tiled rows
+    lev = _midpoint_pullback_levels(log_ratio_map(np.repeat(cloud, n, axis=0), params),
+                                    log_ratio_map(np.tile(cloud, (n, 1)), params), params)
+    k = int(np.argmax(lev))
+    assert _worst_unordered_pair(log_ratio_map(cloud, params), params) == (lev[k], k // n, k % n)
+
+
+def test_midpoint_pullback_levels_are_bitwise_symmetric():
+    params = ModelParams(3, 3, 1.0)
+    rng = np.random.default_rng(5)
+    fx, fy = rng.uniform(-4.0, 4.0, size=(2, 5000, 2))
+    lev = _midpoint_pullback_levels(fx, fy, params)
+    assert np.isinf(lev).any() and np.isfinite(lev).any()
+    np.testing.assert_array_equal(lev, _midpoint_pullback_levels(fy, fx, params))
 
 
 def test_limit_normal_alignment_sign_is_negative_inside():
