@@ -23,8 +23,8 @@ from .maps import (degree_rescaling, diagonal_contraction,
 from .trees import (BoundaryCondition, BoundaryFile, TreeSpec,
                     read_boundary_file, write_boundary_file)
 from .oracle import (brute_force_Z, conditional_root_distribution,
-                     dp_log_Z, enumerate_log_ratio_sets, max_uniform_deviation,
-                     recursion_root_log_ratios, root_log_ratios, root_summary)
+                     dp_log_Z, enumerate_log_ratio_sets, recursion_root_log_ratios,
+                     root_log_ratios, root_summary)
 from .polytope import (MembershipReport, convexity_probe,
                        convexity_witness_search, fundamental_membership, level,
                        limit_normal_alignment, membership, polytope_vertices,
@@ -56,8 +56,8 @@ __all__ = [
     "BoundaryCondition", "BoundaryFile", "TreeSpec", "read_boundary_file",
     "write_boundary_file",
     "brute_force_Z", "conditional_root_distribution", "dp_log_Z",
-    "enumerate_log_ratio_sets", "max_uniform_deviation",
-    "recursion_root_log_ratios", "root_log_ratios", "root_summary",
+    "enumerate_log_ratio_sets", "recursion_root_log_ratios", "root_log_ratios",
+    "root_summary",
     "MembershipReport", "convexity_probe", "convexity_witness_search",
     "fundamental_membership", "level", "limit_normal_alignment", "membership",
     "polytope_vertices", "sample_face", "sample_fundamental", "sample_polytope",

@@ -5,7 +5,10 @@ be validated against it:
 
 * :func:`brute_force_Z` enumerates colorings outright (vectorized in chunks);
 * :func:`dp_log_Z` runs a leaf-to-root dynamic program in log space, exact up
-  to floating point for trees far beyond enumeration range;
+  to floating point for trees far beyond enumeration range.  It is one array
+  pass per (depth, child slot), deepest depth first, and each vertex still
+  adds its children's messages in tuple order, so the tables are bitwise
+  those of a loop over the vertices, on regular and irregular trees alike;
 * :func:`root_log_ratios` / :func:`conditional_root_distribution` derive the
   quantities the recursion predicts, straight from the dynamic program, and
   :func:`root_summary` gives both with ``log Z`` from a single pass;
@@ -36,37 +39,40 @@ DP_VERTEX_BUDGET = 1_000_000
 
 
 def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition | None,
-                  pinned_root: int | None) -> dict[int, int]:
-    """Validate an oracle query and return its pinned vertices and colors."""
+                  pinned_root: int | None) -> np.ndarray:
+    """Validate an oracle query and return its per-vertex pin array.
+
+    Entry ``v`` is the color pinned onto vertex ``v``, or 0 if ``v`` is free.
+    """
     if not (isinstance(q, (int, np.integer)) and q >= 2):
         raise DomainError(f"q must be an integer >= 2, got {q!r}")
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"w must lie in [0, 1], got {w!r}")
-    pinned: dict[int, int] = {}
+    pins = np.zeros(tree.n_vertices, dtype=np.min_scalar_type(q))
     if boundary is not None:
         boundary.validate(tree, q)
-        pinned.update(boundary.colors)
+        k = len(boundary.colors)
+        pins[np.fromiter(boundary.colors, np.int32, k)] = np.fromiter(
+            boundary.colors.values(), pins.dtype, k)
     if pinned_root is not None:
         if not 1 <= pinned_root <= q:
             raise DomainError(f"root color {pinned_root} outside 1..{q}")
-        if pinned.get(tree.root, pinned_root) != pinned_root:
+        if pins[tree.root] not in (0, pinned_root):
             raise DomainError("root pinned to conflicting colors")
-        pinned[tree.root] = pinned_root
-    return pinned
+        pins[tree.root] = pinned_root
+    return pins
 
 
 def brute_force_Z(tree: TreeSpec, q: int, w: float,
                   boundary: BoundaryCondition | None = None,
                   pinned_root: int | None = None) -> float:
     """Partition function by direct enumeration of all free-vertex colorings."""
-    pinned = _collect_pins(tree, q, w, boundary, pinned_root)
-    free = [v for v in range(tree.n_vertices) if v not in pinned]
+    pins = _collect_pins(tree, q, w, boundary, pinned_root)
+    free = np.flatnonzero(pins == 0)
     total = q ** len(free)
     if total > BRUTE_FORCE_BUDGET:
         raise BudgetError(f"{total} colorings exceed the enumeration budget {BRUTE_FORCE_BUDGET}")
-    base = np.zeros(tree.n_vertices, dtype=np.int16)
-    for v, c in pinned.items():
-        base[v] = c
+    base = pins.astype(np.int16)
     edges = tree.edges()
     z = 0.0
     for lo in range(0, total, BRUTE_FORCE_CHUNK):
@@ -87,9 +93,12 @@ def dp_log_Z(tree: TreeSpec, q: int, w: float,
     """``log Z`` by the leaf-to-root dynamic program.
 
     Per-vertex tables are normalized by their running maximum, so depth and
-    size are limited only by the vertex budget, not by float range.  Returns
-    ``-inf`` when no compatible coloring has positive weight (possible only
-    at ``w = 0``).
+    size are limited only by the vertex budget, not by float range.  Each
+    depth is one array operation per child slot: slot ``s`` adds the message
+    of the ``s``-th child of every vertex that has one, so a vertex sums its
+    children in tuple order and the result does not depend on how the tree
+    is numbered or batched.  Returns ``-inf`` when no compatible coloring has
+    positive weight (possible only at ``w = 0``).
     """
     table = _dp_tables(tree, q, w, boundary, pinned_root)
     return _logsumexp(table[tree.root])
@@ -105,30 +114,77 @@ def _logsumexp(a: np.ndarray) -> float:
 def _dp_tables(tree: TreeSpec, q: int, w: float,
                boundary: BoundaryCondition | None,
                pinned_root: int | None) -> np.ndarray:
-    """Per-vertex arrays ``L[v][i] = log Z(subtree of v | v colored i+1)``."""
-    pinned = _collect_pins(tree, q, w, boundary, pinned_root)
+    """Per-vertex arrays ``L[v][i] = log Z(subtree of v | v colored i+1)``.
+
+    Deepest depth first, one pass per child slot (see :func:`dp_log_Z`).
+    """
+    pins = _collect_pins(tree, q, w, boundary, pinned_root)
     if tree.n_vertices > DP_VERTEX_BUDGET:
-        raise BudgetError(f"{tree.n_vertices} vertices exceed the dp budget")
-    table = np.zeros((tree.n_vertices, q))
-    for v in reversed(tree.topological_order()):
-        lv = np.zeros(q)
-        for c in tree.children[v]:
-            lc = table[c]
-            m = lc.max()
-            if m == -np.inf:
-                lv += -np.inf
-                continue
-            e = np.exp(lc - m)
-            # sum_j w**[i==j] * exp(lc_j), evaluated for all i at once
-            inner = e.sum() - (1.0 - w) * e
-            with np.errstate(divide="ignore"):
-                lv += m + np.log(inner)
-        if v in pinned:
-            keep = lv[pinned[v] - 1]
-            lv = np.full(q, -np.inf)
-            lv[pinned[v] - 1] = keep
-        table[v] = lv
+        raise BudgetError(f"{tree.n_vertices} vertices exceed the dp budget "
+                          f"DP_VERTEX_BUDGET={DP_VERTEX_BUDGET}")
+    n = tree.n_vertices
+    counts = np.fromiter(map(len, tree.children), np.int32, n)
+    first = np.cumsum(counts, dtype=np.int32)
+    first -= counts
+    flat = np.fromiter(itertools.chain.from_iterable(tree.children), np.int32, n - 1)
+    table = np.zeros((n, q))
+    for level in reversed(_bfs_levels(tree.root, counts, first, flat)):
+        _add_child_messages(table, level, counts, first, flat, w)
+        _pin_rows(table, level, pins)
     return table
+
+
+def _add_child_messages(table: np.ndarray, parents: np.ndarray, counts: np.ndarray,
+                        first: np.ndarray, flat: np.ndarray, w: float) -> None:
+    """Add every child's message into its parent's row, one child slot at a time."""
+    k = counts[parents]
+    for s in itertools.count():
+        keep = k > s
+        parents, k = parents[keep], k[keep]
+        if not len(parents):
+            return
+        msg = table[flat[first[parents] + s]]
+        m = msg.max(axis=1, keepdims=True)
+        # An all -inf child (w = 0 conflict) gets m = 0: exp gives 0 and
+        # log(0) = -inf, so its message is the -inf row.
+        m[m == -np.inf] = 0.0
+        # m + log(sum_j w**[i==j] * exp(msg_j - m)), for all i at once
+        np.subtract(msg, m, out=msg)
+        np.exp(msg, out=msg)
+        total = msg.sum(axis=1, keepdims=True)
+        np.multiply(msg, 1.0 - w, out=msg)
+        np.subtract(total, msg, out=msg)
+        with np.errstate(divide="ignore"):
+            np.log(msg, out=msg)
+        np.add(m, msg, out=msg)
+        msg += table[parents]
+        table[parents] = msg
+
+
+def _pin_rows(table: np.ndarray, level: np.ndarray, pins: np.ndarray) -> None:
+    """Set every entry but the pinned color's to -inf in the rows of pinned vertices."""
+    pinned = level[pins[level] > 0]
+    color = pins[pinned] - 1
+    keep = table[pinned, color]
+    table[pinned] = -np.inf
+    table[pinned, color] = keep
+
+
+def _bfs_levels(root: int, counts: np.ndarray, first: np.ndarray,
+                flat: np.ndarray) -> list[np.ndarray]:
+    """The vertices at each depth, each parent's children in tuple order."""
+    levels = [np.array([root], dtype=np.int32)]
+    while True:
+        k = counts[levels[-1]]
+        size = int(k.sum())
+        if not size:
+            return levels
+        # child j of the concatenation is flat[first[parent] + j - start[parent]]
+        start = np.cumsum(k, dtype=np.int32)
+        start -= k
+        idx = np.repeat(first[levels[-1]] - start, k)
+        idx += np.arange(size, dtype=np.int32)
+        levels.append(flat[idx])
 
 
 def root_summary(tree: TreeSpec, q: int, w: float,
@@ -168,12 +224,6 @@ def conditional_root_distribution(tree: TreeSpec, q: int, w: float,
 def _root_law(root: np.ndarray) -> np.ndarray:
     p = np.exp(root - root.max())
     return p / p.sum()
-
-
-def max_uniform_deviation(p: np.ndarray) -> float:
-    """``max_i |p_i - 1/q|`` — distance of a color law from uniform."""
-    p = np.asarray(p, dtype=float)
-    return float(np.abs(p - 1.0 / len(p)).max())
 
 
 def recursion_root_log_ratios(q: int, d: int, n: int, w: float, leaf_colors) -> np.ndarray:

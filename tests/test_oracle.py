@@ -1,6 +1,7 @@
 """Exact partition-function oracles and the recursion pipeline against them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from pottstree import (
     BoundaryCondition,
     BudgetError,
     DomainError,
+    ModelParams,
     TreeSpec,
     brute_force_Z,
     conditional_root_distribution,
     dp_log_Z,
     enumerate_log_ratio_sets,
     level,
-    max_uniform_deviation,
+    oracle,
     recursion_root_log_ratios,
     root_log_ratios,
     root_summary,
@@ -49,6 +51,22 @@ def test_brute_force_and_dp_agree_on_irregular_tree(q, w):
             z_brute = brute_force_Z(IRREGULAR, q, w, boundary, pinned_root=pin)
             z_dp = math.exp(dp_log_Z(IRREGULAR, q, w, boundary, pinned_root=pin))
             assert z_dp == pytest.approx(z_brute, rel=1e-12, abs=1e-300)
+
+
+def test_oracles_reject_a_root_pinned_to_two_colors():
+    t = TreeSpec.regular(2, 1)
+    b = BoundaryCondition({0: 1})
+    for z in (brute_force_Z, dp_log_Z):
+        with pytest.raises(DomainError, match="conflicting"):
+            z(t, 3, 0.5, b, pinned_root=2)
+    assert dp_log_Z(t, 3, 0.5, b, pinned_root=1) == math.log(brute_force_Z(t, 3, 0.5, b))
+
+
+def test_dp_pins_colors_beyond_one_byte():
+    t = TreeSpec.regular(1, 1)
+    q, w = 300, 0.5
+    b = BoundaryCondition({1: q})
+    assert dp_log_Z(t, q, w, b) == pytest.approx(math.log(q - 1 + w), rel=1e-14)
 
 
 def test_dp_handles_zero_weight_conflict():
@@ -100,6 +118,95 @@ def test_root_summary_is_bitwise_the_three_oracles(q, d, n, w):
     np.testing.assert_array_equal(ratios, root_log_ratios(t, q, w, b))
 
 
+def _reference_tables(tree, q, w, boundary, pinned_root):
+    """The per-vertex loop that the level-and-slot pass of ``_dp_tables`` replaces."""
+    pinned = dict(boundary.colors)
+    if pinned_root is not None:
+        pinned[tree.root] = pinned_root
+    table = np.zeros((tree.n_vertices, q))
+    for v in reversed(tree.topological_order()):
+        lv = np.zeros(q)
+        for c in tree.children[v]:
+            lc = table[c]
+            m = lc.max()
+            if m == -np.inf:
+                lv += -np.inf
+                continue
+            e = np.exp(lc - m)
+            with np.errstate(divide="ignore"):
+                lv += m + np.log(e.sum() - (1.0 - w) * e)
+        if v in pinned:
+            keep = lv[pinned[v] - 1]
+            lv = np.full(q, -np.inf)
+            lv[pinned[v] - 1] = keep
+        table[v] = lv
+    return table
+
+
+def _random_query(rng):
+    """A random tree with shuffled labels and child order, and random pins on it."""
+    n = int(rng.integers(1, 40))
+    parent = [int(rng.integers(0, v)) for v in range(1, n)]
+    label = rng.permutation(n)
+    children = [[] for _ in range(n)]
+    for v, p in enumerate(parent, start=1):
+        children[label[p]].append(int(label[v]))
+    for ch in children:
+        rng.shuffle(ch)
+    tree = TreeSpec(tuple(tuple(ch) for ch in children), root=int(label[0]))
+    q = int(rng.integers(2, 11))
+    w = float(rng.choice([0.0, rng.uniform(), 1.0]))
+    pinned = rng.random(n) < rng.uniform(0, 0.6)
+    boundary = BoundaryCondition({int(v): int(rng.integers(1, q + 1))
+                                  for v in np.flatnonzero(pinned)})
+    pinned_root = None
+    if rng.random() < 0.3:
+        pinned_root = boundary.colors.get(tree.root, int(rng.integers(1, q + 1)))
+    return tree, q, w, boundary, pinned_root
+
+
+def _assert_bitwise_reference(tree, q, w, boundary, pinned_root):
+    got = oracle._dp_tables(tree, q, w, boundary, pinned_root)
+    want = _reference_tables(tree, q, w, boundary, pinned_root)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_dp_tables_are_bitwise_the_per_vertex_loop_on_random_trees():
+    rng = np.random.default_rng(2022)
+    single = TreeSpec(((),))
+    _assert_bitwise_reference(single, 3, 0.5, BoundaryCondition(), None)
+    _assert_bitwise_reference(single, 3, 0.5, BoundaryCondition(), 2)
+    for _ in range(500):
+        _assert_bitwise_reference(*_random_query(rng))
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_dp_tables_are_bitwise_the_per_vertex_loop_on_regular_trees(n):
+    t = TreeSpec.regular(3, n)
+    b = BoundaryCondition.random(t, 3, np.random.default_rng(n))
+    _assert_bitwise_reference(t, 3, ModelParams(3, 3, 1.0).w, b, None)
+
+
+def test_dp_pass_peak_memory_is_within_three_tables():
+    t = TreeSpec.regular(3, 10)
+    b = BoundaryCondition.random(t, 3, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        table = oracle._dp_tables(t, 3, 0.25, b, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.nbytes
+
+
+def test_dp_budget_error_names_the_limit():
+    n = oracle.DP_VERTEX_BUDGET + 1
+    star = TreeSpec((tuple(range(1, n)),) + ((),) * (n - 1))
+    with pytest.raises(BudgetError, match=f"^{n} vertices exceed the dp budget "
+                                          r"DP_VERTEX_BUDGET=1000000$"):
+        dp_log_Z(star, 3, 0.5)
+
+
 def test_conditional_distribution_monochromatic_star():
     q, d, w = 3, 4, 0.6
     t = TreeSpec.regular(d, 1)
@@ -114,12 +221,7 @@ def test_conditional_distribution_is_uniform_at_weight_one():
     t = TreeSpec.regular(2, 2)
     b = BoundaryCondition.from_leaf_colors(t, [1, 1, 2, 3])
     p = conditional_root_distribution(t, 4, 1.0, b)
-    assert max_uniform_deviation(p) <= 1e-15
-
-
-def test_max_uniform_deviation():
-    assert max_uniform_deviation([0.5, 0.25, 0.25]) == pytest.approx(1 / 6, abs=1e-15)
-    assert max_uniform_deviation(np.full(5, 0.2)) == 0.0
+    assert np.abs(p - 1 / 4).max() <= 1e-15
 
 
 @pytest.mark.parametrize("q,d,n,w", [
@@ -134,6 +236,17 @@ def test_recursion_pipeline_matches_dp(q, d, n, w):
     from_dp = root_log_ratios(t, q, w, b)
     from_recursion = recursion_root_log_ratios(q, d, n, w, leaf_colors)
     np.testing.assert_allclose(from_recursion, from_dp, rtol=0, atol=1e-10)
+
+
+def test_recursion_matches_dp_on_a_random_boundary_at_depth_12():
+    # 797,161 vertices: the deepest d=3 tree inside the dp budget
+    q, d, n = 3, 3, 12
+    w = ModelParams(q, d, 1.0).w
+    t = TreeSpec.regular(d, n)
+    leaf_colors = np.random.default_rng(12).integers(1, q + 1, size=d**n)
+    b = BoundaryCondition.from_leaf_colors(t, leaf_colors)
+    np.testing.assert_allclose(recursion_root_log_ratios(q, d, n, w, leaf_colors),
+                               root_log_ratios(t, q, w, b), rtol=0, atol=1e-9)
 
 
 def test_recursion_pipeline_input_checks():
