@@ -8,8 +8,7 @@ that drives the conditional root distribution to uniform inside the
 uniqueness regime ``w > 1 - q/(d+1)``.
 """
 
-from .errors import (BudgetError, CertificationError, DomainError,
-                     NotInImageError, ParseError)
+from .errors import BudgetError, CertificationError, DomainError, ParseError
 from .params import (INFINITY, ModelParams, classify_pattern, leaf_pattern,
                      validate_log_ratio)
 from .symmetry import (all_permutations, apply_permutation, compose,
@@ -17,56 +16,51 @@ from .symmetry import (all_permutations, apply_permutation, compose,
                        random_permutation, transposition)
 from .maps import (degree_rescaling, diagonal_contraction,
                    diagonal_contraction_finite, log_ratio_map,
-                   log_ratio_map_inverse, log_ratio_map_jacobian,
-                   log_ratio_map_preimage, pattern_image, ratio_map,
-                   two_step_map, two_step_sum_limit)
+                   log_ratio_map_jacobian, log_ratio_map_preimage,
+                   pattern_image, two_step_map, two_step_sum_limit)
 from .trees import (BoundaryCondition, BoundaryFile, TreeSpec,
                     read_boundary_file, write_boundary_file)
 from .oracle import (brute_force_Z, conditional_root_distribution,
                      dp_log_Z, enumerate_log_ratio_sets, recursion_root_log_ratios,
                      root_log_ratios, root_summary)
 from .polytope import (MembershipReport, convexity_probe,
-                       convexity_witness_search, fundamental_membership, level,
-                       limit_normal_alignment, membership, polytope_vertices,
-                       sample_face, sample_fundamental, sample_polytope)
+                       convexity_witness_search, level, membership,
+                       polytope_vertices, sample_face, sample_fundamental,
+                       sample_polytope)
 from .certify import (ConvergenceReport, InvarianceReport, MinimalityReport,
                       contraction_sequence, convergence_experiment,
                       diagonal_minimality_check, two_step_level)
-from .gradients import (BalancingReport, TripleParams, comparator_exponent,
-                        comparator_gap, comparator_values,
-                        constant_exponent_point, gradient_identity_sweep,
-                        positivity_sweep, rescaled_gap, rescaled_gap_line,
-                        tail_averaging_check, two_step_sum_gradient)
+from .gradients import (comparator_exponent, comparator_gap,
+                        comparator_values, constant_exponent_point,
+                        gradient_identity_sweep, positivity_sweep,
+                        rescaled_gap, rescaled_gap_line, two_step_sum_gradient)
 from .reporting import (CertificationReport, parse_grid, spawn_rng,
                         write_csv_atomic)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError", "CertificationError", "DomainError", "NotInImageError",
-    "ParseError",
+    "BudgetError", "CertificationError", "DomainError", "ParseError",
     "INFINITY", "ModelParams", "classify_pattern", "leaf_pattern",
     "validate_log_ratio",
     "all_permutations", "apply_permutation", "compose", "identity_permutation",
     "invert", "is_permutation", "random_permutation", "transposition",
     "degree_rescaling", "diagonal_contraction", "diagonal_contraction_finite",
-    "log_ratio_map", "log_ratio_map_inverse", "log_ratio_map_jacobian",
-    "log_ratio_map_preimage", "pattern_image", "ratio_map", "two_step_map",
-    "two_step_sum_limit",
+    "log_ratio_map", "log_ratio_map_jacobian", "log_ratio_map_preimage",
+    "pattern_image", "two_step_map", "two_step_sum_limit",
     "BoundaryCondition", "BoundaryFile", "TreeSpec", "read_boundary_file",
     "write_boundary_file",
     "brute_force_Z", "conditional_root_distribution", "dp_log_Z",
     "enumerate_log_ratio_sets", "recursion_root_log_ratios", "root_log_ratios",
     "root_summary",
-    "MembershipReport", "convexity_probe", "convexity_witness_search",
-    "fundamental_membership", "level", "limit_normal_alignment", "membership",
-    "polytope_vertices", "sample_face", "sample_fundamental", "sample_polytope",
+    "MembershipReport", "convexity_probe", "convexity_witness_search", "level",
+    "membership", "polytope_vertices", "sample_face", "sample_fundamental",
+    "sample_polytope",
     "ConvergenceReport", "InvarianceReport", "MinimalityReport",
     "contraction_sequence", "convergence_experiment",
     "diagonal_minimality_check", "two_step_level",
-    "BalancingReport", "TripleParams", "comparator_exponent", "comparator_gap",
-    "comparator_values", "constant_exponent_point", "gradient_identity_sweep",
-    "positivity_sweep", "rescaled_gap", "rescaled_gap_line",
-    "tail_averaging_check", "two_step_sum_gradient",
+    "comparator_exponent", "comparator_gap", "comparator_values",
+    "constant_exponent_point", "gradient_identity_sweep", "positivity_sweep",
+    "rescaled_gap", "rescaled_gap_line", "two_step_sum_gradient",
     "CertificationReport", "parse_grid", "spawn_rng", "write_csv_atomic",
 ]

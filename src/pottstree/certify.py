@@ -221,6 +221,8 @@ def convergence_experiment(q: int, d: int, alpha: float, n_max: int,
         raise DomainError("convergence experiment requires w > 0")
 
     if boundary == "mono":
+        if not 1 <= color <= q:
+            raise DomainError(f"color must lie in 1..{q}, got {color}")
         counts = np.zeros((1, q))
         counts[0, color - 1] = d
     else:

@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from .certify import contraction_sequence, convergence_experiment, two_step_level
-from .errors import BudgetError, CertificationError, DomainError, NotInImageError, ParseError
+from .errors import BudgetError, CertificationError, DomainError, ParseError
 from .gradients import gradient_identity_sweep, positivity_sweep
 from .oracle import brute_force_Z, dp_log_Z, recursion_root_log_ratios, root_summary
 from .params import INFINITY, ModelParams
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DomainError, ParseError, BudgetError, NotInImageError, OSError) as exc:
+    except (DomainError, ParseError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,14 +5,6 @@ class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class NotInImageError(DomainError):
-    """A vector has no preimage under the requested map.
-
-    This is a legitimate query outcome (used e.g. by the convexity probe),
-    not a programming error.
-    """
-
-
 class BudgetError(RuntimeError):
     """An enumeration or sweep would exceed its declared resource budget."""
 

@@ -21,8 +21,6 @@ and the finite-difference correctness of the gradient itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -132,45 +130,6 @@ def rescaled_gap_line(c1, c2, c3, l: int):
     return value, slope
 
 
-@dataclass(frozen=True)
-class TripleParams:
-    """An admissible three-block face configuration.
-
-    ``x1`` fills ``l`` leading coordinates, ``x2`` the next one and ``x3``
-    the remaining ``q - l - 2``; admissibility is
-    ``1 >= x1 > x2 >= x3 >= 0`` (which forces the derived exponent constants
-    into ``0 <= C1 < C2 <= C3``).
-    """
-
-    q: int
-    l: int
-    x1: float
-    x2: float
-    x3: float
-
-    def __post_init__(self):
-        if self.q < 3:
-            raise DomainError(f"q must be >= 3, got {self.q}")
-        if not 1 <= self.l <= self.q - 2:
-            raise DomainError(f"l must lie in 1..{self.q - 2}, got {self.l}")
-        if not (1.0 >= self.x1 > self.x2 >= self.x3 >= 0.0):
-            raise DomainError(
-                f"need 1 >= x1 > x2 >= x3 >= 0, got ({self.x1}, {self.x2}, {self.x3})"
-            )
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([
-            np.full(self.l, self.x1), [self.x2], np.full(self.q - self.l - 2, self.x3),
-        ])
-
-    def constants(self) -> tuple[float, float, float]:
-        t = self.q - 1
-        return tuple(
-            float(comparator_exponent(i, self.x1, self.x2, self.x3, t, self.l))
-            for i in (1, 2, 3)
-        )
-
-
 def _draw_triples(count: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Admissible (x1, x2, x3) draws: three sorted uniforms (a.s. strict)."""
     u = np.sort(rng.random((count, 3)), axis=1)[:, ::-1]
@@ -252,77 +211,4 @@ def gradient_identity_sweep(q: int, points: int = 1000, seed: int = 0) -> Certif
         sample_count=points, seed=seed,
         min_margin=float(1e-6 - err.max()),
         passed=bool(err.max() <= 1e-6), witness=None,
-    )
-
-
-@dataclass
-class BalancingReport:
-    """Effect of averaging the trailing coordinate block on the gap."""
-
-    q: int
-    l: int
-    gap_before: float
-    gap_after: float
-    decrease_ok: bool
-    symmetry_error: float
-    min_second_difference: float
-    passed: bool
-
-
-def _gap_from_vector(y: np.ndarray, l: int, q: int) -> float:
-    v = comparator_values(y, q)
-    return float(v[l - 1] - v[l])
-
-
-def tail_averaging_check(y: np.ndarray, l: int, q: int) -> BalancingReport:
-    """Verify that averaging trailing coordinates cannot enlarge the gap.
-
-    ``y`` must satisfy ``1 >= y_1 = ... = y_l > y_{l+1} >= ... >= y_{q-1} >= 0``.
-    Checks (a) the gap does not increase when coordinates ``l+2..q-1`` are
-    replaced by their mean, and (b) the one-pair transfer function behind it
-    is symmetric about the midpoint and convex along the transfer parameter.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (q - 1,):
-        raise DomainError(f"need a vector of length q-1={q - 1}")
-    if not 1 <= l <= q - 2:
-        raise DomainError(f"l must lie in 1..{q - 2}, got {l}")
-    head, pivot, tail = y[:l], y[l], y[l + 1:]
-    if not ((head <= 1.0).all() and np.ptp(head) <= 1e-12 and head[0] > pivot):
-        raise DomainError("need 1 >= y_1 = ... = y_l > y_{l+1}")
-    rest = np.concatenate([[pivot], tail])
-    if not ((np.diff(rest) <= 1e-12).all() and rest[-1] >= 0):
-        raise DomainError("trailing coordinates must be descending and nonnegative")
-
-    gap_before = _gap_from_vector(y, l, q)
-    averaged = y.copy()
-    if len(tail):
-        averaged[l + 1:] = tail.mean()
-    gap_after = _gap_from_vector(averaged, l, q)
-
-    # One-pair transfer: move the first unequal adjacent tail pair together.
-    sym_err, min_curv = 0.0, np.inf
-    idx = next((k for k in range(len(tail) - 1) if tail[k] > tail[k + 1]), None)
-    if idx is not None:
-        i, j = l + 1 + idx, l + 2 + idx
-        span = y[i] - y[j]
-
-        def gap_at(s):
-            z = y.copy()
-            z[i], z[j] = y[i] - s, y[j] + s
-            return _gap_from_vector(z, l, q)
-
-        ts = np.linspace(0.0, span, 9)
-        vals = np.array([gap_at(s) for s in ts])
-        scale = max(1.0, np.abs(vals).max())
-        sym_err = float(np.abs(vals - vals[::-1]).max() / scale)
-        min_curv = float(np.min(vals[:-2] - 2 * vals[1:-1] + vals[2:]) / scale)
-
-    decrease_ok = gap_before >= gap_after - 1e-10
-    passed = bool(decrease_ok and sym_err <= 1e-10 and
-                  (min_curv == np.inf or min_curv >= -1e-12))
-    return BalancingReport(
-        q=q, l=l, gap_before=gap_before, gap_after=gap_after,
-        decrease_ok=decrease_ok, symmetry_error=sym_err,
-        min_second_difference=float(min_curv), passed=passed,
     )

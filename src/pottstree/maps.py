@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NotInImageError
+from .errors import DomainError
 from .params import INFINITY, ModelParams, classify_pattern, validate_log_ratio
 
 # Shift threshold: keep exp() arguments comfortably inside float64 range.
@@ -45,19 +45,6 @@ def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.maximum(x.max(axis=-1, keepdims=True) - _EXP_SHIFT_AT, 0.0)
     return np.exp(x - m), np.exp(-m)
-
-
-def ratio_map(z: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Evaluate ``G`` on ratio coordinates ``z`` (all ``z_i > 0``)."""
-    z = validate_log_ratio(z, params.q)
-    if not (z > 0).all():
-        raise DomainError("ratio coordinates must be strictly positive")
-    if params.d == INFINITY:
-        return params.q * (1.0 - z) / (z.sum(axis=-1, keepdims=True) + 1.0)
-    den = z.sum(axis=-1, keepdims=True) + params.w
-    if not (den > 0).all():
-        raise DomainError("ratio-map denominator is nonpositive (w too negative)")
-    return (1.0 - z) / den
 
 
 def pattern_image(color: int, params: ModelParams) -> np.ndarray:
@@ -150,17 +137,6 @@ def log_ratio_map_preimage(y: np.ndarray, params: ModelParams) -> tuple[np.ndarr
         x = np.where(z > 0, np.log(np.where(z > 0, z, 1.0)), np.nan)
     x = np.where(valid[..., None], x, np.nan)
     return x, valid
-
-
-def log_ratio_map_inverse(y: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Preimage of a single vector under ``F``; raises if there is none."""
-    y = validate_log_ratio(y, params.q)
-    if y.ndim != 1:
-        raise DomainError("use log_ratio_map_preimage for batches")
-    x, valid = log_ratio_map_preimage(y, params)
-    if not valid:
-        raise NotInImageError(f"{y!r} is not in the image of the recursion map")
-    return x
 
 
 def log_ratio_map_jacobian(x: np.ndarray, params: ModelParams) -> np.ndarray:

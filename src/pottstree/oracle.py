@@ -50,10 +50,19 @@ def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition 
         raise DomainError(f"w must lie in [0, 1], got {w!r}")
     pins = np.zeros(tree.n_vertices, dtype=np.min_scalar_type(q))
     if boundary is not None:
-        boundary.validate(tree, q)
+        # range-check as int64: in the pin dtype an out-of-range color or
+        # vertex could wrap around to a valid one
         k = len(boundary.colors)
-        pins[np.fromiter(boundary.colors, np.int32, k)] = np.fromiter(
-            boundary.colors.values(), pins.dtype, k)
+        vertices = np.fromiter(boundary.colors, np.int64, k)
+        colors = np.fromiter(boundary.colors.values(), np.int64, k)
+        bad_vertex = (vertices < 0) | (vertices >= tree.n_vertices)
+        bad = bad_vertex | (colors < 1) | (colors > q)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_vertex[i]:
+                raise DomainError(f"pinned vertex {vertices[i]} not in tree")
+            raise DomainError(f"color {colors[i]} for vertex {vertices[i]} outside 1..{q}")
+        pins[vertices] = colors
     if pinned_root is not None:
         if not 1 <= pinned_root <= q:
             raise DomainError(f"root color {pinned_root} outside 1..{q}")

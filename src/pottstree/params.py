@@ -84,12 +84,6 @@ class ModelParams:
             )
         return cls(q, d, min(alpha, 1.0))
 
-    @property
-    def uniqueness_threshold(self) -> float:
-        """``w_c = max(0, 1 - q/(d+1))`` (0 for the limit family)."""
-        if self.d == INFINITY:
-            return 1.0
-        return max(0.0, 1.0 - self.q / (self.d + 1.0))
 
 
 def leaf_pattern(color: int, q: int) -> np.ndarray:

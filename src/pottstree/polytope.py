@@ -81,14 +81,6 @@ def membership(x: np.ndarray, c: float) -> MembershipReport:
     return MembershipReport(bool(slacks[worst] >= 0), float(slacks[worst]), worst)
 
 
-def fundamental_membership(x: np.ndarray, c: float) -> bool:
-    """Exact test for the fundamental domain ``D_c``."""
-    x = np.asarray(x, dtype=float)
-    if c <= 0:
-        raise DomainError(f"level must be positive, got {c}")
-    return bool((x <= 0).all(axis=-1) and x.sum(axis=-1) >= -c)
-
-
 def sample_fundamental(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples of ``D_c`` (Dirichlet weights over its q vertices)."""
     if c <= 0:
@@ -278,27 +270,3 @@ def convexity_witness_search(params: ModelParams, c_values, pairs_per_c: int = 2
                 "violation": float(violation),
             }
     return best
-
-
-def limit_normal_alignment(y: np.ndarray) -> tuple[int, float]:
-    """Alignment diagnostic for the image surface of the limit map.
-
-    For ``y`` in the invertible region, let ``z`` be its pullback ratio
-    coordinates and ``g(y) = prod_k z_k(y)``.  Returns ``(sign, value)`` of
-    ``<grad g(y), 1>``; the sign is negative throughout the region where all
-    ``z_k > 0``, which is what pins the orientation of the image's supporting
-    hyperplanes relative to the diagonal.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise DomainError("alignment diagnostic expects a single vector")
-    q = len(y) + 1
-    t = y.sum() + q
-    if t <= 0:
-        raise DomainError("outside the invertible region (nonpositive denominator)")
-    z = 1.0 - q * y / t
-    if (z <= 0).any():
-        raise DomainError("outside the invertible region (nonpositive pullback ratios)")
-    prod_others = np.prod(z) / z
-    value = float(-(prod_others * ((q - 1) * z + 1.0)).sum() / t)
-    return (int(np.sign(value)), value)

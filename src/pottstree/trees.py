@@ -114,13 +114,6 @@ class BoundaryCondition:
 
     colors: dict[int, int] = field(default_factory=dict)
 
-    def validate(self, tree: TreeSpec, q: int) -> None:
-        for v, c in self.colors.items():
-            if not 0 <= v < tree.n_vertices:
-                raise DomainError(f"pinned vertex {v} not in tree")
-            if not 1 <= c <= q:
-                raise DomainError(f"color {c} for vertex {v} outside 1..{q}")
-
     @classmethod
     def monochromatic(cls, tree: TreeSpec, color: int) -> "BoundaryCondition":
         return cls({v: color for v in tree.leaves()})

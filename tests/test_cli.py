@@ -78,6 +78,16 @@ def test_recursion_command_rejects_limit_degree(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("color", ["0", "6"])
+def test_recursion_command_rejects_colors_outside_one_to_q(color, capsys):
+    # 0 used to index counts[0, -1] and run as color 5; 6 raised IndexError
+    code = main(["recursion", "--q", "5", "--d", "10", "--n-max", "4", "--color", color])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: color must lie in 1..5, got {color}\n"
+
+
 def test_certify_command_single_level(capsys):
     code = main(["certify", "--q", "3", "--d", "inf", "--c", "2.0",
                  "--samples", "2000", "--pairs", "1000"])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pottstree import (
     DomainError,
-    TripleParams,
     comparator_exponent,
     comparator_gap,
     comparator_values,
@@ -16,7 +15,6 @@ from pottstree import (
     positivity_sweep,
     rescaled_gap,
     rescaled_gap_line,
-    tail_averaging_check,
     two_step_sum_gradient,
 )
 
@@ -121,19 +119,6 @@ def test_constant_exponent_point_rejects_degenerate_denominator():
         constant_exponent_point(-30.0, 0.5, 0.5, 1, 2.0)
 
 
-def test_triple_params_validation_and_vector():
-    tp = TripleParams(q=6, l=2, x1=0.9, x2=0.5, x3=0.2)
-    np.testing.assert_array_equal(tp.as_vector(), [0.9, 0.9, 0.5, 0.2, 0.2])
-    c1, c2, c3 = tp.constants()
-    assert 0 <= c1 < c2 <= c3
-    with pytest.raises(DomainError):
-        TripleParams(q=6, l=2, x1=0.5, x2=0.5, x3=0.2)  # needs x1 > x2
-    with pytest.raises(DomainError):
-        TripleParams(q=6, l=5, x1=0.9, x2=0.5, x3=0.2)  # l too large
-    with pytest.raises(DomainError):
-        TripleParams(q=2, l=1, x1=0.9, x2=0.5, x3=0.2)
-
-
 @pytest.mark.parametrize("q,l", [(3, 1), (5, 2), (8, 6)])
 def test_positivity_sweep_passes(q, l):
     report = positivity_sweep(q, l, trials=2000, seed=0)
@@ -161,25 +146,3 @@ def test_gradient_matches_finite_differences(q):
     assert report.passed
     assert report.parameters["max_scaled_error"] <= 1e-6
 
-
-def test_tail_averaging_never_raises_the_gap():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        q = int(rng.integers(5, 9))
-        l = int(rng.integers(1, q - 3))
-        draws = np.sort(rng.uniform(0.02, 1.0, size=q - 1 - l))[::-1]
-        y = np.concatenate([np.full(l, 1.0), draws])
-        report = tail_averaging_check(y, l, q)
-        assert report.passed
-        assert report.gap_after <= report.gap_before + 1e-10
-        assert report.symmetry_error <= 1e-10
-        assert report.min_second_difference >= -1e-12 or np.isinf(report.min_second_difference)
-
-
-def test_tail_averaging_validates_block_structure():
-    with pytest.raises(DomainError):
-        tail_averaging_check(np.array([0.5, 0.9, 0.2, 0.1]), 1, 5)  # head below pivot
-    with pytest.raises(DomainError):
-        tail_averaging_check(np.array([0.9, 0.5, 0.2, 0.4]), 1, 5)  # tail not sorted
-    with pytest.raises(DomainError):
-        tail_averaging_check(np.array([0.9, 0.5, 0.2]), 3, 4)

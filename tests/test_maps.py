@@ -1,4 +1,4 @@
-"""The one-step recursion map, its inverse, Jacobian, and diagonal profile."""
+"""The one-step recursion map, its batch preimage, Jacobian, and diagonal profile."""
 
 import math
 
@@ -11,17 +11,14 @@ from pottstree import (
     INFINITY,
     DomainError,
     ModelParams,
-    NotInImageError,
     degree_rescaling,
     diagonal_contraction,
     diagonal_contraction_finite,
     leaf_pattern,
     log_ratio_map,
-    log_ratio_map_inverse,
     log_ratio_map_jacobian,
     log_ratio_map_preimage,
     pattern_image,
-    ratio_map,
     two_step_map,
     two_step_sum_limit,
 )
@@ -36,27 +33,24 @@ def test_uniform_point_is_fixed_exactly(params):
     assert (log_ratio_map(x, params) == 0.0).all()
 
 
-def test_ratio_map_closed_form():
-    params = ModelParams(3, 3, 1.0)  # w = 1/4
-    z = np.array([0.5, 2.0])
-    expected = (1 - z) / (z.sum() + params.w)
-    np.testing.assert_allclose(ratio_map(z, params), expected, rtol=0, atol=1e-15)
-
-
-def test_ratio_map_limit_form():
-    params = ModelParams(4, INFINITY)
-    z = np.array([0.5, 1.5, 2.0])
-    expected = 4 * (1 - z) / (z.sum() + 1)
-    np.testing.assert_allclose(ratio_map(z, params), expected, rtol=0, atol=1e-15)
+def ratio_map(z, params):
+    """Reference ``G`` on ratio coordinates, the closed form of the maps module docstring."""
+    if params.d == INFINITY:
+        return params.q * (1 - z) / (z.sum(axis=-1, keepdims=True) + 1)
+    return (1 - z) / (z.sum(axis=-1, keepdims=True) + params.w)
 
 
 def test_log_ratio_map_agrees_with_ratio_composition():
-    params = ModelParams(4, 6, 0.8)
+    # F = d*log(1 + beta*G(exp x)) for finite d, and F = G(exp x) in the limit
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(50, 3))
-    beta = params.alpha * params.q / (params.d + 1)
-    expected = params.d * np.log1p(beta * ratio_map(np.exp(x), params))
-    np.testing.assert_allclose(log_ratio_map(x, params), expected, rtol=0, atol=1e-13)
+    for params in (ModelParams(4, 6, 0.8), ModelParams(4, INFINITY)):
+        x = rng.normal(size=(50, 3))
+        g = ratio_map(np.exp(x), params)
+        if params.d == INFINITY:
+            expected = g
+        else:
+            expected = params.d * np.log1p(params.alpha * params.q / (params.d + 1) * g)
+        np.testing.assert_allclose(log_ratio_map(x, params), expected, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("params", finite_params)
@@ -143,16 +137,6 @@ def test_points_outside_the_image_are_flagged():
     back, valid = log_ratio_map_preimage(y, params)
     assert not valid.any()
     assert np.isnan(back[~valid]).all()
-    with pytest.raises(NotInImageError):
-        log_ratio_map_inverse(y[0], params)
-
-
-def test_inverse_single_vector():
-    params = ModelParams(5, 11, 0.6)
-    x = np.array([0.4, -0.3, 0.1, -1.0])
-    np.testing.assert_allclose(
-        log_ratio_map_inverse(log_ratio_map(x, params), params), x, rtol=0, atol=1e-10
-    )
 
 
 def test_two_step_map_is_composition():

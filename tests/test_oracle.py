@@ -62,6 +62,27 @@ def test_oracles_reject_a_root_pinned_to_two_colors():
     assert dp_log_Z(t, 3, 0.5, b, pinned_root=1) == math.log(brute_force_Z(t, 3, 0.5, b))
 
 
+def test_oracles_reject_bad_pins():
+    t = TreeSpec.regular(2, 1)
+    for z in (brute_force_Z, dp_log_Z):
+        with pytest.raises(DomainError, match=r"^color 5 for vertex 1 outside 1\.\.4$"):
+            z(t, 4, 0.5, BoundaryCondition({1: 5}))
+        # q + 256 and 2**32 + 1 would wrap to a valid color (uint8 at q = 5)
+        # and vertex (int32) if they were cast before the range check
+        with pytest.raises(DomainError, match=r"^color 261 for vertex 1 outside 1\.\.5$"):
+            z(t, 5, 0.5, BoundaryCondition({1: 261}))
+        for v in (3, -1, 2**32 + 1):
+            with pytest.raises(DomainError, match=rf"^pinned vertex {v} not in tree$"):
+                z(t, 4, 0.5, BoundaryCondition({v: 1}))
+        # the first offending pin in the boundary's order is named
+        with pytest.raises(DomainError, match=r"^color 0 for vertex 2 outside"):
+            z(t, 4, 0.5, BoundaryCondition({1: 1, 2: 0, 5: 1}))
+    # internal pins are allowed: the root pinned, its two children free
+    w = 0.5
+    assert dp_log_Z(t, 4, w, BoundaryCondition({0: 1})) == pytest.approx(
+        2 * math.log(w + 3), rel=1e-14)
+
+
 def test_dp_pins_colors_beyond_one_byte():
     t = TreeSpec.regular(1, 1)
     q, w = 300, 0.5

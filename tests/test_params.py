@@ -54,12 +54,6 @@ def test_model_params_rejects_bad_shape(q, d):
         ModelParams(q, d, 1.0)
 
 
-def test_uniqueness_threshold():
-    assert ModelParams(3, 5, 1.0).uniqueness_threshold == 0.5
-    assert ModelParams(5, 3, 0.5).uniqueness_threshold == 0.0
-    assert ModelParams(3, INFINITY).uniqueness_threshold == 1.0
-
-
 def test_leaf_pattern_shapes():
     x = leaf_pattern(1, 3)
     assert x.shape == (2,)

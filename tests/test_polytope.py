@@ -13,9 +13,7 @@ from pottstree import (
     apply_permutation,
     convexity_probe,
     convexity_witness_search,
-    fundamental_membership,
     level,
-    limit_normal_alignment,
     log_ratio_map,
     log_ratio_map_preimage,
     membership,
@@ -97,12 +95,6 @@ def test_sampled_points_lie_inside(q, c):
     assert (x.sum(axis=1) >= -c * (1 + 1e-12)).all()
 
 
-def test_fundamental_membership_flags():
-    assert fundamental_membership(np.array([-0.5, -0.5]), 2.0)
-    assert not fundamental_membership(np.array([0.1, -0.5]), 2.0)   # positive entry
-    assert not fundamental_membership(np.array([-1.5, -0.8]), 2.0)  # sum below -c
-
-
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_every_point_has_an_orbit_representative_in_the_fundamental_domain(q):
     c = 3.0
@@ -113,7 +105,6 @@ def test_every_point_has_an_orbit_representative_in_the_fundamental_domain(q):
         y = apply_permutation(transposition(q, k, q), row)
         assert (y <= 1e-12).all()
         assert y.sum() >= -c - 1e-9
-        assert fundamental_membership(np.clip(y, None, 0.0), c + 1e-9)
         assert embedded_max >= 0.0
 
 
@@ -185,16 +176,3 @@ def test_midpoint_pullback_levels_are_bitwise_symmetric():
     assert np.isinf(lev).any() and np.isfinite(lev).any()
     np.testing.assert_array_equal(lev, _midpoint_pullback_levels(fy, fx, params))
 
-
-def test_limit_normal_alignment_sign_is_negative_inside():
-    rng = np.random.default_rng(9)
-    for q in (3, 4, 6):
-        y = rng.uniform(-0.2, 0.2, size=(50, q - 1))
-        for row in y:
-            sign, value = limit_normal_alignment(row)
-            assert sign == -1 and value < 0
-
-
-def test_limit_normal_alignment_rejects_outside_points():
-    with pytest.raises(DomainError):
-        limit_normal_alignment(np.array([5.0, 0.0]))  # pullback ratio goes negative
