@@ -40,6 +40,23 @@ def ratio_map(z, params):
     return (1 - z) / (z.sum(axis=-1, keepdims=True) + params.w)
 
 
+def test_ratio_map_closed_form():
+    params = ModelParams(3, 3, 1.0)  # w = 1/4, beta = 3/4
+    z = np.array([0.5, 2.0])
+    g = (1 - z) / (z.sum() + 0.25)
+    np.testing.assert_allclose(ratio_map(z, params), g, rtol=0, atol=1e-15)
+    expected = 3 * np.log1p(0.75 * g)
+    np.testing.assert_allclose(log_ratio_map(np.log(z), params), expected, rtol=0, atol=1e-14)
+
+
+def test_ratio_map_limit_form():
+    params = ModelParams(4, INFINITY)
+    z = np.array([0.5, 1.5, 2.0])
+    expected = 4 * (1 - z) / (z.sum() + 1)
+    np.testing.assert_allclose(ratio_map(z, params), expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(log_ratio_map(np.log(z), params), expected, rtol=0, atol=1e-14)
+
+
 def test_log_ratio_map_agrees_with_ratio_composition():
     # F = d*log(1 + beta*G(exp x)) for finite d, and F = G(exp x) in the limit
     rng = np.random.default_rng(0)
