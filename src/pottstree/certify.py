@@ -220,9 +220,9 @@ def convergence_experiment(q: int, d: int, alpha: float, n_max: int,
     if params.w <= 0:
         raise DomainError("convergence experiment requires w > 0")
 
+    if not 1 <= color <= q:
+        raise DomainError(f"color must lie in 1..{q}, got {color}")
     if boundary == "mono":
-        if not 1 <= color <= q:
-            raise DomainError(f"color must lie in 1..{q}, got {color}")
         counts = np.zeros((1, q))
         counts[0, color - 1] = d
     else:

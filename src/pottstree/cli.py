@@ -242,7 +242,7 @@ def _cmd_oracle(args) -> int:
                 raise DomainError(f"--{name}={flag} conflicts with boundary file ({getattr(bf, name)})")
         q, d, n = bf.q, bf.d, bf.n
         tree = bf.tree()
-        boundary = bf.boundary()
+        boundary = BoundaryCondition.from_leaf_colors(tree, bf.leaf_colors)
     else:
         if args.q is None or args.d is None or args.n is None:
             raise DomainError("--q, --d and --n are required without --boundary-file")

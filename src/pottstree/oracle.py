@@ -6,9 +6,9 @@ be validated against it:
 * :func:`brute_force_Z` enumerates colorings outright (vectorized in chunks);
 * :func:`dp_log_Z` runs a leaf-to-root dynamic program in log space, exact up
   to floating point for trees far beyond enumeration range.  It is one array
-  pass per (depth, child slot), deepest depth first, and each vertex still
-  adds its children's messages in tuple order, so the tables are bitwise
-  those of a loop over the vertices, on regular and irregular trees alike;
+  pass per (level, child slot) of the :class:`TreeSpec` layout, deepest first;
+  each vertex adds its children's messages in tuple order, so the tables are
+  bitwise those of a loop over the vertices, on regular and irregular trees alike;
 * :func:`root_log_ratios` / :func:`conditional_root_distribution` derive the
   quantities the recursion predicts, straight from the dynamic program, and
   :func:`root_summary` gives both with ``log Z`` from a single pass;
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .maps import leaf_counts_log_ratios, log_ratio_map
 from .params import ModelParams
-from .trees import BoundaryCondition, TreeSpec
+from .trees import BoundaryCondition, TreeSpec, _int64s
 
 BRUTE_FORCE_BUDGET = 10_000_000
 BRUTE_FORCE_CHUNK = 200_000
@@ -53,15 +53,16 @@ def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition 
         # range-check as int64: in the pin dtype an out-of-range color or
         # vertex could wrap around to a valid one
         k = len(boundary.colors)
-        vertices = np.fromiter(boundary.colors, np.int64, k)
-        colors = np.fromiter(boundary.colors.values(), np.int64, k)
+        vertices = _int64s(boundary.colors.keys, k)
+        colors = _int64s(boundary.colors.values, k)
         bad_vertex = (vertices < 0) | (vertices >= tree.n_vertices)
         bad = bad_vertex | (colors < 1) | (colors > q)
         if bad.any():
             i = int(np.argmax(bad))
+            vertex, color = next(itertools.islice(boundary.colors.items(), i, None))
             if bad_vertex[i]:
-                raise DomainError(f"pinned vertex {vertices[i]} not in tree")
-            raise DomainError(f"color {colors[i]} for vertex {vertices[i]} outside 1..{q}")
+                raise DomainError(f"pinned vertex {vertex} not in tree")
+            raise DomainError(f"color {color} for vertex {vertex} outside 1..{q}")
         pins[vertices] = colors
     if pinned_root is not None:
         if not 1 <= pinned_root <= q:
@@ -125,34 +126,33 @@ def _dp_tables(tree: TreeSpec, q: int, w: float,
                pinned_root: int | None) -> np.ndarray:
     """Per-vertex arrays ``L[v][i] = log Z(subtree of v | v colored i+1)``.
 
-    Deepest depth first, one pass per child slot (see :func:`dp_log_Z`).
+    Deepest level first, one pass per child slot (see :func:`dp_log_Z`).
     """
     pins = _collect_pins(tree, q, w, boundary, pinned_root)
     if tree.n_vertices > DP_VERTEX_BUDGET:
         raise BudgetError(f"{tree.n_vertices} vertices exceed the dp budget "
                           f"DP_VERTEX_BUDGET={DP_VERTEX_BUDGET}")
-    n = tree.n_vertices
-    counts = np.fromiter(map(len, tree.children), np.int32, n)
-    first = np.cumsum(counts, dtype=np.int32)
-    first -= counts
-    flat = np.fromiter(itertools.chain.from_iterable(tree.children), np.int32, n - 1)
-    table = np.zeros((n, q))
-    for level in reversed(_bfs_levels(tree.root, counts, first, flat)):
-        _add_child_messages(table, level, counts, first, flat, w)
+    table = np.zeros((tree.n_vertices, q))
+    below = None  # the deepest level has no children
+    for level in reversed(tree.levels):
+        _add_child_messages(table, level, below, tree.counts, w)
         _pin_rows(table, level, pins)
+        below = level
     return table
 
 
-def _add_child_messages(table: np.ndarray, parents: np.ndarray, counts: np.ndarray,
-                        first: np.ndarray, flat: np.ndarray, w: float) -> None:
-    """Add every child's message into its parent's row, one child slot at a time."""
+def _add_child_messages(table: np.ndarray, parents: np.ndarray, below: np.ndarray | None,
+                        counts: np.ndarray, w: float) -> None:
+    """Add the messages of ``below``, the next level, into their parents' rows,
+    one child slot at a time (the block layout of :class:`TreeSpec`)."""
     k = counts[parents]
+    start = np.cumsum(k) - k
     for s in itertools.count():
         keep = k > s
-        parents, k = parents[keep], k[keep]
+        parents, k, start = parents[keep], k[keep], start[keep]
         if not len(parents):
             return
-        msg = table[flat[first[parents] + s]]
+        msg = table[below[start + s]]
         m = msg.max(axis=1, keepdims=True)
         # An all -inf child (w = 0 conflict) gets m = 0: exp gives 0 and
         # log(0) = -inf, so its message is the -inf row.
@@ -177,23 +177,6 @@ def _pin_rows(table: np.ndarray, level: np.ndarray, pins: np.ndarray) -> None:
     keep = table[pinned, color]
     table[pinned] = -np.inf
     table[pinned, color] = keep
-
-
-def _bfs_levels(root: int, counts: np.ndarray, first: np.ndarray,
-                flat: np.ndarray) -> list[np.ndarray]:
-    """The vertices at each depth, each parent's children in tuple order."""
-    levels = [np.array([root], dtype=np.int32)]
-    while True:
-        k = counts[levels[-1]]
-        size = int(k.sum())
-        if not size:
-            return levels
-        # child j of the concatenation is flat[first[parent] + j - start[parent]]
-        start = np.cumsum(k, dtype=np.int32)
-        start -= k
-        idx = np.repeat(first[levels[-1]] - start, k)
-        idx += np.arange(size, dtype=np.int32)
-        levels.append(flat[idx])
 
 
 def root_summary(tree: TreeSpec, q: int, w: float,

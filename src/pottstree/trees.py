@@ -6,6 +6,9 @@ root and every internal vertex have exactly ``d`` children (the root of the
 order starting at the root, so the ``d**n`` leaves are the final block of
 indices; "leaf index k" always refers to this BFS order.
 
+:class:`TreeSpec` owns the layout: it builds the BFS levels and child counts
+once, the arrays from which its traversals and the exact DP read every child.
+
 Boundary conditions pin the leaves to colors ``1..q``.  The on-disk format is
 a plain text file:
 
@@ -19,6 +22,7 @@ lines and ``#`` comments are ignored).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,31 +32,37 @@ from .errors import DomainError, ParseError
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """An explicit rooted tree given by per-vertex child tuples."""
+    """An explicit rooted tree given by per-vertex child tuples.
+
+    Laid out once in int32 arrays: ``counts[v]`` is the number of children of
+    ``v``, and ``levels[k]`` the vertices at depth ``k``, each vertex's
+    children one block in tuple order, the blocks in ``levels[k - 1]``'s order.
+    """
 
     children: tuple[tuple[int, ...], ...]
     root: int = 0
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    levels: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.children)
         if not 0 <= self.root < n:
             raise DomainError(f"root {self.root} out of range for {n} vertices")
-        seen = [False] * n
-        seen[self.root] = True
-        stack = [self.root]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                if not 0 <= c < n:
-                    raise DomainError(f"child index {c} out of range")
-                if seen[c]:
-                    raise DomainError(f"vertex {c} has two parents (not a tree)")
-                seen[c] = True
-                count += 1
-                stack.append(c)
-        if count != n:
+        counts = np.fromiter(map(len, self.children), np.int32, n)
+        flat = _int64s(lambda: itertools.chain.from_iterable(self.children), int(counts.sum()))
+        bad = (flat < 0) | (flat >= n)
+        if bad.any():
+            c = next(itertools.islice(itertools.chain.from_iterable(self.children), bad.argmax(), None))
+            raise DomainError(f"child index {c} out of range")
+        two = np.bincount(np.append(flat, self.root), minlength=n) > 1
+        if two.any():
+            raise DomainError(f"vertex {two.argmax()} has two parents (not a tree)")
+        # every vertex has at most one parent and the root none, so the walk ends
+        levels = _bfs_levels(self.root, counts, flat.astype(np.int32))
+        if sum(map(len, levels)) != n:
             raise DomainError("children lists do not describe a single rooted tree")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "levels", tuple(levels))
 
     @property
     def n_vertices(self) -> int:
@@ -63,28 +73,21 @@ class TreeSpec:
         return len(self.children) - 1
 
     def leaves(self) -> list[int]:
-        return [v for v, ch in enumerate(self.children) if not ch]
+        return np.flatnonzero(self.counts == 0).tolist()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, c) for v, ch in enumerate(self.children) for c in ch]
 
     def depths(self) -> np.ndarray:
         """Depth of every vertex (root = 0)."""
-        depth = np.zeros(self.n_vertices, dtype=int)
-        order = self.topological_order()
-        for v in order:
-            for c in self.children[v]:
-                depth[c] = depth[v] + 1
+        depth = np.empty(self.n_vertices, dtype=int)
+        for k, level in enumerate(self.levels):
+            depth[level] = k
         return depth
 
     def topological_order(self) -> list[int]:
         """Vertices in an order where parents precede children (BFS)."""
-        order = [self.root]
-        head = 0
-        while head < len(order):
-            order.extend(self.children[order[head]])
-            head += 1
-        return order
+        return np.concatenate(self.levels).tolist()
 
     @classmethod
     def regular(cls, d: int, n: int) -> "TreeSpec":
@@ -93,19 +96,34 @@ class TreeSpec:
             raise DomainError(f"down-degree d must be an integer >= 1, got {d!r}")
         if not (isinstance(n, (int, np.integer)) and n >= 0):
             raise DomainError(f"depth n must be an integer >= 0, got {n!r}")
-        sizes = [d**k for k in range(n + 1)]
-        total = sum(sizes)
-        children: list[tuple[int, ...]] = []
-        next_free = 1
-        for k in range(n + 1):
-            for _ in range(sizes[k]):
-                if k == n:
-                    children.append(())
-                else:
-                    children.append(tuple(range(next_free, next_free + d)))
-                    next_free += d
-        assert next_free == total
-        return cls(tuple(children))
+        # row v of the zipped ranges is vertex v's children, d*v + 1 .. d*v + d
+        total = sum(d**k for k in range(n + 1))
+        return cls(tuple(zip(*(range(s, total, d) for s in range(1, d + 1)))) + ((),) * d**n)
+
+
+def _int64s(values, count: int) -> np.ndarray:
+    """``values()`` as int64, ints beyond int64 as -1: every caller's range
+    check then rejects them, where numpy would raise ``OverflowError``."""
+    try:
+        return np.fromiter(values(), np.int64, count)
+    except OverflowError:
+        return np.fromiter((v if -2**63 <= v < 2**63 else -1 for v in values()), np.int64, count)
+
+
+def _bfs_levels(root: int, counts: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
+    """The vertices at each depth, each parent's children in tuple order."""
+    first = np.cumsum(counts) - counts
+    levels = [np.array([root], dtype=np.int32)]
+    while True:
+        k = counts[levels[-1]]
+        size = int(k.sum())
+        if not size:
+            return levels
+        # child j of the concatenation is flat[first[parent] + j - start[parent]]
+        start = np.cumsum(k) - k
+        idx = np.repeat(first[levels[-1]] - start, k)
+        idx += np.arange(size)
+        levels.append(flat[idx])
 
 
 @dataclass
@@ -146,9 +164,6 @@ class BoundaryFile:
 
     def tree(self) -> TreeSpec:
         return TreeSpec.regular(self.d, self.n)
-
-    def boundary(self) -> BoundaryCondition:
-        return BoundaryCondition.from_leaf_colors(self.tree(), self.leaf_colors)
 
 
 def read_boundary_file(path) -> BoundaryFile:

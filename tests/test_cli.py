@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pottstree import oracle, write_boundary_file
+from pottstree import TreeSpec, oracle, write_boundary_file
 from pottstree.cli import build_parser, main
 from pottstree.reporting import format_value
 
@@ -78,10 +78,14 @@ def test_recursion_command_rejects_limit_degree(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("color", ["0", "6"])
-def test_recursion_command_rejects_colors_outside_one_to_q(color, capsys):
-    # 0 used to index counts[0, -1] and run as color 5; 6 raised IndexError
-    code = main(["recursion", "--q", "5", "--d", "10", "--n-max", "4", "--color", color])
+@pytest.mark.parametrize("boundary, color", [("mono", "0"), ("mono", "6"),
+                                             ("random", "0"), ("random", "9")],
+                         ids=["0", "6", "random-0", "random-9"])
+def test_recursion_command_rejects_colors_outside_one_to_q(boundary, color, capsys):
+    # mono: 0 used to index counts[0, -1] and run as color 5; 6 raised
+    # IndexError.  random: the color went unread into the manifest.
+    code = main(["recursion", "--q", "5", "--d", "10", "--n-max", "4",
+                 "--boundary", boundary, "--color", color])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -199,14 +203,18 @@ def test_oracle_command_makes_one_dp_pass(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_oracle_command_reads_boundary_files(tmp_path, capsys):
+def test_oracle_command_reads_boundary_files(monkeypatch, tmp_path, capsys):
     path = tmp_path / "b.txt"
     write_boundary_file(path, q=3, d=2, n=2, leaf_colors=[1, 2, 3, 1])
     report = tmp_path / "report.txt"
+    builds = []
+    regular = TreeSpec.regular
+    monkeypatch.setattr(TreeSpec, "regular", lambda *a: builds.append(a) or regular(*a))
     code = main(["oracle", "--boundary-file", str(path), "--w", "0.4",
                  "--out", str(report)])
     out = capsys.readouterr().out
     assert code == 0
+    assert builds == [(2, 2)]  # the tree is built once
     assert report.read_text() == out
     assert (tmp_path / "report.txt.manifest.txt").exists()
 

@@ -71,9 +71,14 @@ def test_oracles_reject_bad_pins():
         # and vertex (int32) if they were cast before the range check
         with pytest.raises(DomainError, match=r"^color 261 for vertex 1 outside 1\.\.5$"):
             z(t, 5, 0.5, BoundaryCondition({1: 261}))
-        for v in (3, -1, 2**32 + 1):
+        for v in (3, -1, 2**32 + 1, 2**70):
             with pytest.raises(DomainError, match=rf"^pinned vertex {v} not in tree$"):
                 z(t, 4, 0.5, BoundaryCondition({v: 1}))
+        # beyond int64 too, and still the first offending pin
+        with pytest.raises(DomainError, match=rf"^color {2**70} for vertex 1 outside 1\.\.4$"):
+            z(t, 4, 0.5, BoundaryCondition({1: 2**70}))
+        with pytest.raises(DomainError, match=r"^pinned vertex -1 not in tree$"):
+            z(t, 4, 0.5, BoundaryCondition({1: 1, -1: 1, 2**70: 1}))
         # the first offending pin in the boundary's order is named
         with pytest.raises(DomainError, match=r"^color 0 for vertex 2 outside"):
             z(t, 4, 0.5, BoundaryCondition({1: 1, 2: 0, 5: 1}))

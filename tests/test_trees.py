@@ -47,6 +47,47 @@ def test_tree_rejects_cycles_and_orphans():
         TreeSpec(children=((1,), (0,)), root=0)  # 2-cycle
     with pytest.raises(DomainError):
         TreeSpec(children=((1,), (), ()), root=0)  # vertex 2 unreachable
+    with pytest.raises(DomainError, match=r"^vertex 0 has two parents \(not a tree\)$"):
+        TreeSpec(children=((0,),))  # self-loop at the root
+    with pytest.raises(DomainError, match="^children lists do not describe"):
+        TreeSpec(children=((1,), (), (3,), (2,)))  # a cycle apart from the root
+    # 2**40 would wrap in int32 and 2**70 overflow int64 if cast unchecked
+    for c in (-1, 2, 2**40, 2**70):
+        with pytest.raises(DomainError, match=rf"^child index {c} out of range$"):
+            TreeSpec(children=((1,), (c,)))
+    for r in (-1, 2):
+        with pytest.raises(DomainError, match=rf"^root {r} out of range for 2 vertices$"):
+            TreeSpec(children=((1,), ()), root=r)
+
+
+def _bfs_reference(tree):
+    """Topological order and depths by a plain Python BFS over the child tuples."""
+    order, depth = [tree.root], {tree.root: 0}
+    for v in order:
+        for c in tree.children[v]:
+            order.append(c)
+            depth[c] = depth[v] + 1
+    return order, [depth[v] for v in range(tree.n_vertices)]
+
+
+def test_traversals_match_a_python_bfs():
+    rng = np.random.default_rng(8)
+    trees = [TreeSpec(((),)), TreeSpec(children=((), (3, 0), (), (2,)), root=1),
+             TreeSpec.regular(3, 3)]
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        label = rng.permutation(n)  # shuffled labels, so the root is rarely 0
+        children = [[] for _ in range(n)]
+        for v in range(1, n):
+            children[label[rng.integers(0, v)]].append(int(label[v]))
+        for ch in children:
+            rng.shuffle(ch)
+        trees.append(TreeSpec(tuple(map(tuple, children)), root=int(label[0])))
+    for t in trees:
+        order, depths = _bfs_reference(t)
+        assert t.topological_order() == order
+        assert t.depths().tolist() == depths
+        assert t.leaves() == [v for v, ch in enumerate(t.children) if not ch]
 
 
 def test_monochromatic_boundary():
@@ -78,7 +119,8 @@ def test_boundary_file_round_trip(tmp_path):
     assert (spec.q, spec.d, spec.n) == (3, 3, 2)
     assert list(spec.leaf_colors) == colors
     tree = spec.tree()
-    assert [spec.boundary().colors[v] for v in tree.leaves()] == colors
+    boundary = BoundaryCondition.from_leaf_colors(tree, spec.leaf_colors)
+    assert [boundary.colors[v] for v in tree.leaves()] == colors
 
 
 def test_boundary_file_allows_comments_blank_lines_and_any_order(tmp_path):
