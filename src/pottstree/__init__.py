@@ -23,12 +23,10 @@ from .trees import (BoundaryCondition, BoundaryFile, TreeSpec,
 from .oracle import (brute_force_Z, conditional_root_distribution,
                      dp_log_Z, enumerate_log_ratio_sets, recursion_root_log_ratios,
                      root_log_ratios, root_summary)
-from .polytope import (MembershipReport, convexity_probe,
-                       convexity_witness_search, level, membership,
+from .polytope import (convexity_probe, convexity_witness_search, level,
                        polytope_vertices, sample_face, sample_fundamental,
                        sample_polytope)
-from .certify import (ConvergenceReport, InvarianceReport, MinimalityReport,
-                      contraction_sequence, convergence_experiment,
+from .certify import (contraction_sequence, convergence_experiment,
                       diagonal_minimality_check, two_step_level)
 from .gradients import (comparator_exponent, comparator_gap,
                         comparator_values, constant_exponent_point,
@@ -53,10 +51,8 @@ __all__ = [
     "brute_force_Z", "conditional_root_distribution", "dp_log_Z",
     "enumerate_log_ratio_sets", "recursion_root_log_ratios", "root_log_ratios",
     "root_summary",
-    "MembershipReport", "convexity_probe", "convexity_witness_search", "level",
-    "membership", "polytope_vertices", "sample_face", "sample_fundamental",
-    "sample_polytope",
-    "ConvergenceReport", "InvarianceReport", "MinimalityReport",
+    "convexity_probe", "convexity_witness_search", "level", "polytope_vertices",
+    "sample_face", "sample_fundamental", "sample_polytope",
     "contraction_sequence", "convergence_experiment",
     "diagonal_minimality_check", "two_step_level",
     "comparator_exponent", "comparator_gap", "comparator_values",

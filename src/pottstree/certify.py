@@ -13,13 +13,14 @@ The certification story has three layers:
   of growing depth and measure how fast the conditional root distribution
   approaches uniform, compared against the ``alpha**(n/2)`` rate.
 
+The checks (:func:`two_step_level`, :func:`diagonal_minimality_check` and
+:func:`convergence_experiment`) each return a
+:class:`~pottstree.reporting.CertificationReport`.
 Everything is seeded and chunked as described in :mod:`pottstree.reporting`,
 so reports are bit-reproducible at any thread count.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,29 +29,12 @@ from .maps import (diagonal_contraction, leaf_counts_log_ratios, log_ratio_map,
                    two_step_map, two_step_sum_limit)
 from .params import INFINITY, ModelParams
 from .polytope import level, sample_face, sample_fundamental
-from .reporting import sampled_sweep, spawn_rng
+from .reporting import CertificationReport, sampled_sweep, spawn_rng
 
 #: Additive cushion per contraction step, so each next level lies strictly
 #: above the sampled estimate.  That estimate is a sampled maximum, so the
 #: levels are evidence, not proven upper bounds.
 STEP_CUSHION = 1e-6
-
-
-@dataclass
-class InvarianceReport:
-    """One two-step level estimate on the fundamental domain."""
-
-    q: int
-    d: float
-    alpha: float
-    c_in: float
-    c_out_estimate: float
-    margin: float
-    sample_count: int
-    seed: int
-    #: exact diagonal value for the limit family (None for finite degree)
-    diagonal_bound: float | None
-    passed: bool
 
 
 def _fundamental_probe_points(c: float, q: int) -> np.ndarray:
@@ -60,13 +44,15 @@ def _fundamental_probe_points(c: float, q: int) -> np.ndarray:
 
 
 def two_step_level(c: float, params: ModelParams, sample_count: int = 100_000,
-                   seed: int = 0, threads: int = 1) -> InvarianceReport:
+                   seed: int = 0, threads: int = 1) -> CertificationReport:
     """Estimate ``max level(F(F(x)))`` over the fundamental domain at level ``c``.
 
     The sample set is ``sample_count`` uniform draws from the fundamental
     domain plus the deterministic corner/diagonal points (where the maximum
-    sits for the limit family).  ``margin = c - estimate``; a positive margin
-    is evidence of strict forward invariance at this level.
+    sits for the limit family).  ``parameters["estimate"]`` is that maximum
+    and ``min_margin = c - estimate``; a positive margin is evidence of
+    strict forward invariance at this level.  ``parameters["diagonal_bound"]``
+    is the exact diagonal value for the limit family (None for finite degree).
     """
     if not c > 0:
         raise DomainError(f"level must be positive, got {c}")
@@ -79,11 +65,12 @@ def two_step_level(c: float, params: ModelParams, sample_count: int = 100_000,
                             sample_count, seed, threads)
     estimate = max([peak(_fundamental_probe_points(c, q))] + sampled)
     bound = diagonal_contraction(c, q) if params.d == INFINITY else None
-    return InvarianceReport(
-        q=q, d=params.d, alpha=params.alpha,
-        c_in=float(c), c_out_estimate=estimate, margin=float(c - estimate),
+    return CertificationReport(
+        kind="two_step_level",
+        parameters={"q": q, "d": params.d, "alpha": params.alpha, "c": float(c),
+                    "estimate": estimate, "diagonal_bound": bound},
         sample_count=sample_count + q + 1, seed=seed,
-        diagonal_bound=bound, passed=bool(estimate < c),
+        min_margin=float(c - estimate), passed=bool(estimate < c),
     )
 
 
@@ -108,11 +95,11 @@ def contraction_sequence(params: ModelParams, epsilon: float, max_iters: int,
             break
         rep = two_step_level(c, params, sample_count, seed=int(spawn_rng(seed, it).integers(2**32)),
                              threads=threads)
-        c_next = rep.c_out_estimate + STEP_CUSHION
+        c_next = rep.parameters["estimate"] + STEP_CUSHION
         if not c_next < c:
             raise CertificationError(
                 f"two-step level failed to decrease at step {it}: "
-                f"c={c} -> estimate {rep.c_out_estimate} + cushion; "
+                f"c={c} -> estimate {rep.parameters['estimate']} + cushion; "
                 f"params={params}, sample_count={sample_count}"
             )
         c = c_next
@@ -120,29 +107,17 @@ def contraction_sequence(params: ModelParams, epsilon: float, max_iters: int,
     return seq
 
 
-@dataclass
-class MinimalityReport:
-    """Check that the diagonal face point minimizes the two-step image sum."""
-
-    q: int
-    c: float
-    diagonal_value: float
-    min_gap: float
-    min_separated_gap: float
-    separation: float
-    sample_count: int
-    seed: int
-    passed: bool
-
-
 def diagonal_minimality_check(c: float, q: int, sample_count: int = 50_000,
-                              seed: int = 0) -> MinimalityReport:
+                              seed: int = 0) -> CertificationReport:
     """Sample the face ``{x <= 0, sum x = -c}`` and compare image sums.
 
     The coordinate sum of the two-step limit image must be minimal at the
     diagonal point of the face (within 1e-10), and strictly larger for
     points separated from the diagonal — that is what makes the diagonal the
-    worst case for level growth.
+    worst case for level growth.  ``min_margin`` is the smallest gap over
+    the points farther than ``parameters["separation"]`` from the diagonal
+    (+inf when there are none); ``parameters["min_gap"]`` is the smallest
+    gap over all points.
     """
     if not c > 0:
         raise DomainError(f"level must be positive, got {c}")
@@ -154,32 +129,13 @@ def diagonal_minimality_check(c: float, q: int, sample_count: int = 50_000,
     separation = 1e-3 * c
     far = np.abs(x - diag).max(axis=-1) > separation
     min_far = float(gaps[far].min()) if far.any() else np.inf
-    return MinimalityReport(
-        q=q, c=float(c), diagonal_value=base,
-        min_gap=float(gaps.min()), min_separated_gap=min_far,
-        separation=separation, sample_count=sample_count, seed=seed,
+    return CertificationReport(
+        kind="diagonal_minimality",
+        parameters={"q": q, "c": float(c), "diagonal_value": base,
+                    "min_gap": float(gaps.min()), "separation": separation},
+        sample_count=sample_count, seed=seed, min_margin=min_far,
         passed=bool(gaps.min() >= -1e-10 and min_far > 0),
     )
-
-
-@dataclass
-class ConvergenceReport:
-    """Depth-by-depth distance from uniform for the tree recursion."""
-
-    q: int
-    d: int
-    alpha: float
-    n_max: int
-    boundary: str
-    trials: int
-    seed: int
-    depths: list[int] = field(default_factory=list)
-    max_deviations: list[float] = field(default_factory=list)
-    #: deviation ratio between depths n and n-2 (None for n <= 2)
-    two_step_ratios: list[float | None] = field(default_factory=list)
-    fitted_rate: float | None = None
-    rate_bound: float | None = None
-    passed: bool = False
 
 
 def _uniform_deviation_from_ratios(x: np.ndarray, q: int) -> np.ndarray:
@@ -194,7 +150,7 @@ def _uniform_deviation_from_ratios(x: np.ndarray, q: int) -> np.ndarray:
 
 def convergence_experiment(q: int, d: int, alpha: float, n_max: int,
                            boundary: str = "mono", trials: int = 1,
-                           seed: int = 0, color: int = 1) -> ConvergenceReport:
+                           seed: int = 0, color: int = 1) -> CertificationReport:
     """Measure the recursion's drift toward uniform on deep regular trees.
 
     Boundaries are *level-homogeneous*: every depth-(n-1) vertex sees the
@@ -205,8 +161,14 @@ def convergence_experiment(q: int, d: int, alpha: float, n_max: int,
     (multinomial over the ``d`` leaf slots) — ``trials`` independent draws.
 
     The report passes when even-depth deviations decrease strictly and every
-    deviation ratio two depths apart is at most ``alpha * 1.05``.  With
-    ``alpha = 0`` the model is free and deviations must vanish outright.
+    deviation ratio two depths apart is at most ``alpha * 1.05``; its
+    ``min_margin`` is ``alpha * 1.05`` minus the largest ratio, so the
+    even-depth test is in ``passed`` but not in ``min_margin``.  With
+    ``alpha = 0`` (or an exactly uniform boundary) the model is free,
+    deviations must vanish outright and ``min_margin = 1e-14 - max(deviation)``.
+    ``parameters["two_step_ratios"]`` holds the deviation ratio between
+    depths n and n-2 (None for n <= 2); ``sample_count`` is the number of
+    boundary draws.
     """
     if boundary not in ("mono", "random"):
         raise DomainError(f"unknown boundary strategy {boundary!r}")
@@ -244,13 +206,18 @@ def convergence_experiment(q: int, d: int, alpha: float, n_max: int,
     even = [dev for n, dev in zip(depths, devs) if n % 2 == 0]
     if alpha == 0.0 or max(devs) == 0.0:
         # free model (or exactly uniform boundary): no drift at all
+        margin = 1e-14 - max(devs)
         passed = max(devs) <= 1e-14
     else:
-        passed = (all(r <= alpha * 1.05 for r in finite_ratios)
+        ratio_bound = alpha * 1.05
+        margin = ratio_bound - max(finite_ratios)
+        passed = (all(r <= ratio_bound for r in finite_ratios)
                   and all(b < a for a, b in zip(even, even[1:])))
-    return ConvergenceReport(
-        q=q, d=int(d), alpha=alpha, n_max=n_max, boundary=boundary,
-        trials=len(counts), seed=seed, depths=depths, max_deviations=devs,
-        two_step_ratios=ratios, fitted_rate=fitted, rate_bound=bound,
+    return CertificationReport(
+        kind="convergence",
+        parameters={"q": q, "d": int(d), "alpha": alpha, "n_max": n_max,
+                    "boundary": boundary, "depths": depths, "max_deviations": devs,
+                    "two_step_ratios": ratios, "fitted_rate": fitted, "rate_bound": bound},
+        sample_count=len(counts), seed=seed, min_margin=float(margin),
         passed=bool(passed),
     )

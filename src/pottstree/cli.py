@@ -78,8 +78,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted like the other subcommands; the experiment runs on one thread")
 
     p = sub.add_parser("certify", help="two-step invariance and convexity probes")
     p.add_argument("--q", type=int, required=True)
@@ -139,13 +137,13 @@ def _cmd_recursion(args) -> int:
     report = convergence_experiment(args.q, args.d, args.alpha, args.n_max,
                                     boundary=args.boundary, trials=args.trials,
                                     seed=args.seed, color=args.color)
-    rows = []
-    for n, dev, ratio in zip(report.depths, report.max_deviations, report.two_step_ratios):
-        rows.append([n, report.boundary, report.trials, dev, ratio])
+    p, rows = report.parameters, []
+    for n, dev, ratio in zip(p["depths"], p["max_deviations"], p["two_step_ratios"]):
+        rows.append([n, p["boundary"], report.sample_count, dev, ratio])
         extra = f" ratio_vs_n-2={format_value(ratio)}" if ratio is not None else ""
         print(f"depth={n} max_deviation={format_value(dev)}{extra}")
-    print(f"fitted_rate={format_value(report.fitted_rate)} "
-          f"rate_bound={format_value(report.rate_bound)} "
+    print(f"fitted_rate={format_value(p['fitted_rate'])} "
+          f"rate_bound={format_value(p['rate_bound'])} "
           f"{PASS if report.passed else FAIL}")
     if args.out:
         write_csv_atomic(args.out, ["depth", "boundary", "trials", "max_deviation",
@@ -167,11 +165,13 @@ def _cmd_certify(args) -> int:
     rows, all_passed = [], True
     for c in levels:
         inv = two_step_level(c, params, args.samples, seed=args.seed, threads=args.threads)
+        estimate = inv.parameters["estimate"]
         rows.append(["two_step_level", args.q, _fmt_d(args.d), args.alpha, c,
-                     inv.sample_count, args.seed, inv.c_out_estimate,
-                     inv.diagonal_bound, inv.margin, "", PASS if inv.passed else FAIL])
-        print(f"two_step_level c={format_value(c)} estimate={format_value(inv.c_out_estimate)} "
-              f"margin={format_value(inv.margin)} {PASS if inv.passed else FAIL}")
+                     inv.sample_count, args.seed, estimate,
+                     inv.parameters["diagonal_bound"], inv.min_margin, "",
+                     PASS if inv.passed else FAIL])
+        print(f"two_step_level c={format_value(c)} estimate={format_value(estimate)} "
+              f"margin={format_value(inv.min_margin)} {PASS if inv.passed else FAIL}")
         probe = convexity_probe(c, params, args.pairs, seed=args.seed, threads=args.threads)
         witness = ""
         if probe.witness is not None:
@@ -262,8 +262,6 @@ def _cmd_oracle(args) -> int:
         if not alpha > 0.0:
             raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
         w = ModelParams(q, d, alpha).w
-    if not 0.0 < w <= 1.0:
-        raise DomainError(f"need interaction weight in (0, 1], got w={w}")
 
     lines = [f"q={q} d={d} n={n} w={format_value(w)}"]
     log_z, p, ratios = root_summary(tree, q, w, boundary)

@@ -187,7 +187,7 @@ def root_summary(tree: TreeSpec, q: int, w: float,
     and :func:`root_log_ratios`, under the latter's requirements.
     """
     if not 0.0 < w <= 1.0:
-        raise DomainError("log-ratios require w in (0, 1]")
+        raise DomainError(f"log-ratios require w in (0, 1], got w={w}")
     if tree.root in boundary.colors:
         raise DomainError("log-ratios are undefined when the root is pinned "
                           "(a pinned vertex has the infinite patterns)")

@@ -25,7 +25,6 @@ meaningful as its positive margins.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,35 +49,16 @@ def polytope_vertices(c: float, q: int) -> np.ndarray:
 
 
 def level(x: np.ndarray) -> np.ndarray | float:
-    """Smallest ``c`` with ``x in P_c`` (batch-friendly)."""
+    """Smallest ``c`` with ``x in P_c`` (batch-friendly).
+
+    ``c - level(x)`` is the membership margin: ``x in P_c`` exactly when it
+    is ``>= 0``.
+    """
     x = np.asarray(x, dtype=float)
     q = x.shape[-1] + 1
     s = x.sum(axis=-1)
     out = np.maximum(-s, q * x.max(axis=-1) - s)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    inside: bool
-    margin: float
-    #: 0 for the coordinate-sum constraint, else the color k in 1..q-1 whose
-    #: constraint is tightest.
-    tight_constraint: int
-
-
-def membership(x: np.ndarray, c: float) -> MembershipReport:
-    """Check ``x in P_c`` via the reduced constraint system."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("membership expects a single vector")
-    if c <= 0:
-        raise DomainError(f"level must be positive, got {c}")
-    q = len(x) + 1
-    s = x.sum()
-    slacks = np.concatenate([[s + c], s - q * x + c])
-    worst = int(np.argmin(slacks))
-    return MembershipReport(bool(slacks[worst] >= 0), float(slacks[worst]), worst)
 
 
 def sample_fundamental(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -145,11 +145,16 @@ def code_version() -> str:
 
 @dataclass
 class CertificationReport:
-    """Outcome of one sampled certification sweep.
+    """Outcome of one certification check; every check in the package returns one.
 
-    ``min_margin`` is the worst (smallest) slack observed; a negative value
-    means the asserted property failed on some sample and ``witness`` then
-    carries a machine-readable description of the worst offender.
+    ``kind`` names the check: ``two_step_level`` and ``diagonal_minimality``
+    and ``convergence`` (:mod:`pottstree.certify`), ``midpoint_convexity``
+    (:mod:`pottstree.polytope`), ``gap_positivity`` and ``gradient_identity``
+    (:mod:`pottstree.gradients`).  ``parameters`` holds the check's inputs
+    and its measured values.  ``min_margin`` is the worst (smallest) slack
+    observed; a negative value means the asserted property failed on some
+    sample, and ``witness``, where the check fills it, then carries a
+    machine-readable description of the worst offender.
     """
 
     kind: str

@@ -61,10 +61,9 @@ def test_criterion_02_membership_reduction():
         for perm in perms:
             orbit = np.minimum(orbit, pt.apply_permutation(perm, points).sum(axis=1))
         orbit += c
-        for x, full_margin in zip(points, orbit):
-            report = pt.membership(x, c)
-            worst_margin_diff = max(worst_margin_diff, abs(report.margin - full_margin))
-            mismatched_flags += report.inside != (full_margin >= 0)
+        margin = c - pt.level(points)
+        worst_margin_diff = max(worst_margin_diff, float(np.abs(margin - orbit).max()))
+        mismatched_flags += int(((margin >= 0) != (orbit >= 0)).sum())
     elapsed = time.perf_counter() - t0
     ok = worst_margin_diff <= 1e-12 and mismatched_flags == 0 and elapsed < 10
     _report("criterion 02", ok,
@@ -136,11 +135,11 @@ def test_criterion_05_two_step_invariance():
     worst_limit_excess = -np.inf
     for c in levels:
         rep = pt.two_step_level(c, pt.ModelParams(q, 1000, 1.0), sample_count=100_000, seed=0)
-        min_margin_finite = min(min_margin_finite, rep.margin)
-        assert rep.passed and rep.margin > 0
+        min_margin_finite = min(min_margin_finite, rep.min_margin)
+        assert rep.passed and rep.min_margin > 0
         rep_inf = pt.two_step_level(c, pt.ModelParams(q, pt.INFINITY), sample_count=100_000, seed=0)
-        assert rep_inf.passed and rep_inf.margin > 0
-        excess = rep_inf.c_out_estimate - pt.diagonal_contraction(c, q)
+        assert rep_inf.passed and rep_inf.min_margin > 0
+        excess = rep_inf.parameters["estimate"] - pt.diagonal_contraction(c, q)
         worst_limit_excess = max(worst_limit_excess, excess)
     elapsed = time.perf_counter() - t0
     ok = min_margin_finite > 0 and worst_limit_excess <= 1e-6 and elapsed < 300
@@ -220,13 +219,14 @@ def test_criterion_08_convergence_decay():
     worst_ratio = 0.0
     for rep in reports:
         assert rep.passed
-        evens = [dev for n, dev in zip(rep.depths, rep.max_deviations) if n % 2 == 0]
+        p = rep.parameters
+        evens = [dev for n, dev in zip(p["depths"], p["max_deviations"]) if n % 2 == 0]
         assert all(b < a for a, b in zip(evens, evens[1:]))
-        ratios = [r for r in rep.two_step_ratios if r is not None]
+        ratios = [r for r in p["two_step_ratios"] if r is not None]
         assert all(r <= alpha * 1.05 for r in ratios)
         worst_ratio = max(worst_ratio, max(ratios))
     free = pt.convergence_experiment(q, d, 0.0, n_max=12, boundary="mono")
-    free_dev = max(free.max_deviations)
+    free_dev = max(free.parameters["max_deviations"])
     elapsed = time.perf_counter() - t0
     ok = free_dev <= 1e-14 and elapsed < 300
     _report("criterion 08", ok,
@@ -272,10 +272,6 @@ def test_criterion_10_reproducible_csv_output(tmp_path, capsys):
         "lemmas": lambda out, threads: cli_main(
             ["lemmas", "--q-max", "4", "--trials", "60000", "--seed", "12",
              "--gradient-points", "200", "--threads", threads, "--out", str(out) + ".csv"]),
-        "recursion": lambda out, threads: cli_main(
-            ["recursion", "--q", "4", "--d", "50", "--alpha", "0.7", "--n-max", "8",
-             "--boundary", "random", "--trials", "10", "--seed", "12",
-             "--threads", threads, "--out", str(out) + ".csv"]),
     }
     all_equal = True
     for name, run in runs.items():
@@ -286,7 +282,18 @@ def test_criterion_10_reproducible_csv_output(tmp_path, capsys):
             blobs.append((tmp_path / f"{name}-{threads}.csv").read_bytes())
         all_equal &= blobs[0] == blobs[1] == blobs[2]
         assert blobs[0] == blobs[1] == blobs[2], f"{name} CSVs differ across thread counts"
+    # recursion runs on one thread: the same argv twice must give the same bytes
+    blobs = []
+    for k in range(2):
+        out = tmp_path / f"recursion-{k}.csv"
+        assert cli_main(["recursion", "--q", "4", "--d", "50", "--alpha", "0.7", "--n-max", "8",
+                         "--boundary", "random", "--trials", "10", "--seed", "12",
+                         "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    all_equal &= blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1], "recursion CSVs differ between identical runs"
     capsys.readouterr()
     _report("criterion 10", all_equal,
-            "byte-identical CSVs across --threads {1,4,8} for certify, lemmas, recursion")
+            "byte-identical CSVs across --threads {1,4,8} for certify and lemmas, "
+            "and across two identical recursion runs")
     assert all_equal

@@ -42,7 +42,7 @@ MANIFEST_RUNS = {
     "recursion": (["--q", "3", "--d", "8", "--alpha", "0.6", "--n-max", "3",
                    "--seed", "2", "--out", "{tmp}/conv.csv"], "conv.csv",
                   ["q", "d", "alpha", "n_max", "boundary", "color", "trials", "seed",
-                   "out", "threads"]),
+                   "out"]),
     "certify": (["--q", "3", "--d", "inf", "--c", "2.0", "--samples", "2000",
                  "--pairs", "1000", "--out-prefix", "{tmp}/cert"], "cert",
                 ["q", "d", "alpha", "c", "c_grid", "samples", "pairs", "seed",
@@ -232,6 +232,15 @@ def test_oracle_command_rejects_zero_weight(capsys):
     code = main(["oracle", "--q", "3", "--d", "2", "--n", "1"])
     assert code == 1
     assert "(0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("w", ["0", "1.5"])
+def test_oracle_command_rejects_weights_outside_zero_one(w, capsys):
+    code = main(["oracle", "--q", "3", "--d", "2", "--n", "1", "--w", w])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"got w={float(w)}" in captured.err
 
 
 def test_oracle_command_requires_dimensions(capsys):

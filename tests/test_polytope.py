@@ -7,7 +7,6 @@ import pytest
 
 from pottstree import (
     INFINITY,
-    DomainError,
     ModelParams,
     all_permutations,
     apply_permutation,
@@ -16,7 +15,6 @@ from pottstree import (
     level,
     log_ratio_map,
     log_ratio_map_preimage,
-    membership,
     polytope_vertices,
     sample_face,
     sample_fundamental,
@@ -62,28 +60,9 @@ def test_membership_margin_matches_orbit_enumeration(q):
     c = 2.0
     for _ in range(200):
         x = rng.normal(scale=1.5, size=q - 1)
-        report = membership(x, c)
         expected = orbit_margin(x, c, q)
-        assert report.margin == pytest.approx(expected, abs=1e-12)
-        assert report.inside == (expected >= 0)
-        assert report.inside == (level(x) <= c)
-
-
-def test_membership_tight_constraint_labels():
-    # on the sum facet only the coordinate-sum constraint is tight
-    r = membership(np.array([-1.2, -0.8]), 2.0)
-    assert r.margin == pytest.approx(0.0, abs=1e-15)
-    assert r.tight_constraint == 0
-    # pushing coordinate 1 up makes color 1's constraint tightest
-    r = membership(np.array([0.9, 0.1]), 2.0)
-    assert r.tight_constraint == 1
-
-
-def test_membership_rejects_batches_and_bad_levels():
-    with pytest.raises(DomainError):
-        membership(np.zeros((2, 2)), 1.0)
-    with pytest.raises(DomainError):
-        membership(np.zeros(2), 0.0)
+        assert c - level(x) == pytest.approx(expected, abs=1e-12)
+        assert (level(x) <= c) == (expected >= 0)
 
 
 @pytest.mark.parametrize("q,c", [(3, 1.0), (4, 2.5), (5, 6.0)])

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import pottstree as pt
 from pottstree import DomainError, parse_grid, spawn_rng, write_csv_atomic
-from pottstree.reporting import DEFAULT_CHUNK, chunk_sizes, format_value, parallel_chunk_map, sampled_sweep
+from pottstree.reporting import (DEFAULT_CHUNK, CertificationReport, chunk_sizes, format_value,
+                                 parallel_chunk_map, sampled_sweep)
 
 
 def test_spawn_rng_streams_are_reproducible_and_distinct():
@@ -66,3 +68,32 @@ def test_write_csv_atomic(tmp_path):
     assert path.read_text() == "a,b\n1,0.5\n,true\n"
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+# function -> (report kind, a small call)
+CHECKS = {
+    "two_step_level": ("two_step_level", lambda: pt.two_step_level(
+        2.0, pt.ModelParams(4, 50, 0.8), sample_count=500, seed=1)),
+    "convexity_probe": ("midpoint_convexity", lambda: pt.convexity_probe(
+        2.0, pt.ModelParams(4, 50, 0.8), pair_count=500, seed=1)),
+    "diagonal_minimality_check": ("diagonal_minimality", lambda: pt.diagonal_minimality_check(
+        2.0, 4, sample_count=500, seed=1)),
+    "convergence_experiment": ("convergence", lambda: pt.convergence_experiment(
+        4, 30, 0.6, n_max=6, boundary="random", trials=5, seed=1)),
+    "positivity_sweep": ("gap_positivity", lambda: pt.positivity_sweep(
+        4, 1, trials=500, seed=1)),
+    "gradient_identity_sweep": ("gradient_identity", lambda: pt.gradient_identity_sweep(
+        4, points=50, seed=1)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_every_check_returns_one_report_type(check):
+    kind, run = CHECKS[check]
+    report = run()
+    assert type(report) is CertificationReport
+    assert report.kind == kind
+    assert report.min_margin >= 0 or not report.passed
+    if kind == "convergence":
+        ratios = [r for r in report.parameters["two_step_ratios"] if r is not None]
+        assert report.min_margin == 1.05 * report.parameters["alpha"] - max(ratios)
