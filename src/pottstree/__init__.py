@@ -9,8 +9,7 @@ uniqueness regime ``w > 1 - q/(d+1)``.
 """
 
 from .errors import BudgetError, CertificationError, DomainError, ParseError
-from .params import (INFINITY, ModelParams, classify_pattern, leaf_pattern,
-                     validate_log_ratio)
+from .params import INFINITY, ModelParams, validate_log_ratio
 from .symmetry import (all_permutations, apply_permutation, compose,
                        identity_permutation, invert, is_permutation,
                        random_permutation, transposition)
@@ -39,8 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError", "CertificationError", "DomainError", "ParseError",
-    "INFINITY", "ModelParams", "classify_pattern", "leaf_pattern",
-    "validate_log_ratio",
+    "INFINITY", "ModelParams", "validate_log_ratio",
     "all_permutations", "apply_permutation", "compose", "identity_permutation",
     "invert", "is_permutation", "random_permutation", "transposition",
     "degree_rescaling", "diagonal_contraction", "diagonal_contraction_finite",

@@ -179,9 +179,6 @@ def convergence_experiment(q: int, d: int, alpha: float, n_max: int,
     if trials < 1:
         raise DomainError("trials must be >= 1")
     params = ModelParams(q, int(d), alpha)
-    if params.w <= 0:
-        raise DomainError("convergence experiment requires w > 0")
-
     if not 1 <= color <= q:
         raise DomainError(f"color must lie in 1..{q}, got {color}")
     if boundary == "mono":

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .maps import log_ratio_map, two_step_sum_limit
-from .params import INFINITY, ModelParams
+from .params import INFINITY, ModelParams, validate_log_ratio
 from .reporting import CertificationReport, sampled_sweep, spawn_rng
 
 
@@ -50,9 +50,7 @@ def comparator_values(y: np.ndarray, q: int) -> np.ndarray:
 
 def two_step_sum_gradient(x: np.ndarray, q: int) -> np.ndarray:
     """Gradient of ``x -> <F(F(x)), 1>`` for the limit map, in closed form."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != q - 1:
-        raise DomainError(f"need q-1={q - 1} coordinates, got shape {x.shape}")
+    x = validate_log_ratio(x, q)
     z = np.exp(x)
     t = 1.0 + z.sum(axis=-1, keepdims=True)
     f = log_ratio_map(x, ModelParams(q, INFINITY))

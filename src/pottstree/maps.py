@@ -19,9 +19,9 @@ the recursion is a local contraction toward the uniform distribution.  As
 
 which the symbolic degree :data:`~pottstree.params.INFINITY` selects.
 
-All maps accept single vectors or batches of shape ``(..., q-1)`` and are
-evaluated in an overflow-safe way (coordinates are shifted by the row maximum
-before exponentiation when necessary).
+All maps accept finite single vectors or batches of shape ``(..., q-1)`` and
+are evaluated in an overflow-safe way (coordinates are shifted by the row
+maximum before exponentiation when necessary).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .params import INFINITY, ModelParams, classify_pattern, validate_log_ratio
+from .params import INFINITY, ModelParams, validate_log_ratio
 
 # Shift threshold: keep exp() arguments comfortably inside float64 range.
 _EXP_SHIFT_AT = 600.0
@@ -48,10 +48,12 @@ def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pattern_image(color: int, params: ModelParams) -> np.ndarray:
-    """Closed-form image under ``F`` of the depth-0 pattern for ``color``.
+    """Closed-form image under ``F`` of a vertex pinned to ``color``.
 
-    Finite ``d`` requires ``w > 0`` (at ``w = 0`` the pinned patterns map to
-    infinite log-ratios and the recursion leaves log-ratio space).
+    A pinned vertex has no finite log-ratio vector, so this is the only way
+    it enters the maps: ``d*log(w)`` in the color's coordinate for colors
+    below ``q``, ``-d*log(w)`` in every coordinate for color ``q``.  Finite
+    ``d`` requires ``w > 0`` (at ``w = 0`` the image is infinite).
     """
     q = params.q
     if not 1 <= color <= q:
@@ -60,7 +62,7 @@ def pattern_image(color: int, params: ModelParams) -> np.ndarray:
         scale = -float(q)
     else:
         if params.w <= 0.0:
-            raise DomainError("depth-0 patterns require w > 0")
+            raise DomainError(f"pinned colors need w > 0, got w={params.w}")
         scale = params.d * math.log(params.w)
     if color == q:
         return np.full(q - 1, -scale)
@@ -82,18 +84,11 @@ def leaf_counts_log_ratios(counts: np.ndarray, params: ModelParams) -> np.ndarra
 
 
 def log_ratio_map(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Evaluate ``F`` on a log-ratio vector or batch.
+    """Evaluate ``F`` on a finite log-ratio vector or batch.
 
-    The two admissible infinite patterns are mapped by their closed forms
-    (single vectors only); any other non-finite input is rejected.
+    Pinned vertices are not inputs here; their images are :func:`pattern_image`.
     """
     x = validate_log_ratio(x, params.q)
-    if not np.isfinite(x).all():
-        if x.ndim != 1:
-            raise DomainError("infinite patterns are only supported for single vectors")
-        color = classify_pattern(x)
-        return pattern_image(color, params)
-
     zp, e0 = _shifted_exp(x)
     if params.d == INFINITY:
         return params.q * (e0 - zp) / (zp.sum(axis=-1, keepdims=True) + e0)
@@ -116,8 +111,6 @@ def log_ratio_map_preimage(y: np.ndarray, params: ModelParams) -> tuple[np.ndarr
     where "no preimage" is an expected outcome rather than an error.
     """
     y = validate_log_ratio(y, params.q)
-    if not np.isfinite(y).all():
-        raise DomainError("preimage queries require finite vectors")
     if params.d == INFINITY:
         den = y.sum(axis=-1, keepdims=True) + params.q
         valid = (den > 0).all(axis=-1)
@@ -148,8 +141,6 @@ def log_ratio_map_jacobian(x: np.ndarray, params: ModelParams) -> np.ndarray:
     x = validate_log_ratio(x, params.q)
     if x.ndim != 1:
         raise DomainError("jacobian expects a single vector")
-    if not np.isfinite(x).all():
-        raise DomainError("jacobian requires a finite point")
     zp, e0 = _shifted_exp(x)
     e0 = e0.item()
     if params.d == INFINITY:

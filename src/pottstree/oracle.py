@@ -189,8 +189,7 @@ def root_summary(tree: TreeSpec, q: int, w: float,
     if not 0.0 < w <= 1.0:
         raise DomainError(f"log-ratios require w in (0, 1], got w={w}")
     if tree.root in boundary.colors:
-        raise DomainError("log-ratios are undefined when the root is pinned "
-                          "(a pinned vertex has the infinite patterns)")
+        raise DomainError("log-ratios are undefined when the root is pinned")
     root = _dp_tables(tree, q, w, boundary, None)[tree.root]
     return _logsumexp(root), _root_law(root), root[: q - 1] - root[q - 1]
 
@@ -199,8 +198,8 @@ def root_log_ratios(tree: TreeSpec, q: int, w: float,
                     boundary: BoundaryCondition) -> np.ndarray:
     """Exact log-ratio vector of the root: ``log Z_i - log Z_q`` for i < q.
 
-    Requires ``w > 0`` and a root that is not itself a boundary vertex (for a
-    pinned root the ratios degenerate to the infinite patterns).
+    Requires ``w > 0`` and a root that is not itself a boundary vertex (a
+    pinned root has no finite log-ratio vector).
     """
     return root_summary(tree, q, w, boundary)[2]
 
@@ -221,14 +220,12 @@ def _root_law(root: np.ndarray) -> np.ndarray:
 def recursion_root_log_ratios(q: int, d: int, n: int, w: float, leaf_colors) -> np.ndarray:
     """Root log-ratios of the regular tree via the recursion-map pipeline.
 
-    Leaves are seeded with their depth-0 patterns and messages are combined
-    level by level with the one-child map; leaf multiplicities are compressed
-    to per-parent color counts so only the map evaluations remain.  Agreement
-    with :func:`root_log_ratios` is the core correctness check.
+    Leaves enter through their pattern images (:func:`maps.pattern_image`),
+    compressed to per-parent color counts; messages are then combined level
+    by level with the one-child map.  Agreement with :func:`root_log_ratios`
+    is the core correctness check.
     """
     params = ModelParams.from_weight(q, d, w)
-    if params.w <= 0.0:
-        raise DomainError("the recursion pipeline requires w > 0")
     if n < 1:
         raise DomainError("depth must be >= 1")
     leaf_colors = np.asarray(leaf_colors, dtype=int)
@@ -260,8 +257,6 @@ def enumerate_log_ratio_sets(n: int, d: int, q: int, w: float,
     if not (1 <= n <= 3 and 2 <= d <= 4 and 3 <= q <= 4):
         raise BudgetError(f"enumeration supports n<=3, d<=4, q<=4; got n={n}, d={d}, q={q}")
     params = ModelParams.from_weight(q, d, w)
-    if params.w <= 0.0:
-        raise DomainError("enumeration requires w > 0")
     counts = np.array([k for k in itertools.product(range(d + 1), repeat=q)
                        if sum(k) == d])
     level = _dedup(leaf_counts_log_ratios(counts, params))

@@ -13,16 +13,12 @@ uniqueness region.  ``d`` may be the symbolic value :data:`INFINITY`, in which
 case the recursion maps degenerate to their large-degree limits (only
 ``alpha = 1`` is meaningful there).
 
-A *log-ratio vector* for ``q`` colors is a numpy float64 array of length
-``q - 1``: coordinate ``i`` is ``log(Z_{i+1}) - log(Z_q)`` for the partition
-functions of a subtree with the root pinned to color ``i+1`` versus color
-``q``.  Two extended-real patterns are admitted, and only these two:
-
-* ``+inf * e_i`` — the subtree root is pinned to color ``i+1 <= q-1``;
-* ``-inf * (1,...,1)`` — the subtree root is pinned to color ``q``.
-
-They are represented with IEEE ``inf`` values, never with large finite
-sentinels.
+A *log-ratio vector* for ``q`` colors is a finite numpy float64 array of
+length ``q - 1``: coordinate ``i`` is ``log(Z_{i+1}) - log(Z_q)`` for the
+partition functions of a subtree with the root pinned to color ``i+1`` versus
+color ``q``.  A pinned vertex has no log-ratio vector; it enters the recursion
+only through the closed-form image of its color, :func:`maps.pattern_image`.
+:func:`validate_log_ratio` enforces this convention for every map argument.
 """
 
 from __future__ import annotations
@@ -85,52 +81,11 @@ class ModelParams:
         return cls(q, d, min(alpha, 1.0))
 
 
-
-def leaf_pattern(color: int, q: int) -> np.ndarray:
-    """Log-ratio vector of a single vertex pinned to ``color``.
-
-    Colors ``1..q-1`` give ``+inf`` in the color's coordinate (zeros
-    elsewhere); color ``q`` gives ``-inf`` in every coordinate.
-    """
-    if not 1 <= color <= q:
-        raise DomainError(f"color must lie in 1..{q}, got {color}")
-    if color == q:
-        return np.full(q - 1, -np.inf)
-    x = np.zeros(q - 1)
-    x[color - 1] = np.inf
-    return x
-
-
-def classify_pattern(x: np.ndarray) -> int | None:
-    """Classify a log-ratio vector's extended-real pattern.
-
-    Returns ``None`` for an all-finite vector, the pinned color ``i+1`` for
-    the ``+inf * e_i`` pattern, or ``q`` (i.e. ``len(x)+1``) for the all
-    ``-inf`` pattern.  Any other arrangement of non-finite entries (NaN,
-    misplaced infinities, mixed signs) is rejected.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("pattern classification expects a single vector")
-    if np.isnan(x).any():
-        raise DomainError("log-ratio vector contains NaN")
-    finite = np.isfinite(x)
-    if finite.all():
-        return None
-    if (x == -np.inf).all():
-        return len(x) + 1
-    pos = np.flatnonzero(x == np.inf)
-    if len(pos) == 1 and np.all(x[finite] == 0.0) and finite.sum() == len(x) - 1:
-        return int(pos[0]) + 1
-    raise DomainError(
-        "non-finite log-ratio vector must be +inf*e_i or -inf*(1,...,1); "
-        f"got {x!r}"
-    )
-
-
 def validate_log_ratio(x: np.ndarray, q: int) -> np.ndarray:
-    """Coerce ``x`` to a float64 array and check its shape against ``q``."""
+    """Coerce ``x`` to a float64 array; check its width ``q - 1`` and that it is finite."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != q - 1:
+    if x.ndim == 0 or x.shape[-1] != q - 1:
         raise DomainError(f"log-ratio vector must have length q-1={q - 1}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("log-ratio vectors must be finite")
     return x

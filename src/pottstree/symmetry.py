@@ -21,6 +21,7 @@ import itertools
 import numpy as np
 
 from .errors import BudgetError, DomainError
+from .params import validate_log_ratio
 
 
 def is_permutation(perm) -> bool:
@@ -79,9 +80,7 @@ def apply_permutation(perm, x: np.ndarray) -> np.ndarray:
     """Act on a log-ratio vector (or a batch with shape ``(..., q-1)``)."""
     perm = _check(perm)
     q = len(perm)
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != q - 1:
-        raise DomainError(f"vector length {x.shape[-1]} does not match q-1={q - 1}")
+    x = validate_log_ratio(x, q)
     inv = invert(perm)
     # Embed with a zero slot for color q, permute slots, re-zero the new q slot.
     xt = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)

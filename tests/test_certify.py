@@ -115,7 +115,7 @@ def test_convergence_experiment_input_checks():
         convergence_experiment(3, 20, 0.5, n_max=2)
     with pytest.raises(DomainError):
         convergence_experiment(3, 20, 0.5, n_max=5, boundary="alternating")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="w > 0"):
         convergence_experiment(3, 2, 1.0, n_max=5)  # w = 0
 
 

@@ -1,5 +1,6 @@
 """Command-line entry points: outputs, exit codes, and determinism."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -266,6 +267,13 @@ def test_missing_boundary_file_is_a_clean_error(capsys, tmp_path):
     code = main(["oracle", "--boundary-file", str(tmp_path / "nope.txt"), "--w", "0.5"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_readme_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert capsys.readouterr().out.strip()
 
 
 def test_readme_commands_parse():

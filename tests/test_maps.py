@@ -11,15 +11,16 @@ from pottstree import (
     INFINITY,
     DomainError,
     ModelParams,
+    apply_permutation,
     degree_rescaling,
     diagonal_contraction,
     diagonal_contraction_finite,
-    leaf_pattern,
     log_ratio_map,
     log_ratio_map_jacobian,
     log_ratio_map_preimage,
     pattern_image,
     two_step_map,
+    two_step_sum_gradient,
     two_step_sum_limit,
 )
 
@@ -74,14 +75,17 @@ def test_log_ratio_map_agrees_with_ratio_composition():
 @pytest.mark.parametrize("color", [1, 2])
 def test_pattern_images(params, color):
     # a frozen child contributes d*log(w) along its color; the reference
-    # color pushes every coordinate up by -d*log(w)
-    img = log_ratio_map(leaf_pattern(color, params.q), params)
-    expected = np.zeros(params.q - 1)
-    expected[color - 1] = params.d * math.log(params.w)
+    # color pushes every coordinate up by -d*log(w).  Both are limits of F
+    # along finite vectors that pin the color ever harder.
+    e_color = np.zeros(params.q - 1)
+    e_color[color - 1] = 1.0
+    img = log_ratio_map(40.0 * e_color, params)
+    expected = params.d * math.log(params.w) * e_color
     np.testing.assert_allclose(img, expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(pattern_image(color, params), expected, rtol=0, atol=0)
 
-    img_q = log_ratio_map(leaf_pattern(params.q, params.q), params)
+    img_q = log_ratio_map(-40.0 * np.ones(params.q - 1), params)
+    np.testing.assert_allclose(img_q, pattern_image(params.q, params), rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         img_q, -params.d * math.log(params.w) * np.ones(params.q - 1), rtol=0, atol=1e-12
     )
@@ -95,7 +99,7 @@ def test_pattern_images_limit():
 
 def test_pattern_image_rejects_zero_weight():
     params = ModelParams(3, 2, 1.0)  # w = 0: frozen children have no finite image
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="w > 0"):
         pattern_image(1, params)
 
 
@@ -246,6 +250,26 @@ def test_degree_rescaling_identity():
 
 
 def test_map_rejects_nan_input():
-    params = ModelParams(3, 5, 1.0)
-    with pytest.raises(DomainError):
-        log_ratio_map(np.array([np.nan, 0.0]), params)
+    # every entry that takes a log-ratio vector rejects NaN and both infinite
+    # encodings of a pinned vertex (+inf*e_1 and -inf*1) through one check
+    q = 3
+    params = ModelParams(q, 5, 1.0)
+    entries = {
+        "log_ratio_map": lambda x: log_ratio_map(x, params),
+        "two_step_map": lambda x: two_step_map(x, params),
+        "log_ratio_map_preimage": lambda x: log_ratio_map_preimage(x, params),
+        "log_ratio_map_jacobian": lambda x: log_ratio_map_jacobian(x, params),
+        "apply_permutation": lambda x: apply_permutation((2, 3, 1), x),
+        "two_step_sum_gradient": lambda x: two_step_sum_gradient(x, q),
+    }
+    inputs = {"nan": [np.nan, 0.0], "+inf*e_1": [np.inf, 0.0], "-inf*1": [-np.inf, -np.inf]}
+    accepted = []
+    for name, entry in entries.items():
+        for label, x in inputs.items():
+            try:
+                with np.errstate(all="ignore"):  # report acceptance, not numpy warnings
+                    entry(np.array(x))
+            except DomainError:
+                continue
+            accepted.append(f"{name}({label})")
+    assert not accepted, f"accepted non-finite input: {accepted}"

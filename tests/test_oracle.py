@@ -276,7 +276,7 @@ def test_recursion_matches_dp_on_a_random_boundary_at_depth_12():
 
 
 def test_recursion_pipeline_input_checks():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="w > 0"):
         recursion_root_log_ratios(3, 2, 1, 0.0, [1, 2])  # w = 0 has no finite patterns
     with pytest.raises(DomainError):
         recursion_root_log_ratios(3, 2, 1, 0.5, [1, 2, 3])  # wrong leaf count

@@ -1,4 +1,4 @@
-"""Model parameters, interaction weight, and boundary patterns."""
+"""Model parameters, interaction weight, and the log-ratio input check."""
 
 import math
 
@@ -9,8 +9,6 @@ from pottstree import (
     INFINITY,
     DomainError,
     ModelParams,
-    classify_pattern,
-    leaf_pattern,
     validate_log_ratio,
 )
 
@@ -54,41 +52,11 @@ def test_model_params_rejects_bad_shape(q, d):
         ModelParams(q, d, 1.0)
 
 
-def test_leaf_pattern_shapes():
-    x = leaf_pattern(1, 3)
-    assert x.shape == (2,)
-    assert x[0] == np.inf and x[1] == 0.0
-    assert np.isneginf(leaf_pattern(3, 3)).all()
-
-
-def test_leaf_pattern_rejects_out_of_range_color():
-    with pytest.raises(DomainError):
-        leaf_pattern(0, 3)
-    with pytest.raises(DomainError):
-        leaf_pattern(4, 3)
-
-
-@pytest.mark.parametrize("color,q", [(1, 3), (2, 3), (3, 3), (4, 6), (6, 6)])
-def test_classify_pattern_round_trip(color, q):
-    assert classify_pattern(leaf_pattern(color, q)) == color
-
-
-def test_classify_pattern_finite_is_none():
-    assert classify_pattern(np.array([0.3, -1.2])) is None
-
-
-def test_classify_pattern_rejects_mixed_infinities():
-    with pytest.raises(DomainError):
-        classify_pattern(np.array([np.inf, -np.inf]))
-    with pytest.raises(DomainError):
-        classify_pattern(np.array([np.inf, np.inf]))
-    with pytest.raises(DomainError):
-        classify_pattern(np.array([np.nan, 0.0]))
-
-
 def test_validate_log_ratio_checks_width():
     x = validate_log_ratio([0.1, -0.2], 3)
     assert x.shape == (2,)
     assert x.dtype == np.float64
     with pytest.raises(DomainError):
         validate_log_ratio([0.1, 0.2, 0.3], 3)
+    with pytest.raises(DomainError):
+        validate_log_ratio(0.1, 3)
