@@ -20,8 +20,16 @@ the recursion is a local contraction toward the uniform distribution.  As
 which the symbolic degree :data:`~pottstree.params.INFINITY` selects.
 
 All maps accept finite single vectors or batches of shape ``(..., q-1)`` and
-are evaluated in an overflow-safe way (coordinates are shifted by the row
-maximum before exponentiation when necessary).
+are evaluated in an overflow-safe way: when some coordinate exceeds
+``_EXP_SHIFT_AT = 600``, each row whose maximum exceeds 600 is shifted down
+by the excess before exponentiation; otherwise nothing is shifted.
+
+Sums, maxima and ``all`` over the color axis go through
+:func:`_colour_reduce`.  numpy reduces a short last axis one row at a time,
+which costs far more than the arithmetic; for batches narrower than 8 colors
+the helper instead folds the columns into one output array, with numpy's bits.
+From 8 colors on numpy sums pairwise, which a sequential fold would not
+reproduce, so those widths keep numpy's reduction.
 """
 
 from __future__ import annotations
@@ -35,15 +43,40 @@ from .params import INFINITY, ModelParams, validate_log_ratio
 
 # Shift threshold: keep exp() arguments comfortably inside float64 range.
 _EXP_SHIFT_AT = 600.0
+# numpy sums 8 or more elements pairwise, not left to right.
+_PAIRWISE_FROM = 8
+
+
+def _colour_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)``, by column passes on narrow batches.
+
+    For ``a.ndim >= 2`` and a last axis of 1 to 7 entries the columns are
+    folded left to right into one output array, which gives numpy's bits
+    (only the sign of a NaN may differ where two NaNs meet).  The sum starts
+    from ``a[..., 0] + 0.0`` because numpy's row sum starts from ``+0.0``, so
+    a row of ``-0.0`` sums to ``+0.0``.  Wider rows, single vectors and empty
+    rows keep numpy's reduction.
+    """
+    width = a.shape[-1]
+    if a.ndim < 2 or not 0 < width < _PAIRWISE_FROM:
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0] + 0.0 if ufunc is np.add else a[..., 0].copy()
+    for k in range(1, width):
+        ufunc(out, a[..., k], out=out)
+    return out
 
 
 def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(exp(x - m), exp(-m))`` with a per-row shift ``m >= 0``.
 
     Any ratio of linear combinations of ``exp(x_i)`` and ``1`` can be formed
-    from these two pieces without overflow.
+    from these two pieces without overflow.  ``m`` is 0 on rows whose
+    maximum is at most ``_EXP_SHIFT_AT``; when no row exceeds it the shift
+    is skipped, with the same bits as a shift by 0.
     """
-    m = np.maximum(x.max(axis=-1, keepdims=True) - _EXP_SHIFT_AT, 0.0)
+    if x.max(initial=-np.inf) <= _EXP_SHIFT_AT:
+        return np.exp(x), np.float64(1.0)
+    m = np.maximum(_colour_reduce(np.maximum, x)[..., None] - _EXP_SHIFT_AT, 0.0)
     return np.exp(x - m), np.exp(-m)
 
 
@@ -91,9 +124,9 @@ def log_ratio_map(x: np.ndarray, params: ModelParams) -> np.ndarray:
     x = validate_log_ratio(x, params.q)
     zp, e0 = _shifted_exp(x)
     if params.d == INFINITY:
-        return params.q * (e0 - zp) / (zp.sum(axis=-1, keepdims=True) + e0)
+        return params.q * (e0 - zp) / (_colour_reduce(np.add, zp)[..., None] + e0)
     beta = params.alpha * params.q / (params.d + 1.0)
-    den = zp.sum(axis=-1, keepdims=True) + params.w * e0
+    den = _colour_reduce(np.add, zp)[..., None] + params.w * e0
     if not (den > 0).all():
         raise DomainError("recursion-map denominator is nonpositive at this input")
     arg = beta * (e0 - zp) / den
@@ -112,23 +145,22 @@ def log_ratio_map_preimage(y: np.ndarray, params: ModelParams) -> tuple[np.ndarr
     """
     y = validate_log_ratio(y, params.q)
     if params.d == INFINITY:
-        den = y.sum(axis=-1, keepdims=True) + params.q
-        valid = (den > 0).all(axis=-1)
+        den = _colour_reduce(np.add, y) + params.q
+        valid = den > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = 1.0 - params.q * y / den
+            z = 1.0 - params.q * y / den[..., None]
     else:
         if not 0.0 < params.alpha:
             raise DomainError("preimage requires alpha > 0")
         g = np.expm1(y / params.d) * (params.d + 1.0) / (params.alpha * params.q)
-        s = 1.0 + g.sum(axis=-1, keepdims=True)
-        valid = (s > 0).all(axis=-1)
+        s = 1.0 + _colour_reduce(np.add, g)
+        valid = s > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             k = params.q * (1.0 - params.alpha / (params.d + 1.0)) / s
-            z = 1.0 - g * k
-    valid = valid & (z > 0).all(axis=-1) & np.isfinite(z).all(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(z > 0, np.log(np.where(z > 0, z, 1.0)), np.nan)
-    x = np.where(valid[..., None], x, np.nan)
+            z = 1.0 - g * k[..., None]
+    valid &= _colour_reduce(np.logical_and, (z > 0) & np.isfinite(z))
+    x = np.full(z.shape, np.nan)
+    np.log(z, out=x, where=valid[..., None])
     return x, valid
 
 

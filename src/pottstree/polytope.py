@@ -29,7 +29,7 @@ import itertools
 import numpy as np
 
 from .errors import DomainError
-from .maps import log_ratio_map, log_ratio_map_preimage
+from .maps import _colour_reduce, log_ratio_map, log_ratio_map_preimage
 from .params import ModelParams
 from .reporting import DEFAULT_CHUNK, CertificationReport, sampled_sweep, spawn_rng
 
@@ -56,8 +56,8 @@ def level(x: np.ndarray) -> np.ndarray | float:
     """
     x = np.asarray(x, dtype=float)
     q = x.shape[-1] + 1
-    s = x.sum(axis=-1)
-    out = np.maximum(-s, q * x.max(axis=-1) - s)
+    s = _colour_reduce(np.add, x)
+    out = np.maximum(-s, q * _colour_reduce(np.maximum, x) - s)
     return float(out) if out.ndim == 0 else out
 
 
