@@ -10,9 +10,7 @@ uniqueness regime ``w > 1 - q/(d+1)``.
 
 from .errors import BudgetError, CertificationError, DomainError, ParseError
 from .params import INFINITY, ModelParams, validate_log_ratio
-from .symmetry import (all_permutations, apply_permutation, compose,
-                       identity_permutation, invert, is_permutation,
-                       random_permutation, transposition)
+from .symmetry import all_permutations, apply_permutation
 from .maps import (degree_rescaling, diagonal_contraction,
                    diagonal_contraction_finite, log_ratio_map,
                    log_ratio_map_jacobian, log_ratio_map_preimage,
@@ -39,8 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError", "CertificationError", "DomainError", "ParseError",
     "INFINITY", "ModelParams", "validate_log_ratio",
-    "all_permutations", "apply_permutation", "compose", "identity_permutation",
-    "invert", "is_permutation", "random_permutation", "transposition",
+    "all_permutations", "apply_permutation",
     "degree_rescaling", "diagonal_contraction", "diagonal_contraction_finite",
     "log_ratio_map", "log_ratio_map_jacobian", "log_ratio_map_preimage",
     "pattern_image", "two_step_map", "two_step_sum_limit",

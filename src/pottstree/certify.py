@@ -18,18 +18,28 @@ The checks (:func:`two_step_level`, :func:`diagonal_minimality_check` and
 :class:`~pottstree.reporting.CertificationReport`.
 Everything is seeded and chunked as described in :mod:`pottstree.reporting`,
 so reports are bit-reproducible at any thread count.
+
+A :func:`two_step_level` sweep keeps its temporaries in one buffer per worker
+thread (:func:`_workspace`): the chunk's exponentials, its batch of samples
+and two row vectors, sized to one chunk.  Each chunk draws, maps twice and
+levels its samples in place in that buffer, with the same private kernels the
+public ``sample_fundamental``, ``log_ratio_map`` and ``level`` wrap, so the
+estimate has the bits of the allocating functions.  The buffers are dropped
+when the sweep returns.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import CertificationError, DomainError
-from .maps import (diagonal_contraction, leaf_counts_log_ratios, log_ratio_map,
-                   two_step_map, two_step_sum_limit)
+from .maps import (_log_ratio_map_into, diagonal_contraction, leaf_counts_log_ratios,
+                   log_ratio_map, two_step_map, two_step_sum_limit)
 from .params import INFINITY, ModelParams
-from .polytope import level, sample_face, sample_fundamental
-from .reporting import CertificationReport, sampled_sweep, spawn_rng
+from .polytope import _level_into, _sample_fundamental_into, level, sample_face
+from .reporting import DEFAULT_CHUNK, CertificationReport, sampled_sweep, spawn_rng
 
 #: Additive cushion per contraction step, so each next level lies strictly
 #: above the sampled estimate.  That estimate is a sampled maximum, so the
@@ -41,6 +51,24 @@ def _fundamental_probe_points(c: float, q: int) -> np.ndarray:
     """Deterministic must-test points: origin, vertices, diagonal face point."""
     pts = [np.zeros(q - 1), np.full(q - 1, -c / (q - 1.0)), -c * np.eye(q - 1)]
     return np.vstack(pts)
+
+
+def _workspace(rows: int, q: int) -> tuple[np.ndarray, ...]:
+    """One buffer cut into ``(rows, q)`` exponentials, the ``(rows, q-1)`` batch and two vectors."""
+    buf = np.empty(rows * (2 * q + 1))
+    e, x = buf[:rows * q], buf[rows * q:rows * (2 * q - 1)]
+    u, v = buf[rows * (2 * q - 1):].reshape(2, rows)
+    return e.reshape(rows, q), x.reshape(rows, q - 1), u, v
+
+
+def _sampled_peak(c: float, params: ModelParams, rng: np.random.Generator,
+                  workspace: tuple[np.ndarray, ...]) -> float:
+    """``max level(F(F(x)))`` over one draw of ``D_c`` that fills ``workspace``, computed in it."""
+    e, x, u, v = workspace
+    _sample_fundamental_into(c, rng, e, u, out=x)
+    _log_ratio_map_into(x, params, x, u)
+    _log_ratio_map_into(x, params, x, u)
+    return float(np.max(_level_into(x, u, v)))
 
 
 def two_step_level(c: float, params: ModelParams, sample_count: int = 100_000,
@@ -57,13 +85,19 @@ def two_step_level(c: float, params: ModelParams, sample_count: int = 100_000,
     if not c > 0:
         raise DomainError(f"level must be positive, got {c}")
     q = params.q
+    rows = min(sample_count, DEFAULT_CHUNK)
+    # one workspace per worker thread, reused by every chunk that thread runs
+    # and dropped when this sweep returns
+    local = threading.local()
 
-    def peak(x: np.ndarray) -> float:
-        return float(np.max(level(two_step_map(x, params))))
+    def chunk_peak(rng: np.random.Generator, n: int) -> float:
+        if not hasattr(local, "workspace"):
+            local.workspace = _workspace(rows, q)
+        return _sampled_peak(c, params, rng, tuple(a[:n] for a in local.workspace))
 
-    sampled = sampled_sweep(lambda rng, n: peak(sample_fundamental(c, q, n, rng)),
-                            sample_count, seed, threads)
-    estimate = max([peak(_fundamental_probe_points(c, q))] + sampled)
+    sampled = sampled_sweep(chunk_peak, sample_count, seed, threads)
+    probes = two_step_map(_fundamental_probe_points(c, q), params)
+    estimate = max([float(np.max(level(probes)))] + sampled)
     bound = diagonal_contraction(c, q) if params.d == INFINITY else None
     return CertificationReport(
         kind="two_step_level",

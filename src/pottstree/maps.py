@@ -30,6 +30,12 @@ which costs far more than the arithmetic; for batches narrower than 8 colors
 the helper instead folds the columns into one output array, with numpy's bits.
 From 8 colors on numpy sums pairwise, which a sequential fold would not
 reproduce, so those widths keep numpy's reduction.
+
+``F`` has one formula, :func:`_log_ratio_map_into`, which writes over its own
+exponentials with ``out=`` ufuncs.  The public maps are thin wrappers that
+give it a fresh output array, so they never write into their input (which
+:func:`~pottstree.params.validate_log_ratio` may return as the caller's own
+array); sampled sweeps call the kernel on a workspace they reuse.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ _EXP_SHIFT_AT = 600.0
 _PAIRWISE_FROM = 8
 
 
-def _colour_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+def _colour_reduce(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``ufunc.reduce(a, axis=-1)``, by column passes on narrow batches.
 
     For ``a.ndim >= 2`` and a last axis of 1 to 7 entries the columns are
@@ -55,29 +61,37 @@ def _colour_reduce(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     (only the sign of a NaN may differ where two NaNs meet).  The sum starts
     from ``a[..., 0] + 0.0`` because numpy's row sum starts from ``+0.0``, so
     a row of ``-0.0`` sums to ``+0.0``.  Wider rows, single vectors and empty
-    rows keep numpy's reduction.
+    rows keep numpy's reduction.  ``out``, when given, has shape
+    ``a.shape[:-1]`` and receives the result.
     """
     width = a.shape[-1]
     if a.ndim < 2 or not 0 < width < _PAIRWISE_FROM:
-        return ufunc.reduce(a, axis=-1)
-    out = a[..., 0] + 0.0 if ufunc is np.add else a[..., 0].copy()
+        return ufunc.reduce(a, axis=-1, out=out)
+    if out is None:
+        out = np.empty_like(a[..., 0])
+    if ufunc is np.add:
+        np.add(a[..., 0], 0.0, out=out)
+    else:
+        np.copyto(out, a[..., 0])
     for k in range(1, width):
         ufunc(out, a[..., k], out=out)
     return out
 
 
-def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(exp(x - m), exp(-m))`` with a per-row shift ``m >= 0``.
+def _shifted_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``exp(x - m)`` into ``out`` and return ``exp(-m)``, with a per-row shift ``m >= 0``.
 
     Any ratio of linear combinations of ``exp(x_i)`` and ``1`` can be formed
     from these two pieces without overflow.  ``m`` is 0 on rows whose
     maximum is at most ``_EXP_SHIFT_AT``; when no row exceeds it the shift
-    is skipped, with the same bits as a shift by 0.
+    is skipped, with the same bits as a shift by 0.  ``out`` may be ``x``.
     """
     if x.max(initial=-np.inf) <= _EXP_SHIFT_AT:
-        return np.exp(x), np.float64(1.0)
+        np.exp(x, out=out)
+        return np.float64(1.0)
     m = np.maximum(_colour_reduce(np.maximum, x)[..., None] - _EXP_SHIFT_AT, 0.0)
-    return np.exp(x - m), np.exp(-m)
+    np.exp(np.subtract(x, m, out=out), out=out)
+    return np.exp(-m)
 
 
 def pattern_image(color: int, params: ModelParams) -> np.ndarray:
@@ -116,23 +130,43 @@ def leaf_counts_log_ratios(counts: np.ndarray, params: ModelParams) -> np.ndarra
     return counts @ images / params.d
 
 
+def _log_ratio_map_into(x: np.ndarray, params: ModelParams, out: np.ndarray,
+                        den: np.ndarray) -> np.ndarray:
+    """Write ``F(x)`` into ``out`` and return it; ``den`` is a work vector of shape ``x.shape[:-1]``.
+
+    ``out`` may be ``x`` itself: ``x`` is read only until its exponentials
+    are written over it.  Every step is an ``out=`` ufunc, so a caller that
+    reuses ``out`` and ``den`` allocates nothing.  ``x`` is not validated.
+    """
+    zp = out
+    e0 = _shifted_exp(x, zp)
+    den = _colour_reduce(np.add, zp, out=den)[..., None]
+    if params.d == INFINITY:
+        np.add(den, e0, out=den)
+        np.subtract(e0, zp, out=zp)
+        np.multiply(params.q, zp, out=zp)
+        return np.divide(zp, den, out=zp)
+    beta = params.alpha * params.q / (params.d + 1.0)
+    np.add(den, params.w * e0, out=den)
+    # min() propagates NaN, so these read like ``(a > b).all()`` without a mask
+    if not den.min(initial=np.inf) > 0:
+        raise DomainError("recursion-map denominator is nonpositive at this input")
+    np.subtract(e0, zp, out=zp)
+    np.multiply(beta, zp, out=zp)
+    np.divide(zp, den, out=zp)
+    if not zp.min(initial=np.inf) > -1.0:
+        raise DomainError("recursion map log argument is nonpositive at this input")
+    np.log1p(zp, out=zp)
+    return np.multiply(params.d, zp, out=zp)
+
+
 def log_ratio_map(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Evaluate ``F`` on a finite log-ratio vector or batch.
+    """Evaluate ``F`` on a finite log-ratio vector or batch, into a new array.
 
     Pinned vertices are not inputs here; their images are :func:`pattern_image`.
     """
     x = validate_log_ratio(x, params.q)
-    zp, e0 = _shifted_exp(x)
-    if params.d == INFINITY:
-        return params.q * (e0 - zp) / (_colour_reduce(np.add, zp)[..., None] + e0)
-    beta = params.alpha * params.q / (params.d + 1.0)
-    den = _colour_reduce(np.add, zp)[..., None] + params.w * e0
-    if not (den > 0).all():
-        raise DomainError("recursion-map denominator is nonpositive at this input")
-    arg = beta * (e0 - zp) / den
-    if not (arg > -1.0).all():
-        raise DomainError("recursion map log argument is nonpositive at this input")
-    return params.d * np.log1p(arg)
+    return _log_ratio_map_into(x, params, np.empty_like(x), np.empty(x.shape[:-1]))
 
 
 def log_ratio_map_preimage(y: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +207,8 @@ def log_ratio_map_jacobian(x: np.ndarray, params: ModelParams) -> np.ndarray:
     x = validate_log_ratio(x, params.q)
     if x.ndim != 1:
         raise DomainError("jacobian expects a single vector")
-    zp, e0 = _shifted_exp(x)
-    e0 = e0.item()
+    zp = np.empty_like(x)
+    e0 = _shifted_exp(x, zp).item()
     if params.d == INFINITY:
         bp = zp.sum() + e0
         return -params.q * zp[None, :] * (np.eye(len(x)) * bp + (e0 - zp)[:, None]) / bp**2

@@ -15,7 +15,13 @@ and the *level* of a point is the smallest ``c`` containing it,
     level(x) = max(-S, q*max_k(x_k) - S).
 
 The fundamental domain ``D_c = {x <= 0, sum x >= -c}`` tiles ``P_c`` under
-the permutation action, so sampled sweeps only ever need ``D_c``.
+the permutation action, so sampled sweeps only ever need ``D_c``.  Its
+uniform law is the Dirichlet(1, ..., 1) law on the vertex weights, drawn as
+standard exponentials divided by their left-to-right row sum: numpy's own
+Dirichlet sampler, bit for bit.  :func:`level` and :func:`sample_fundamental`
+each keep their one formula in a private kernel that writes into arrays the
+caller owns; the public functions allocate those arrays, and the
+``two_step_level`` sweep reuses one workspace instead.
 
 The convexity probe asks whether midpoints of images under the recursion map
 pull back inside the same level set; its negative answers (witnesses) are as
@@ -48,6 +54,15 @@ def polytope_vertices(c: float, q: int) -> np.ndarray:
     return np.vstack([v, np.full(q - 1, c)])
 
 
+def _level_into(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Write ``level(x)`` into ``out`` and return it; both vectors have shape ``x.shape[:-1]``."""
+    q = x.shape[-1] + 1
+    s = _colour_reduce(np.add, x, out=out)
+    top = _colour_reduce(np.maximum, x, out=work)
+    np.subtract(np.multiply(q, top, out=top), s, out=top)
+    return np.maximum(np.negative(s, out=s), top, out=s)
+
+
 def level(x: np.ndarray) -> np.ndarray | float:
     """Smallest ``c`` with ``x in P_c`` (batch-friendly).
 
@@ -55,18 +70,35 @@ def level(x: np.ndarray) -> np.ndarray | float:
     is ``>= 0``.
     """
     x = np.asarray(x, dtype=float)
-    q = x.shape[-1] + 1
-    s = _colour_reduce(np.add, x)
-    out = np.maximum(-s, q * _colour_reduce(np.maximum, x) - s)
+    out = _level_into(x, np.empty(x.shape[:-1]), np.empty(x.shape[:-1]))
     return float(out) if out.ndim == 0 else out
+
+
+def _sample_fundamental_into(c: float, rng: np.random.Generator, e: np.ndarray,
+                             acc: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``len(e)`` uniform samples of ``D_c`` into ``out`` and return it.
+
+    ``e`` (shape ``(n, q)``) and ``acc`` (shape ``(n,)``) are work arrays.  This
+    is numpy's Dirichlet(1, ..., 1) sampler spelled out: standard
+    exponentials, each row summed left to right from ``+0.0`` and multiplied
+    by ``1/sum``, so the bits and the generator's state after the draw are
+    those of ``rng.dirichlet(np.ones(q), size=n)``.
+    """
+    rng.standard_exponential(out=e)
+    np.add(e[:, 0], 0.0, out=acc)
+    for k in range(1, e.shape[1]):
+        np.add(acc, e[:, k], out=acc)
+    np.divide(1.0, acc, out=acc)
+    np.multiply(e[:, :-1], acc[:, None], out=out)
+    return np.multiply(out, -c, out=out)
 
 
 def sample_fundamental(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples of ``D_c`` (Dirichlet weights over its q vertices)."""
     if c <= 0:
         raise DomainError(f"level must be positive, got {c}")
-    w = rng.dirichlet(np.ones(q), size=count)
-    return -c * w[:, : q - 1]
+    return _sample_fundamental_into(c, rng, np.empty((count, q)), np.empty(count),
+                                    np.empty((count, q - 1)))
 
 
 def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,49 +24,18 @@ from .errors import BudgetError, DomainError
 from .params import validate_log_ratio
 
 
-def is_permutation(perm) -> bool:
-    perm = tuple(int(p) for p in perm)
-    return sorted(perm) == list(range(1, len(perm) + 1))
-
-
 def _check(perm) -> tuple[int, ...]:
     perm = tuple(int(p) for p in perm)
-    if not is_permutation(perm):
+    if sorted(perm) != list(range(1, len(perm) + 1)):
         raise DomainError(f"not a permutation of 1..{len(perm)}: {perm!r}")
     return perm
 
 
-def identity_permutation(q: int) -> tuple[int, ...]:
-    return tuple(range(1, q + 1))
-
-
-def transposition(q: int, a: int, b: int) -> tuple[int, ...]:
-    """The permutation swapping colors ``a`` and ``b``."""
-    if not (1 <= a <= q and 1 <= b <= q):
-        raise DomainError(f"colors must lie in 1..{q}")
-    perm = list(range(1, q + 1))
-    perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]
-    return tuple(perm)
-
-
-def compose(pi, sigma) -> tuple[int, ...]:
-    """Return ``pi o sigma`` (apply ``sigma`` first)."""
-    pi, sigma = _check(pi), _check(sigma)
-    if len(pi) != len(sigma):
-        raise DomainError("cannot compose permutations of different sizes")
-    return tuple(pi[s - 1] for s in sigma)
-
-
-def invert(perm) -> tuple[int, ...]:
-    perm = _check(perm)
+def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(perm)
     for i, p in enumerate(perm):
         inv[p - 1] = i + 1
     return tuple(inv)
-
-
-def random_permutation(q: int, rng: np.random.Generator) -> tuple[int, ...]:
-    return tuple(int(c) + 1 for c in rng.permutation(q))
 
 
 def all_permutations(q: int) -> list[tuple[int, ...]]:
@@ -81,7 +50,7 @@ def apply_permutation(perm, x: np.ndarray) -> np.ndarray:
     perm = _check(perm)
     q = len(perm)
     x = validate_log_ratio(x, q)
-    inv = invert(perm)
+    inv = _invert(perm)
     # Embed with a zero slot for color q, permute slots, re-zero the new q slot.
     xt = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
     gathered = xt[..., [inv[i] - 1 for i in range(q)]]
