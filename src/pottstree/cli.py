@@ -30,12 +30,13 @@ import numpy as np
 from .certify import contraction_sequence, convergence_experiment, two_step_level
 from .errors import BudgetError, CertificationError, DomainError, ParseError
 from .gradients import gradient_identity_sweep, positivity_sweep
-from .oracle import brute_force_Z, dp_log_Z, recursion_root_log_ratios, root_summary
+from .oracle import (_check_dp_budget, brute_force_Z, dp_log_Z, recursion_root_log_ratios,
+                     root_summary)
 from .params import INFINITY, ModelParams
 from .polytope import convexity_probe
 from .reporting import (code_version, format_value, parse_grid, spawn_rng, write_csv_atomic,
                         write_text_atomic)
-from .trees import BoundaryCondition, TreeSpec, read_boundary_file
+from .trees import BoundaryCondition, TreeSpec, read_boundary_file, regular_size
 
 PASS, FAIL = "PASS", "FAIL"
 
@@ -241,19 +242,20 @@ def _cmd_oracle(args) -> int:
             if flag is not None and flag != getattr(bf, name):
                 raise DomainError(f"--{name}={flag} conflicts with boundary file ({getattr(bf, name)})")
         q, d, n = bf.q, bf.d, bf.n
-        tree = bf.tree()
-        boundary = BoundaryCondition.from_leaf_colors(tree, bf.leaf_colors)
     else:
         if args.q is None or args.d is None or args.n is None:
             raise DomainError("--q, --d and --n are required without --boundary-file")
         q, d, n = args.q, args.d, args.n
         if n < 1:
             raise DomainError("depth n must be >= 1 (a depth-0 root is just a pinned vertex)")
-        tree = TreeSpec.regular(d, n)
-        if args.boundary == "mono":
-            boundary = BoundaryCondition.monochromatic(tree, args.color)
-        else:
-            boundary = BoundaryCondition.random(tree, q, spawn_rng(args.seed))
+    _check_dp_budget(regular_size(d, n))
+    tree = TreeSpec.regular(d, n)
+    if args.boundary_file:
+        boundary = BoundaryCondition.from_leaf_colors(tree, bf.leaf_colors)
+    elif args.boundary == "mono":
+        boundary = BoundaryCondition.monochromatic(tree, args.color)
+    else:
+        boundary = BoundaryCondition.random(tree, q, spawn_rng(args.seed))
 
     if args.w is not None:
         w = args.w

@@ -7,7 +7,7 @@ be validated against it:
 * :func:`dp_log_Z` runs a leaf-to-root dynamic program in log space, exact up
   to floating point for trees far beyond enumeration range.  It is one array
   pass per (level, child slot) of the :class:`TreeSpec` layout, deepest first;
-  each vertex adds its children's messages in tuple order, so the tables are
+  each vertex adds its children's messages in order, so the tables are
   bitwise those of a loop over the vertices, on regular and irregular trees alike;
 * :func:`root_log_ratios` / :func:`conditional_root_distribution` derive the
   quantities the recursion predicts, straight from the dynamic program, and
@@ -59,10 +59,9 @@ def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition 
         bad = bad_vertex | (colors < 1) | (colors > q)
         if bad.any():
             i = int(np.argmax(bad))
-            vertex, color = next(itertools.islice(boundary.colors.items(), i, None))
             if bad_vertex[i]:
-                raise DomainError(f"pinned vertex {vertex} not in tree")
-            raise DomainError(f"color {color} for vertex {vertex} outside 1..{q}")
+                raise DomainError(f"pinned vertex {vertices[i]} not in tree")
+            raise DomainError(f"color {colors[i]} for vertex {vertices[i]} outside 1..{q}")
         pins[vertices] = colors
     if pinned_root is not None:
         if not 1 <= pinned_root <= q:
@@ -83,7 +82,7 @@ def brute_force_Z(tree: TreeSpec, q: int, w: float,
     if total > BRUTE_FORCE_BUDGET:
         raise BudgetError(f"{total} colorings exceed the enumeration budget {BRUTE_FORCE_BUDGET}")
     base = pins.astype(np.int16)
-    edges = tree.edges()
+    parents = np.repeat(np.arange(tree.n_vertices), tree.counts)
     z = 0.0
     for lo in range(0, total, BRUTE_FORCE_CHUNK):
         idx = np.arange(lo, min(lo + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
@@ -91,7 +90,7 @@ def brute_force_Z(tree: TreeSpec, q: int, w: float,
         for j, v in enumerate(free):
             cols[:, v] = (idx // q**j) % q + 1
         mono = np.zeros(len(idx), dtype=np.int32)
-        for a, b in edges:
+        for a, b in zip(parents, tree.child):
             mono += cols[:, a] == cols[:, b]
         z += float(np.power(float(w), mono).sum())
     return z
@@ -106,7 +105,7 @@ def dp_log_Z(tree: TreeSpec, q: int, w: float,
     size are limited only by the vertex budget, not by float range.  Each
     depth is one array operation per child slot: slot ``s`` adds the message
     of the ``s``-th child of every vertex that has one, so a vertex sums its
-    children in tuple order and the result does not depend on how the tree
+    children in order and the result does not depend on how the tree
     is numbered or batched.  Returns ``-inf`` when no compatible coloring has
     positive weight (possible only at ``w = 0``).
     """
@@ -129,9 +128,7 @@ def _dp_tables(tree: TreeSpec, q: int, w: float,
     Deepest level first, one pass per child slot (see :func:`dp_log_Z`).
     """
     pins = _collect_pins(tree, q, w, boundary, pinned_root)
-    if tree.n_vertices > DP_VERTEX_BUDGET:
-        raise BudgetError(f"{tree.n_vertices} vertices exceed the dp budget "
-                          f"DP_VERTEX_BUDGET={DP_VERTEX_BUDGET}")
+    _check_dp_budget(tree.n_vertices)
     table = np.zeros((tree.n_vertices, q))
     below = None  # the deepest level has no children
     for level in reversed(tree.levels):
@@ -139,6 +136,12 @@ def _dp_tables(tree: TreeSpec, q: int, w: float,
         _pin_rows(table, level, pins)
         below = level
     return table
+
+
+def _check_dp_budget(n_vertices: int) -> None:
+    if n_vertices > DP_VERTEX_BUDGET:
+        raise BudgetError(f"{n_vertices} vertices exceed the dp budget "
+                          f"DP_VERTEX_BUDGET={DP_VERTEX_BUDGET}")
 
 
 def _add_child_messages(table: np.ndarray, parents: np.ndarray, below: np.ndarray | None,

@@ -6,8 +6,8 @@ root and every internal vertex have exactly ``d`` children (the root of the
 order starting at the root, so the ``d**n`` leaves are the final block of
 indices; "leaf index k" always refers to this BFS order.
 
-:class:`TreeSpec` owns the layout: it builds the BFS levels and child counts
-once, the arrays from which its traversals and the exact DP read every child.
+:class:`TreeSpec` holds a tree only as int32 arrays (the child counts, the
+children, and the BFS levels from which the exact DP reads every child).
 
 Boundary conditions pin the leaves to colors ``1..q``.  The on-disk format is
 a plain text file:
@@ -30,64 +30,49 @@ import numpy as np
 from .errors import DomainError, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeSpec:
-    """An explicit rooted tree given by per-vertex child tuples.
+    """A rooted tree, checked and laid out in int32 arrays.
 
-    Laid out once in int32 arrays: ``counts[v]`` is the number of children of
-    ``v``, and ``levels[k]`` the vertices at depth ``k``, each vertex's
-    children one block in tuple order, the blocks in ``levels[k - 1]``'s order.
+    ``counts[v]`` is the number of children of ``v``; ``child`` lists them
+    vertex by vertex, each vertex's in order.  ``levels[k]`` is the vertices
+    at depth ``k``, each vertex's children one block in that order, the blocks
+    in ``levels[k - 1]``'s order.  Built by :meth:`regular` or :meth:`from_children`.
     """
 
-    children: tuple[tuple[int, ...], ...]
+    counts: np.ndarray
+    child: np.ndarray
     root: int = 0
-    counts: np.ndarray = field(init=False, repr=False, compare=False)
-    levels: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    levels: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.children)
+        n = len(self.counts)
         if not 0 <= self.root < n:
             raise DomainError(f"root {self.root} out of range for {n} vertices")
-        counts = np.fromiter(map(len, self.children), np.int32, n)
-        flat = _int64s(lambda: itertools.chain.from_iterable(self.children), int(counts.sum()))
-        bad = (flat < 0) | (flat >= n)
-        if bad.any():
-            c = next(itertools.islice(itertools.chain.from_iterable(self.children), bad.argmax(), None))
-            raise DomainError(f"child index {c} out of range")
-        two = np.bincount(np.append(flat, self.root), minlength=n) > 1
-        if two.any():
+        counts, child = np.asarray(self.counts), np.asarray(self.child)
+        if counts.min() < 0 or counts.sum() != len(child):
+            raise DomainError(f"child counts do not match the {len(child)} children")
+        if len(child) and not 0 <= child.min() <= child.max() < n:
+            raise DomainError(f"child index {child[(child < 0) | (child >= n)][0]} out of range")
+        seen = np.zeros(n, dtype=bool)
+        seen[child] = True
+        if seen[self.root] or np.count_nonzero(seen) < len(child):
+            two = np.bincount(np.append(child, self.root), minlength=n) > 1
             raise DomainError(f"vertex {two.argmax()} has two parents (not a tree)")
+        object.__setattr__(self, "counts", counts.astype(np.int32, copy=False))
+        object.__setattr__(self, "child", child.astype(np.int32, copy=False))
         # every vertex has at most one parent and the root none, so the walk ends
-        levels = _bfs_levels(self.root, counts, flat.astype(np.int32))
+        levels = _bfs_levels(self.root, self.counts, self.child)
         if sum(map(len, levels)) != n:
             raise DomainError("children lists do not describe a single rooted tree")
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "levels", tuple(levels))
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.children)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.children) - 1
-
-    def leaves(self) -> list[int]:
-        return np.flatnonzero(self.counts == 0).tolist()
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(v, c) for v, ch in enumerate(self.children) for c in ch]
-
-    def depths(self) -> np.ndarray:
-        """Depth of every vertex (root = 0)."""
-        depth = np.empty(self.n_vertices, dtype=int)
-        for k, level in enumerate(self.levels):
-            depth[level] = k
-        return depth
-
-    def topological_order(self) -> list[int]:
-        """Vertices in an order where parents precede children (BFS)."""
-        return np.concatenate(self.levels).tolist()
+    @classmethod
+    def from_children(cls, children, root: int = 0) -> "TreeSpec":
+        """The tree in which vertex ``v`` has the children ``children[v]``, in order."""
+        counts = np.fromiter(map(len, children), np.int32, len(children))
+        child = _int64s(lambda: itertools.chain.from_iterable(children), counts.sum())
+        return cls(counts, child, root)
 
     @classmethod
     def regular(cls, d: int, n: int) -> "TreeSpec":
@@ -96,34 +81,45 @@ class TreeSpec:
             raise DomainError(f"down-degree d must be an integer >= 1, got {d!r}")
         if not (isinstance(n, (int, np.integer)) and n >= 0):
             raise DomainError(f"depth n must be an integer >= 0, got {n!r}")
-        # row v of the zipped ranges is vertex v's children, d*v + 1 .. d*v + d
-        total = sum(d**k for k in range(n + 1))
-        return cls(tuple(zip(*(range(s, total, d) for s in range(1, d + 1)))) + ((),) * d**n)
+        # vertex v's children are d*v + 1 .. d*v + d, so the child array is 1 .. total - 1
+        total = regular_size(d, n)
+        counts = np.zeros(total, np.int32)
+        counts[: total - d**n] = d
+        return cls(counts, np.arange(1, total, dtype=np.int32))
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.counts)
+
+    def leaves(self) -> list[int]:
+        return np.flatnonzero(self.counts == 0).tolist()
+
+
+def regular_size(d: int, n: int) -> int:
+    """The number of vertices of ``TreeSpec.regular(d, n)``."""
+    return n + 1 if d == 1 else (d ** (n + 1) - 1) // (d - 1)
 
 
 def _int64s(values, count: int) -> np.ndarray:
-    """``values()`` as int64, ints beyond int64 as -1: every caller's range
-    check then rejects them, where numpy would raise ``OverflowError``."""
+    """``values()`` as int64; as exact Python ints if one overflows, for range checks to name it."""
     try:
         return np.fromiter(values(), np.int64, count)
     except OverflowError:
-        return np.fromiter((v if -2**63 <= v < 2**63 else -1 for v in values()), np.int64, count)
+        return np.fromiter(values(), object, count)
 
 
-def _bfs_levels(root: int, counts: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
-    """The vertices at each depth, each parent's children in tuple order."""
-    first = np.cumsum(counts) - counts
+def _bfs_levels(root: int, counts: np.ndarray, child: np.ndarray) -> list[np.ndarray]:
+    """The vertices at each depth, each parent's children in child-array order."""
+    first = np.cumsum(counts, dtype=np.int32)
+    first -= counts
     levels = [np.array([root], dtype=np.int32)]
-    while True:
-        k = counts[levels[-1]]
-        size = int(k.sum())
-        if not size:
-            return levels
-        # child j of the concatenation is flat[first[parent] + j - start[parent]]
-        start = np.cumsum(k) - k
-        idx = np.repeat(first[levels[-1]] - start, k)
-        idx += np.arange(size)
-        levels.append(flat[idx])
+    while (k := counts[levels[-1]]).any():
+        # child j of the concatenation is child[first[parent] + j - start[parent]]
+        idx = np.repeat(first[levels[-1]] - np.cumsum(k, dtype=np.int32) + k, k)
+        idx += np.arange(len(idx), dtype=np.int32)
+        levels.append(child[idx])
+        del idx  # freed before the next level's counts are read
+    return levels
 
 
 @dataclass
@@ -134,7 +130,7 @@ class BoundaryCondition:
 
     @classmethod
     def monochromatic(cls, tree: TreeSpec, color: int) -> "BoundaryCondition":
-        return cls({v: color for v in tree.leaves()})
+        return cls(dict.fromkeys(tree.leaves(), color))
 
     @classmethod
     def from_leaf_colors(cls, tree: TreeSpec, leaf_colors) -> "BoundaryCondition":
@@ -144,13 +140,13 @@ class BoundaryCondition:
             raise DomainError(
                 f"got {len(leaf_colors)} colors for {len(leaves)} leaves"
             )
-        return cls({v: int(c) for v, c in zip(leaves, leaf_colors)})
+        return cls(dict(zip(leaves, map(int, leaf_colors))))
 
     @classmethod
     def random(cls, tree: TreeSpec, q: int, rng: np.random.Generator) -> "BoundaryCondition":
         leaves = tree.leaves()
         draws = rng.integers(1, q + 1, size=len(leaves))
-        return cls({v: int(c) for v, c in zip(leaves, draws)})
+        return cls(dict(zip(leaves, draws.tolist())))
 
 
 @dataclass(frozen=True)
@@ -161,9 +157,6 @@ class BoundaryFile:
     d: int
     n: int
     leaf_colors: tuple[int, ...]
-
-    def tree(self) -> TreeSpec:
-        return TreeSpec.regular(self.d, self.n)
 
 
 def read_boundary_file(path) -> BoundaryFile:
@@ -189,7 +182,7 @@ def read_boundary_file(path) -> BoundaryFile:
     if n < 1:
         raise ParseError(f"n must be >= 1, got {n}", line=no)
     n_leaves = d**n
-    colors: list[int | None] = [None] * n_leaves
+    colors: dict[int, int] = {}  # by leaf index; the d**n tuple only once all are here
     for no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -202,13 +195,13 @@ def read_boundary_file(path) -> BoundaryFile:
             raise ParseError(f"leaf index {idx} outside 0..{n_leaves - 1}", line=no)
         if not 1 <= color <= q:
             raise ParseError(f"color {color} outside 1..{q}", line=no)
-        if colors[idx] is not None:
+        if idx in colors:
             raise ParseError(f"leaf {idx} assigned twice", line=no)
         colors[idx] = color
-    missing = [i for i, c in enumerate(colors) if c is None]
-    if missing:
-        raise ParseError(f"missing colors for {len(missing)} leaves (first: {missing[0]})")
-    return BoundaryFile(q, d, n, tuple(colors))
+    if len(colors) < n_leaves:
+        first = next(i for i in itertools.count() if i not in colors)
+        raise ParseError(f"missing colors for {n_leaves - len(colors)} leaves (first: {first})")
+    return BoundaryFile(q, d, n, tuple(colors[i] for i in range(n_leaves)))
 
 
 def write_boundary_file(path, q: int, d: int, n: int, leaf_colors) -> None:

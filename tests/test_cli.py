@@ -2,6 +2,7 @@
 
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,19 @@ def test_oracle_command_requires_dimensions(capsys):
     code = main(["oracle", "--w", "0.5"])
     assert code == 1
     assert "required" in capsys.readouterr().err
+
+
+def test_oracle_command_refuses_a_tree_over_the_dp_budget_before_building_it(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["oracle", "--q", "3", "--d", "3", "--n", "13"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == ("error: 2391484 vertices exceed the dp budget "
+                                       "DP_VERTEX_BUDGET=1000000\n")
+    assert peak < 4 * 2**20
 
 
 def test_usage_errors_exit_with_code_one(capsys):

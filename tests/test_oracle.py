@@ -23,7 +23,7 @@ from pottstree import (
     root_summary,
 )
 
-IRREGULAR = TreeSpec(children=((1, 2, 3), (4, 5), (), (6,), (), (), ()), root=0)
+IRREGULAR = TreeSpec.from_children(((1, 2, 3), (4, 5), (), (6,), (), (), ()), root=0)
 
 
 def test_single_edge_closed_form():
@@ -144,15 +144,18 @@ def test_root_summary_is_bitwise_the_three_oracles(q, d, n, w):
     np.testing.assert_array_equal(ratios, root_log_ratios(t, q, w, b))
 
 
-def _reference_tables(tree, q, w, boundary, pinned_root):
+def _reference_tables(children, root, q, w, boundary, pinned_root):
     """The per-vertex loop that the level-and-slot pass of ``_dp_tables`` replaces."""
     pinned = dict(boundary.colors)
     if pinned_root is not None:
-        pinned[tree.root] = pinned_root
-    table = np.zeros((tree.n_vertices, q))
-    for v in reversed(tree.topological_order()):
+        pinned[root] = pinned_root
+    order = [root]  # a BFS over the child lists: parents before children
+    for v in order:
+        order.extend(children[v])
+    table = np.zeros((len(children), q))
+    for v in reversed(order):
         lv = np.zeros(q)
-        for c in tree.children[v]:
+        for c in children[v]:
             lc = table[c]
             m = lc.max()
             if m == -np.inf:
@@ -179,7 +182,7 @@ def _random_query(rng):
         children[label[p]].append(int(label[v]))
     for ch in children:
         rng.shuffle(ch)
-    tree = TreeSpec(tuple(tuple(ch) for ch in children), root=int(label[0]))
+    tree = TreeSpec.from_children(children, root=int(label[0]))
     q = int(rng.integers(2, 11))
     w = float(rng.choice([0.0, rng.uniform(), 1.0]))
     pinned = rng.random(n) < rng.uniform(0, 0.6)
@@ -188,20 +191,20 @@ def _random_query(rng):
     pinned_root = None
     if rng.random() < 0.3:
         pinned_root = boundary.colors.get(tree.root, int(rng.integers(1, q + 1)))
-    return tree, q, w, boundary, pinned_root
+    return tree, children, q, w, boundary, pinned_root
 
 
-def _assert_bitwise_reference(tree, q, w, boundary, pinned_root):
+def _assert_bitwise_reference(tree, children, q, w, boundary, pinned_root):
     got = oracle._dp_tables(tree, q, w, boundary, pinned_root)
-    want = _reference_tables(tree, q, w, boundary, pinned_root)
+    want = _reference_tables(children, tree.root, q, w, boundary, pinned_root)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dp_tables_are_bitwise_the_per_vertex_loop_on_random_trees():
     rng = np.random.default_rng(2022)
-    single = TreeSpec(((),))
-    _assert_bitwise_reference(single, 3, 0.5, BoundaryCondition(), None)
-    _assert_bitwise_reference(single, 3, 0.5, BoundaryCondition(), 2)
+    single = TreeSpec.from_children([()])
+    _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition(), None)
+    _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition(), 2)
     for _ in range(500):
         _assert_bitwise_reference(*_random_query(rng))
 
@@ -210,7 +213,10 @@ def test_dp_tables_are_bitwise_the_per_vertex_loop_on_random_trees():
 def test_dp_tables_are_bitwise_the_per_vertex_loop_on_regular_trees(n):
     t = TreeSpec.regular(3, n)
     b = BoundaryCondition.random(t, 3, np.random.default_rng(n))
-    _assert_bitwise_reference(t, 3, ModelParams(3, 3, 1.0).w, b, None)
+    # vertex v's children in the BFS numbering, written out
+    children = [range(3 * v + 1, 3 * v + 4) for v in range(sum(3**k for k in range(n)))]
+    children += [()] * 3**n
+    _assert_bitwise_reference(t, children, 3, ModelParams(3, 3, 1.0).w, b, None)
 
 
 def test_dp_pass_peak_memory_is_within_three_tables():
@@ -227,7 +233,7 @@ def test_dp_pass_peak_memory_is_within_three_tables():
 
 def test_dp_budget_error_names_the_limit():
     n = oracle.DP_VERTEX_BUDGET + 1
-    star = TreeSpec((tuple(range(1, n)),) + ((),) * (n - 1))
+    star = TreeSpec.from_children([range(1, n)] + [()] * (n - 1))
     with pytest.raises(BudgetError, match=f"^{n} vertices exceed the dp budget "
                                           r"DP_VERTEX_BUDGET=1000000$"):
         dp_log_Z(star, 3, 0.5)
