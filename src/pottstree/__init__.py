@@ -25,7 +25,7 @@ from .polytope import (convexity_probe, convexity_witness_search, level,
                        sample_polytope)
 from .certify import (contraction_sequence, convergence_experiment,
                       diagonal_minimality_check, two_step_level)
-from .gradients import (comparator_exponent, comparator_gap,
+from .gradients import (comparator_exponents, comparator_gap,
                         comparator_values, constant_exponent_point,
                         gradient_identity_sweep, positivity_sweep,
                         rescaled_gap, rescaled_gap_line, two_step_sum_gradient)
@@ -50,7 +50,7 @@ __all__ = [
     "sample_face", "sample_fundamental", "sample_polytope",
     "contraction_sequence", "convergence_experiment",
     "diagonal_minimality_check", "two_step_level",
-    "comparator_exponent", "comparator_gap", "comparator_values",
+    "comparator_exponents", "comparator_gap", "comparator_values",
     "constant_exponent_point", "gradient_identity_sweep", "positivity_sweep",
     "rescaled_gap", "rescaled_gap_line", "two_step_sum_gradient",
     "CertificationReport", "parse_grid", "spawn_rng", "write_csv_atomic",

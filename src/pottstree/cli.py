@@ -30,13 +30,13 @@ import numpy as np
 from .certify import contraction_sequence, convergence_experiment, two_step_level
 from .errors import BudgetError, CertificationError, DomainError, ParseError
 from .gradients import gradient_identity_sweep, positivity_sweep
-from .oracle import (_check_dp_budget, brute_force_Z, dp_log_Z, recursion_root_log_ratios,
-                     root_summary)
+from .oracle import (_check_regular_dp_budget, brute_force_Z, dp_log_Z,
+                     recursion_root_log_ratios, root_summary)
 from .params import INFINITY, ModelParams
 from .polytope import convexity_probe
 from .reporting import (code_version, format_value, parse_grid, spawn_rng, write_csv_atomic,
                         write_text_atomic)
-from .trees import BoundaryCondition, TreeSpec, read_boundary_file, regular_size
+from .trees import BoundaryCondition, TreeSpec, read_boundary_file
 
 PASS, FAIL = "PASS", "FAIL"
 
@@ -248,7 +248,7 @@ def _cmd_oracle(args) -> int:
         q, d, n = args.q, args.d, args.n
         if n < 1:
             raise DomainError("depth n must be >= 1 (a depth-0 root is just a pinned vertex)")
-    _check_dp_budget(regular_size(d, n))
+    _check_regular_dp_budget(d, n)
     tree = TreeSpec.regular(d, n)
     if args.boundary_file:
         boundary = BoundaryCondition.from_leaf_colors(tree, bf.leaf_colors)

@@ -6,8 +6,9 @@ point has coordinate blocks ``x1 (l times) > x2 >= x3 (rest)``, then the
 gradient components satisfy ``psi_l > psi_{l+1}``.  Because the gradient has
 a positive scalar prefactor, the ordering is carried by the *comparator
 values* ``v_i`` in ratio coordinates; their adjacent difference collapses to
-a three-exponential expression (:func:`comparator_gap`) whose positivity is
-established through a one-parameter family with frozen exponents:
+a three-exponential expression (:func:`comparator_gap`, with exponents
+:func:`comparator_exponents`) whose positivity is established through a
+one-parameter family with frozen exponents:
 
 * :func:`constant_exponent_point` pins the exponents to constants
   ``C1 < C2 <= C3`` while a degree-like parameter ``t`` varies;
@@ -60,13 +61,11 @@ def two_step_sum_gradient(x: np.ndarray, q: int) -> np.ndarray:
     return q**3 * z * (ef * t + s) / (d * t) ** 2
 
 
-def comparator_exponent(i: int, y1, y2, y3, t, l: int):
-    """Exponent ``A_i = (t+1)(1 - y_i) / (1 + l*y1 + y2 + (t-l-1)*y3)``."""
-    if i not in (1, 2, 3):
-        raise DomainError(f"block index must be 1, 2 or 3, got {i}")
-    y = (y1, y2, y3)[i - 1]
-    den = 1.0 + l * np.asarray(y1, dtype=float) + y2 + (t - l - 1.0) * np.asarray(y3)
-    return (t + 1.0) * (1.0 - np.asarray(y, dtype=float)) / den
+def comparator_exponents(y1, y2, y3, t, l: int):
+    """The exponents ``A_i = (t+1)(1 - y_i) / (1 + l*y1 + y2 + (t-l-1)*y3)``, ``i = 1, 2, 3``."""
+    y1, y2, y3 = (np.asarray(v, dtype=float) for v in (y1, y2, y3))
+    den = 1.0 + l * y1 + y2 + (t - l - 1.0) * y3
+    return tuple((t + 1.0) * (1.0 - y) / den for y in (y1, y2, y3))
 
 
 def comparator_gap(y1, y2, y3, t, l: int):
@@ -77,10 +76,13 @@ def comparator_gap(y1, y2, y3, t, l: int):
     comparator difference on that structured point).  All arguments
     broadcast.
     """
-    y1, y2, y3 = (np.asarray(v, dtype=float) for v in (y1, y2, y3))
-    a1 = comparator_exponent(1, y1, y2, y3, t, l)
-    a2 = comparator_exponent(2, y1, y2, y3, t, l)
-    a3 = comparator_exponent(3, y1, y2, y3, t, l)
+    y = [np.asarray(v, dtype=float) for v in (y1, y2, y3)]
+    return _gap(*y, t, l, comparator_exponents(*y, t, l))
+
+
+def _gap(y1, y2, y3, t, l: int, exponents):
+    """:func:`comparator_gap` from the exponents ``(A1, A2, A3)`` of the same point."""
+    a1, a2, a3 = exponents
     m = t - l - 1.0
     c1 = y1 * y3 * m + (l + 1.0) * y1 + (l + 1.0) * y1 * y2 - l * y2
     c2 = -y2 * y3 * m - (l + 1.0) * y1 * y2 + y1 - 2.0 * y2
@@ -95,22 +97,25 @@ def constant_exponent_point(c1, c2, c3, l: int, t):
     ``B = c3 (t-l-1) + c1 l + c2 + t + 1``; substituting into the exponent
     formulas gives back the constants identically in ``t``.
     """
-    c1, c2, c3 = (np.asarray(v, dtype=float) for v in (c1, c2, c3))
-    t = np.asarray(t, dtype=float)
-    b = c3 * (t - l - 1.0) + c1 * l + c2 + t + 1.0
-    if np.any(b <= 0):
-        raise DomainError("degenerate frozen-exponent point (nonpositive denominator)")
-    return tuple(1.0 - c * (t + 1.0) / b for c in (c1, c2, c3))
+    return _frozen_point(c1, c2, c3, l, t)[1]
 
 
 def rescaled_gap(c1, c2, c3, l: int, t):
     """``comparator_gap`` on the frozen-exponent family, rescaled by
-    ``((1+t)/B)^{-2}`` — an exactly linear function of ``t``."""
-    c1, c2, c3 = (np.asarray(v, dtype=float) for v in (c1, c2, c3))
+    ``((1+t)/B)^{-2}`` — an exactly linear function of ``t`` (a column of
+    ``t`` values broadcasts to one row of gaps per value)."""
     t = np.asarray(t, dtype=float)
-    y1, y2, y3 = constant_exponent_point(c1, c2, c3, l, t)
+    b, y = _frozen_point(c1, c2, c3, l, t)
+    return _gap(*y, t, l, comparator_exponents(*y, t, l)) * (b / (1.0 + t)) ** 2
+
+
+def _frozen_point(c1, c2, c3, l: int, t):
+    """``B`` and the point ``(y1, y2, y3)`` of :func:`constant_exponent_point`."""
+    c1, c2, c3, t = (np.asarray(v, dtype=float) for v in (c1, c2, c3, t))
     b = c3 * (t - l - 1.0) + c1 * l + c2 + t + 1.0
-    return comparator_gap(y1, y2, y3, t, l) * (b / (1.0 + t)) ** 2
+    if np.any(b <= 0):
+        raise DomainError("degenerate frozen-exponent point (nonpositive denominator)")
+    return b, tuple(1.0 - c * (t + 1.0) / b for c in (c1, c2, c3))
 
 
 def rescaled_gap_line(c1, c2, c3, l: int):
@@ -150,14 +155,11 @@ def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
 
     def run_chunk(rng: np.random.Generator, n: int):
         x1, x2, x3 = _draw_triples(n, rng)
-        gap = comparator_gap(x1, x2, x3, t, l)
-        c1 = comparator_exponent(1, x1, x2, x3, t, l)
-        c2 = comparator_exponent(2, x1, x2, x3, t, l)
-        c3 = comparator_exponent(3, x1, x2, x3, t, l)
-        value, slope = rescaled_gap_line(c1, c2, c3, l)
-        r1 = rescaled_gap(c1, c2, c3, l, l + 1.0)
-        r2 = rescaled_gap(c1, c2, c3, l, l + 2.0)
-        r3 = rescaled_gap(c1, c2, c3, l, l + 3.0)
+        c = comparator_exponents(x1, x2, x3, t, l)
+        gap = _gap(x1, x2, x3, t, l, c)
+        value, slope = rescaled_gap_line(*c, l)
+        # one call per t: a (3, 1) column of t would keep ten or so (3, n) temporaries alive
+        r1, r2, r3 = (rescaled_gap(*c, l, l + k) for k in (1.0, 2.0, 3.0))
         scale = np.maximum(1.0, np.abs(r3))
         closed_err = np.maximum(np.abs(r1 - value), np.abs((r3 - r1) / 2.0 - slope)) / scale
         linear_err = np.abs(r1 - 2.0 * r2 + r3) / scale
@@ -195,12 +197,9 @@ def gradient_identity_sweep(q: int, points: int = 1000, seed: int = 0) -> Certif
     rng = spawn_rng(seed)
     x = rng.standard_normal((points, q - 1))
     grad = two_step_sum_gradient(x, q)
-    err = np.zeros_like(grad)
-    for i in range(q - 1):
-        h = np.zeros(q - 1)
-        h[i] = step
-        fd = (two_step_sum_limit(x + h, q) - two_step_sum_limit(x - h, q)) / (2 * step)
-        err[:, i] = np.abs(fd - grad[:, i]) / np.maximum(1.0, np.abs(grad[:, i]))
+    h = step * np.eye(q - 1)  # row i steps coordinate i: x[:, None] ± h holds all q-1 shifts
+    fd = two_step_sum_limit(x[:, None] + h, q) - two_step_sum_limit(x[:, None] - h, q)
+    err = np.abs(fd / (2 * step) - grad) / np.maximum(1.0, np.abs(grad))
     worst = np.unravel_index(int(np.argmax(err)), err.shape)
     return CertificationReport(
         kind="gradient_identity",

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .maps import leaf_counts_log_ratios, log_ratio_map
 from .params import ModelParams
-from .trees import BoundaryCondition, TreeSpec, _int64s
+from .trees import BoundaryCondition, TreeSpec, _int64s, _power_over_2_64, regular_size
 
 BRUTE_FORCE_BUDGET = 10_000_000
 BRUTE_FORCE_CHUNK = 200_000
@@ -142,6 +142,14 @@ def _check_dp_budget(n_vertices: int) -> None:
     if n_vertices > DP_VERTEX_BUDGET:
         raise BudgetError(f"{n_vertices} vertices exceed the dp budget "
                           f"DP_VERTEX_BUDGET={DP_VERTEX_BUDGET}")
+
+
+def _check_regular_dp_budget(d: int, n: int) -> None:
+    """:func:`_check_dp_budget` for ``TreeSpec.regular(d, n)``, before it is built."""
+    if _power_over_2_64(d, n):  # the exact vertex count would be too long to form or print
+        raise BudgetError(f"a depth-{n} tree with down-degree {d} has more than 2**64 vertices, "
+                          f"over the dp budget DP_VERTEX_BUDGET={DP_VERTEX_BUDGET}")
+    _check_dp_budget(regular_size(d, n))
 
 
 def _add_child_messages(table: np.ndarray, parents: np.ndarray, below: np.ndarray | None,

@@ -100,6 +100,15 @@ def regular_size(d: int, n: int) -> int:
     return n + 1 if d == 1 else (d ** (n + 1) - 1) // (d - 1)
 
 
+def _power_over_2_64(d: int, n: int) -> bool:
+    """Whether bit lengths alone show ``d**n > 2**64``, without forming the power.
+
+    When this is False, ``d**n < 2**128`` for every ``d >= 1``, so the exact
+    power is cheap to form and print.
+    """
+    return n * (d.bit_length() - 1) > 64
+
+
 def _int64s(values, count: int) -> np.ndarray:
     """``values()`` as int64; as exact Python ints if one overflows, for range checks to name it."""
     try:
@@ -181,6 +190,8 @@ def read_boundary_file(path) -> BoundaryFile:
         raise ParseError(f"d must be >= 1, got {d}", line=no)
     if n < 1:
         raise ParseError(f"n must be >= 1, got {n}", line=no)
+    if _power_over_2_64(d, n):  # no file lists that many leaves, nor can an index array hold them
+        raise ParseError(f"{d}**{n} leaves exceed 2**64", line=no)
     n_leaves = d**n
     colors: dict[int, int] = {}  # by leaf index; the d**n tuple only once all are here
     for no, ln in lines[1:]:

@@ -1,5 +1,6 @@
 """Command-line entry points: outputs, exit codes, and determinism."""
 
+import hashlib
 import re
 import shlex
 import tracemalloc
@@ -163,6 +164,18 @@ def test_lemmas_csv_is_byte_identical_across_threads(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_lemmas_output_digests_are_pinned(tmp_path, capsys):
+    # pins the lemmas outputs byte for byte: reordering any gradient formula's arithmetic shows here
+    out = tmp_path / "lemmas.csv"
+    code = main(["lemmas", "--q-max", "4", "--trials", "2000", "--gradient-points", "100",
+                 "--seed", "0", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "3a12f7335f858a55c0b2a9a8139d88b41bf9db8b7ae890662ccc5a2bfd2dbf1c")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6e0f9d37e604cef2f8ed92b28f493065a175df7baa57521ed30729ec1ce41db3")
+
+
 def test_oracle_command_reports_exact_quantities(capsys):
     code = main(["oracle", "--q", "3", "--d", "3", "--n", "2", "--w", "0.5",
                  "--boundary", "mono", "--color", "2", "--pin-root", "1"])
@@ -262,6 +275,18 @@ def test_oracle_command_refuses_a_tree_over_the_dp_budget_before_building_it(cap
     assert capsys.readouterr().err == ("error: 2391484 vertices exceed the dp budget "
                                        "DP_VERTEX_BUDGET=1000000\n")
     assert peak < 4 * 2**20
+
+
+def test_oracle_command_refuses_astronomical_trees_with_one_error_line(tmp_path, capsys):
+    # 3**10000 has 4772 digits, more than Python will print, so the messages name the power
+    assert main(["oracle", "--q", "3", "--d", "3", "--n", "10000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: a depth-10000 tree with down-degree 3 has more than 2**64 vertices, "
+        "over the dp budget DP_VERTEX_BUDGET=1000000\n")
+    path = tmp_path / "huge.txt"
+    path.write_text("3 3 10000\n0 1\n")
+    assert main(["oracle", "--boundary-file", str(path), "--w", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: line 1: 3**10000 leaves exceed 2**64\n"
 
 
 def test_usage_errors_exit_with_code_one(capsys):

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from pottstree import (
     DomainError,
-    comparator_exponent,
+    comparator_exponents,
     comparator_gap,
     comparator_values,
     constant_exponent_point,
     gradient_identity_sweep,
+    gradients,
     positivity_sweep,
     rescaled_gap,
     rescaled_gap_line,
     two_step_sum_gradient,
 )
+from pottstree.reporting import chunk_sizes
 
 triples = st.tuples(
     st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)
@@ -56,18 +58,37 @@ def test_gap_formula_equals_comparator_difference(q, l):
         assert comparator_gap(x1, x2, x3, q - 1, l) == pytest.approx(direct, rel=1e-11, abs=1e-13)
 
 
-def test_comparator_exponent_index_check():
-    with pytest.raises(DomainError):
-        comparator_exponent(0, 0.5, 0.4, 0.3, 4.0, 1)
+def test_comparator_exponents_are_the_per_block_formula_bit_for_bit():
+    rng = np.random.default_rng(1)
+    y1, y2, y3 = rng.uniform(0.02, 1.0, (3, 40, 1))
+    t, l = rng.uniform(3.0, 9.0, (1, 5)), 2
+    den = 1.0 + l * y1 + y2 + (t - l - 1.0) * y3
+    expected = [(t + 1.0) * (1.0 - y) / den for y in (y1, y2, y3)]
+    got = comparator_exponents(y1, y2, y3, t, l)
+    assert len(got) == 3
+    for a, b in zip(got, expected):
+        assert a.shape == (40, 5)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_frozen_exponents_are_constant_in_t():
     c1, c2, c3, l = 0.2, 0.7, 0.9, 2
     for t in (float(l + 1), 6.0, 25.0, 400.0):
         y1, y2, y3 = constant_exponent_point(c1, c2, c3, l, t)
-        assert comparator_exponent(1, y1, y2, y3, t, l) == pytest.approx(c1, abs=1e-12)
-        assert comparator_exponent(2, y1, y2, y3, t, l) == pytest.approx(c2, abs=1e-12)
-        assert comparator_exponent(3, y1, y2, y3, t, l) == pytest.approx(c3, abs=1e-12)
+        a = comparator_exponents(y1, y2, y3, t, l)
+        assert a == pytest.approx((c1, c2, c3), abs=1e-12)
+
+
+def test_rescaled_gap_takes_a_column_of_t_values():
+    rng = np.random.default_rng(2)
+    x1, x2, x3 = np.sort(rng.uniform(0.02, 1.0, (3, 200)), axis=0)[::-1]
+    l = 2
+    c = comparator_exponents(x1, x2, x3, 5.0, l)
+    ts = [l + 1.0, l + 2.0, l + 3.0]
+    rows = rescaled_gap(*c, l, np.array(ts)[:, None])
+    assert rows.shape == (3, 200)
+    for row, t in zip(rows, ts):
+        assert row.tobytes() == rescaled_gap(*c, l, t).tobytes()
 
 
 @settings(deadline=None, max_examples=60)
@@ -75,9 +96,7 @@ def test_frozen_exponents_are_constant_in_t():
 def test_rescaled_gap_is_linear_in_t(triple, l):
     x1, x2, x3 = triple
     t0 = float(l + 1)
-    c1 = comparator_exponent(1, x1, x2, x3, t0, l)
-    c2 = comparator_exponent(2, x1, x2, x3, t0, l)
-    c3 = comparator_exponent(3, x1, x2, x3, t0, l)
+    c1, c2, c3 = comparator_exponents(x1, x2, x3, t0, l)
     r = [float(rescaled_gap(c1, c2, c3, l, t0 + k)) for k in range(4)]
     second_diffs = [r[i] - 2 * r[i + 1] + r[i + 2] for i in range(2)]
     scale = max(1.0, max(abs(v) for v in r))
@@ -89,9 +108,7 @@ def test_rescaled_gap_is_linear_in_t(triple, l):
 def test_closed_form_line_matches_sampled_gap(triple, l):
     x1, x2, x3 = triple
     t0 = float(l + 1)
-    c1 = comparator_exponent(1, x1, x2, x3, t0, l)
-    c2 = comparator_exponent(2, x1, x2, x3, t0, l)
-    c3 = comparator_exponent(3, x1, x2, x3, t0, l)
+    c1, c2, c3 = comparator_exponents(x1, x2, x3, t0, l)
     value, slope = rescaled_gap_line(c1, c2, c3, l)
     r1 = float(rescaled_gap(c1, c2, c3, l, t0))
     r3 = float(rescaled_gap(c1, c2, c3, l, t0 + 2))
@@ -138,6 +155,21 @@ def test_positivity_sweep_is_deterministic_across_threads():
 def test_positivity_sweep_rejects_bad_block_index():
     with pytest.raises(DomainError):
         positivity_sweep(3, 2, trials=10)
+
+
+def test_sweeps_do_not_repeat_closed_form_evaluations(monkeypatch):
+    calls = []
+    for name in ("comparator_exponents", "rescaled_gap", "two_step_sum_limit"):
+        fn = getattr(gradients, name)
+        monkeypatch.setattr(gradients, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    positivity_sweep(6, 2, trials=60_000, seed=0)
+    chunks = len(chunk_sizes(60_000))
+    # the draw's exponents once, then the frozen point's at each of t = l+1, l+2, l+3
+    assert calls.count("comparator_exponents") == 4 * chunks
+    assert calls.count("rescaled_gap") == 3 * chunks
+    gradient_identity_sweep(6, points=20)
+    assert calls.count("two_step_sum_limit") == 2
 
 
 @pytest.mark.parametrize("q", [3, 5, 8])
