@@ -19,13 +19,16 @@ The checks (:func:`two_step_level`, :func:`diagonal_minimality_check` and
 Everything is seeded and chunked as described in :mod:`pottstree.reporting`,
 so reports are bit-reproducible at any thread count.
 
-A :func:`two_step_level` sweep keeps its temporaries in one buffer per worker
-thread (:func:`_workspace`): the chunk's exponentials, its batch of samples
-and two row vectors, sized to one chunk.  Each chunk draws, maps twice and
-levels its samples in place in that buffer, with the same private kernels the
-public ``sample_fundamental``, ``log_ratio_map`` and ``level`` wrap, so the
-estimate has the bits of the allocating functions.  The buffers are dropped
-when the sweep returns.
+The unit of :func:`two_step_level` work is the chunk: each chunk draws its
+Dirichlet weights once, for the whole grid of levels, and evaluates every
+level on them (``x = -c * weights``).  Its temporaries live in one buffer per
+worker thread: the draw's exponentials, the weights and two vectors, sized to
+one chunk, with each level's batch written over the exponentials once the
+weights exist.  The chunk maps twice and levels each batch in place, with the
+same colour-major kernels the public ``sample_fundamental``,
+``log_ratio_map`` and ``level`` wrap (the layout is described in
+:mod:`pottstree.maps`), so every estimate has the bits of the allocating
+functions.  The buffers are dropped when the sweep returns.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import CertificationError, DomainError
 from .maps import (_log_ratio_map_into, diagonal_contraction, leaf_counts_log_ratios,
                    log_ratio_map, two_step_map, two_step_sum_limit)
 from .params import INFINITY, ModelParams
-from .polytope import _level_into, _sample_fundamental_into, level, sample_face
+from .polytope import _dirichlet_weights_into, _level_into, level, sample_face
 from .reporting import DEFAULT_CHUNK, CertificationReport, sampled_sweep, spawn_rng
 
 #: Additive cushion per contraction step, so each next level lies strictly
@@ -53,59 +56,75 @@ def _fundamental_probe_points(c: float, q: int) -> np.ndarray:
     return np.vstack(pts)
 
 
-def _workspace(rows: int, q: int) -> tuple[np.ndarray, ...]:
-    """One buffer cut into ``(rows, q)`` exponentials, the ``(rows, q-1)`` batch and two vectors."""
-    buf = np.empty(rows * (2 * q + 1))
-    e, x = buf[:rows * q], buf[rows * q:rows * (2 * q - 1)]
-    u, v = buf[rows * (2 * q - 1):].reshape(2, rows)
-    return e.reshape(rows, q), x.reshape(rows, q - 1), u, v
+def _workspace(buf: np.ndarray, n: int, q: int) -> tuple[np.ndarray, ...]:
+    """Cut ``n * (2q+1)`` floats of ``buf`` into one chunk's arrays.
 
-
-def _sampled_peak(c: float, params: ModelParams, rng: np.random.Generator,
-                  workspace: tuple[np.ndarray, ...]) -> float:
-    """``max level(F(F(x)))`` over one draw of ``D_c`` that fills ``workspace``, computed in it."""
-    e, x, u, v = workspace
-    _sample_fundamental_into(c, rng, e, u, out=x)
-    _log_ratio_map_into(x, params, x, u)
-    _log_ratio_map_into(x, params, x, u)
-    return float(np.max(_level_into(x, u, v)))
-
-
-def two_step_level(c: float, params: ModelParams, sample_count: int = 100_000,
-                   seed: int = 0, threads: int = 1) -> CertificationReport:
-    """Estimate ``max level(F(F(x)))`` over the fundamental domain at level ``c``.
-
-    The sample set is ``sample_count`` uniform draws from the fundamental
-    domain plus the deterministic corner/diagonal points (where the maximum
-    sits for the limit family).  ``parameters["estimate"]`` is that maximum
-    and ``min_margin = c - estimate``; a positive margin is evidence of
-    strict forward invariance at this level.  ``parameters["diagonal_bound"]``
-    is the exact diagonal value for the limit family (None for finite degree).
+    Returns the row-major ``(n, q)`` exponentials, the colour-major
+    ``(q-1, n)`` weights, the colour-major ``(q-1, n)`` level batch, which
+    lies over the exponentials (they are dead once the weights exist), and
+    two ``(n,)`` vectors.
     """
-    if not c > 0:
-        raise DomainError(f"level must be positive, got {c}")
+    e, x = buf[:n * q].reshape(n, q), buf[:n * (q - 1)].reshape(q - 1, n)
+    w = buf[n * q:n * (2 * q - 1)].reshape(q - 1, n)
+    u, v = buf[n * (2 * q - 1):n * (2 * q + 1)].reshape(2, n)
+    return e, w, x, u, v
+
+
+def _sampled_peaks(levels, params: ModelParams, rng: np.random.Generator,
+                   workspace: tuple[np.ndarray, ...]) -> list[float]:
+    """``max level(F(F(x)))`` over one draw of ``D_c`` per level ``c``, all from one set of weights."""
+    e, w, x, u, v = workspace
+    _dirichlet_weights_into(rng, e, u, out=w)
+    peaks = []
+    for c in levels:
+        np.multiply(w, -c, out=x)
+        _log_ratio_map_into(x, params, x, u)
+        _log_ratio_map_into(x, params, x, u)
+        peaks.append(float(np.max(_level_into(x, u, v))))
+    return peaks
+
+
+def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
+                   seed: int = 0, threads: int = 1) -> list[CertificationReport]:
+    """Estimate ``max level(F(F(x)))`` over the fundamental domain, one report per level ``c``.
+
+    At each level the sample set is ``sample_count`` uniform draws from the
+    fundamental domain plus the deterministic corner/diagonal points (where
+    the maximum sits for the limit family).  ``parameters["estimate"]`` is
+    that maximum and ``min_margin = c - estimate``; a positive margin is
+    evidence of strict forward invariance at this level.
+    ``parameters["diagonal_bound"]`` is the exact diagonal value for the
+    limit family (None for finite degree).  Every level scales the same
+    draws, so a level's report is the one a single-level call gives.
+    """
+    for c in levels:
+        if not c > 0:
+            raise DomainError(f"level must be positive, got {c}")
     q = params.q
     rows = min(sample_count, DEFAULT_CHUNK)
-    # one workspace per worker thread, reused by every chunk that thread runs
+    # one buffer per worker thread, reused by every chunk that thread runs
     # and dropped when this sweep returns
     local = threading.local()
 
-    def chunk_peak(rng: np.random.Generator, n: int) -> float:
-        if not hasattr(local, "workspace"):
-            local.workspace = _workspace(rows, q)
-        return _sampled_peak(c, params, rng, tuple(a[:n] for a in local.workspace))
+    def chunk_peaks(rng: np.random.Generator, n: int) -> list[float]:
+        if not hasattr(local, "buf"):
+            local.buf = np.empty(rows * (2 * q + 1))
+        return _sampled_peaks(levels, params, rng, _workspace(local.buf, n, q))
 
-    sampled = sampled_sweep(chunk_peak, sample_count, seed, threads)
-    probes = two_step_map(_fundamental_probe_points(c, q), params)
-    estimate = max([float(np.max(level(probes)))] + sampled)
-    bound = diagonal_contraction(c, q) if params.d == INFINITY else None
-    return CertificationReport(
-        kind="two_step_level",
-        parameters={"q": q, "d": params.d, "alpha": params.alpha, "c": float(c),
-                    "estimate": estimate, "diagonal_bound": bound},
-        sample_count=sample_count + q + 1, seed=seed,
-        min_margin=float(c - estimate), passed=bool(estimate < c),
-    )
+    sampled = sampled_sweep(chunk_peaks, sample_count, seed, threads)
+    reports = []
+    for j, c in enumerate(levels):
+        probes = two_step_map(_fundamental_probe_points(c, q), params)
+        estimate = max([float(np.max(level(probes)))] + [peaks[j] for peaks in sampled])
+        bound = diagonal_contraction(c, q) if params.d == INFINITY else None
+        reports.append(CertificationReport(
+            kind="two_step_level",
+            parameters={"q": q, "d": params.d, "alpha": params.alpha, "c": float(c),
+                        "estimate": estimate, "diagonal_bound": bound},
+            sample_count=sample_count + q + 1, seed=seed,
+            min_margin=float(c - estimate), passed=bool(estimate < c),
+        ))
+    return reports
 
 
 def contraction_sequence(params: ModelParams, epsilon: float, max_iters: int,
@@ -127,8 +146,8 @@ def contraction_sequence(params: ModelParams, epsilon: float, max_iters: int,
     for it in range(max_iters):
         if c < epsilon:
             break
-        rep = two_step_level(c, params, sample_count, seed=int(spawn_rng(seed, it).integers(2**32)),
-                             threads=threads)
+        rep = two_step_level([c], params, sample_count,
+                             seed=int(spawn_rng(seed, it).integers(2**32)), threads=threads)[0]
         c_next = rep.parameters["estimate"] + STEP_CUSHION
         if not c_next < c:
             raise CertificationError(

@@ -163,9 +163,10 @@ def _cmd_certify(args) -> int:
         if not 0.0 < c <= args.q + 1.0 + 1e-12:
             raise DomainError(f"certification levels must lie in (0, q+1]; got {c}")
 
+    invs = two_step_level(levels, params, args.samples, seed=args.seed, threads=args.threads)
+    probes = convexity_probe(levels, params, args.pairs, seed=args.seed, threads=args.threads)
     rows, all_passed = [], True
-    for c in levels:
-        inv = two_step_level(c, params, args.samples, seed=args.seed, threads=args.threads)
+    for c, inv, probe in zip(levels, invs, probes):
         estimate = inv.parameters["estimate"]
         rows.append(["two_step_level", args.q, _fmt_d(args.d), args.alpha, c,
                      inv.sample_count, args.seed, estimate,
@@ -173,7 +174,6 @@ def _cmd_certify(args) -> int:
                      PASS if inv.passed else FAIL])
         print(f"two_step_level c={format_value(c)} estimate={format_value(estimate)} "
               f"margin={format_value(inv.min_margin)} {PASS if inv.passed else FAIL}")
-        probe = convexity_probe(c, params, args.pairs, seed=args.seed, threads=args.threads)
         witness = ""
         if probe.witness is not None:
             witness = "x=" + "|".join(format_value(v) for v in probe.witness["x"]) + \

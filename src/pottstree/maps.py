@@ -24,12 +24,20 @@ are evaluated in an overflow-safe way: when some coordinate exceeds
 ``_EXP_SHIFT_AT = 600``, each row whose maximum exceeds 600 is shifted down
 by the excess before exponentiation; otherwise nothing is shifted.
 
-Sums, maxima and ``all`` over the color axis go through
-:func:`_colour_reduce`.  numpy reduces a short last axis one row at a time,
-which costs far more than the arithmetic; for batches narrower than 8 colors
-the helper instead folds the columns into one output array, with numpy's bits.
-From 8 colors on numpy sums pairwise, which a sequential fold would not
-reproduce, so those widths keep numpy's reduction.
+Layout: the private kernels (:func:`_colour_reduce`, :func:`_shifted_exp`,
+:func:`_log_ratio_map_into`, and likewise ``polytope._level_into`` and
+``polytope._dirichlet_weights_into``) take colour-major arrays of shape
+``(q-1, ...)``: colour ``k`` is ``a[k]``, so every fold over the colours is
+a pass over whole rows and a per-point vector such as a denominator
+broadcasts along the long axis.  The public functions keep their
+``(..., q-1)`` signatures and hand the kernels a transposed view
+(``np.moveaxis``) of their input and output; sampled sweeps call the kernels
+on contiguous colour-major buffers, where the passes are fastest.
+
+:func:`_colour_reduce` folds the colour rows into one output array, with the
+bits numpy gives a row-major ``axis=-1`` reduction.  numpy sums a row of 8 or
+more entries pairwise, which a fold (or a reduce over any other axis) does
+not reproduce, so from 8 colours on the helper reduces a row-major copy.
 
 ``F`` has one formula, :func:`_log_ratio_map_into`, which writes over its own
 exponentials with ``out=`` ufuncs.  The public maps are thin wrappers that
@@ -54,42 +62,48 @@ _PAIRWISE_FROM = 8
 
 
 def _colour_reduce(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``ufunc.reduce(a, axis=-1)``, by column passes on narrow batches.
+    """``ufunc.reduce`` over the colour axis of a colour-major ``(width, ...)`` array.
 
-    For ``a.ndim >= 2`` and a last axis of 1 to 7 entries the columns are
-    folded left to right into one output array, which gives numpy's bits
-    (only the sign of a NaN may differ where two NaNs meet).  The sum starts
-    from ``a[..., 0] + 0.0`` because numpy's row sum starts from ``+0.0``, so
-    a row of ``-0.0`` sums to ``+0.0``.  Wider rows, single vectors and empty
-    rows keep numpy's reduction.  ``out``, when given, has shape
-    ``a.shape[:-1]`` and receives the result.
+    Gives the bits of numpy's ``ufunc.reduce(b, axis=-1)`` on the row-major
+    array ``b = np.moveaxis(a, 0, -1)`` (only the sign of a NaN may differ
+    where two NaNs meet).  Below 8 colours the rows ``a[k]`` are folded left
+    to right into one output array; the sum starts from ``a[0] + 0.0``
+    because numpy's row sum starts from ``+0.0``, so a row of ``-0.0`` sums
+    to ``+0.0``.  From 8 colours on numpy sums pairwise along a contiguous
+    row, and a fold or a reduce over axis 0 adds in another order, so the
+    helper reduces a row-major copy (no copy when ``a`` is already a
+    transposed row-major array).  Single vectors and zero colours keep
+    numpy's reduction.  ``out``, when given, has shape ``a.shape[1:]``.
     """
-    width = a.shape[-1]
-    if a.ndim < 2 or not 0 < width < _PAIRWISE_FROM:
-        return ufunc.reduce(a, axis=-1, out=out)
+    width = a.shape[0]
+    if a.ndim < 2 or width == 0:
+        return ufunc.reduce(a, axis=0, out=out)
+    if width >= _PAIRWISE_FROM:
+        return ufunc.reduce(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1, out=out)
     if out is None:
-        out = np.empty_like(a[..., 0])
+        out = np.empty_like(a[0])
     if ufunc is np.add:
-        np.add(a[..., 0], 0.0, out=out)
+        np.add(a[0], 0.0, out=out)
     else:
-        np.copyto(out, a[..., 0])
+        np.copyto(out, a[0])
     for k in range(1, width):
-        ufunc(out, a[..., k], out=out)
+        ufunc(out, a[k], out=out)
     return out
 
 
 def _shifted_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``exp(x - m)`` into ``out`` and return ``exp(-m)``, with a per-row shift ``m >= 0``.
+    """Write ``exp(x - m)`` into ``out`` and return ``exp(-m)``, with a per-point shift ``m >= 0``.
 
-    Any ratio of linear combinations of ``exp(x_i)`` and ``1`` can be formed
-    from these two pieces without overflow.  ``m`` is 0 on rows whose
-    maximum is at most ``_EXP_SHIFT_AT``; when no row exceeds it the shift
+    ``x`` and ``out`` are colour-major; ``m`` has shape ``x.shape[1:]``.  Any
+    ratio of linear combinations of ``exp(x_i)`` and ``1`` can be formed
+    from these two pieces without overflow.  ``m`` is 0 on points whose
+    maximum is at most ``_EXP_SHIFT_AT``; when no point exceeds it the shift
     is skipped, with the same bits as a shift by 0.  ``out`` may be ``x``.
     """
     if x.max(initial=-np.inf) <= _EXP_SHIFT_AT:
         np.exp(x, out=out)
         return np.float64(1.0)
-    m = np.maximum(_colour_reduce(np.maximum, x)[..., None] - _EXP_SHIFT_AT, 0.0)
+    m = np.maximum(_colour_reduce(np.maximum, x) - _EXP_SHIFT_AT, 0.0)
     np.exp(np.subtract(x, m, out=out), out=out)
     return np.exp(-m)
 
@@ -132,15 +146,16 @@ def leaf_counts_log_ratios(counts: np.ndarray, params: ModelParams) -> np.ndarra
 
 def _log_ratio_map_into(x: np.ndarray, params: ModelParams, out: np.ndarray,
                         den: np.ndarray) -> np.ndarray:
-    """Write ``F(x)`` into ``out`` and return it; ``den`` is a work vector of shape ``x.shape[:-1]``.
+    """Write ``F(x)`` into ``out`` and return it; ``x`` and ``out`` are colour-major.
 
-    ``out`` may be ``x`` itself: ``x`` is read only until its exponentials
-    are written over it.  Every step is an ``out=`` ufunc, so a caller that
-    reuses ``out`` and ``den`` allocates nothing.  ``x`` is not validated.
+    ``den`` is a work array of shape ``x.shape[1:]``.  ``out`` may be ``x``
+    itself: ``x`` is read only until its exponentials are written over it.
+    Every step is an ``out=`` ufunc, so a caller that reuses ``out`` and
+    ``den`` allocates nothing.  ``x`` is not validated.
     """
     zp = out
     e0 = _shifted_exp(x, zp)
-    den = _colour_reduce(np.add, zp, out=den)[..., None]
+    den = _colour_reduce(np.add, zp, out=den)
     if params.d == INFINITY:
         np.add(den, e0, out=den)
         np.subtract(e0, zp, out=zp)
@@ -166,7 +181,10 @@ def log_ratio_map(x: np.ndarray, params: ModelParams) -> np.ndarray:
     Pinned vertices are not inputs here; their images are :func:`pattern_image`.
     """
     x = validate_log_ratio(x, params.q)
-    return _log_ratio_map_into(x, params, np.empty_like(x), np.empty(x.shape[:-1]))
+    out = np.empty(x.shape)
+    _log_ratio_map_into(np.moveaxis(x, -1, 0), params, np.moveaxis(out, -1, 0),
+                        np.empty(x.shape[:-1]))
+    return out
 
 
 def log_ratio_map_preimage(y: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -178,23 +196,24 @@ def log_ratio_map_preimage(y: np.ndarray, params: ModelParams) -> tuple[np.ndarr
     where "no preimage" is an expected outcome rather than an error.
     """
     y = validate_log_ratio(y, params.q)
+    yc = np.moveaxis(y, -1, 0)  # colour-major view
     if params.d == INFINITY:
-        den = _colour_reduce(np.add, y) + params.q
+        den = _colour_reduce(np.add, yc) + params.q
         valid = den > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = 1.0 - params.q * y / den[..., None]
+            z = 1.0 - params.q * yc / den
     else:
         if not 0.0 < params.alpha:
             raise DomainError("preimage requires alpha > 0")
-        g = np.expm1(y / params.d) * (params.d + 1.0) / (params.alpha * params.q)
+        g = np.expm1(yc / params.d) * (params.d + 1.0) / (params.alpha * params.q)
         s = 1.0 + _colour_reduce(np.add, g)
         valid = s > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             k = params.q * (1.0 - params.alpha / (params.d + 1.0)) / s
-            z = 1.0 - g * k[..., None]
+            z = 1.0 - g * k
     valid &= _colour_reduce(np.logical_and, (z > 0) & np.isfinite(z))
-    x = np.full(z.shape, np.nan)
-    np.log(z, out=x, where=valid[..., None])
+    x = np.full(y.shape, np.nan)
+    np.log(z, out=np.moveaxis(x, -1, 0), where=valid)
     return x, valid
 
 

@@ -18,10 +18,13 @@ The fundamental domain ``D_c = {x <= 0, sum x >= -c}`` tiles ``P_c`` under
 the permutation action, so sampled sweeps only ever need ``D_c``.  Its
 uniform law is the Dirichlet(1, ..., 1) law on the vertex weights, drawn as
 standard exponentials divided by their left-to-right row sum: numpy's own
-Dirichlet sampler, bit for bit.  :func:`level` and :func:`sample_fundamental`
-each keep their one formula in a private kernel that writes into arrays the
-caller owns; the public functions allocate those arrays, and the
-``two_step_level`` sweep reuses one workspace instead.
+Dirichlet sampler, bit for bit.  :func:`level` and the Dirichlet draw each
+keep their one formula in a private colour-major kernel (the layout is
+described in :mod:`pottstree.maps`) that writes into arrays the caller owns;
+the public functions allocate those arrays, and the ``two_step_level`` sweep
+reuses one workspace instead.  The weights do not depend on the level, so a
+sweep over a grid of levels draws them once per chunk and scales them by
+each level.
 
 The convexity probe asks whether midpoints of images under the recursion map
 pull back inside the same level set; its negative answers (witnesses) are as
@@ -55,8 +58,8 @@ def polytope_vertices(c: float, q: int) -> np.ndarray:
 
 
 def _level_into(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Write ``level(x)`` into ``out`` and return it; both vectors have shape ``x.shape[:-1]``."""
-    q = x.shape[-1] + 1
+    """Write ``level(x)`` into ``out`` and return it; ``x`` is colour-major, both vectors ``x.shape[1:]``."""
+    q = x.shape[0] + 1
     s = _colour_reduce(np.add, x, out=out)
     top = _colour_reduce(np.maximum, x, out=work)
     np.subtract(np.multiply(q, top, out=top), s, out=top)
@@ -70,35 +73,38 @@ def level(x: np.ndarray) -> np.ndarray | float:
     is ``>= 0``.
     """
     x = np.asarray(x, dtype=float)
-    out = _level_into(x, np.empty(x.shape[:-1]), np.empty(x.shape[:-1]))
+    out = _level_into(np.moveaxis(x, -1, 0), np.empty(x.shape[:-1]), np.empty(x.shape[:-1]))
     return float(out) if out.ndim == 0 else out
 
 
-def _sample_fundamental_into(c: float, rng: np.random.Generator, e: np.ndarray,
-                             acc: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``len(e)`` uniform samples of ``D_c`` into ``out`` and return it.
+def _dirichlet_weights_into(rng: np.random.Generator, e: np.ndarray, acc: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+    """Write the first ``q-1`` of ``len(e)`` Dirichlet(1, ..., 1) weight vectors into ``out``.
 
-    ``e`` (shape ``(n, q)``) and ``acc`` (shape ``(n,)``) are work arrays.  This
-    is numpy's Dirichlet(1, ..., 1) sampler spelled out: standard
-    exponentials, each row summed left to right from ``+0.0`` and multiplied
-    by ``1/sum``, so the bits and the generator's state after the draw are
-    those of ``rng.dirichlet(np.ones(q), size=n)``.
+    ``out`` is colour-major, shape ``(q-1, n)``; ``-c * out`` are uniform
+    samples of ``D_c``.  ``e`` (row-major ``(n, q)``, so the generator fills
+    it in draw order) and ``acc`` (shape ``(n,)``) are work arrays.  This is
+    numpy's Dirichlet(1, ..., 1) sampler spelled out: standard exponentials,
+    each draw summed left to right from ``+0.0`` and multiplied by
+    ``1/sum``, so ``out.T`` has the bits of
+    ``rng.dirichlet(np.ones(q), size=n)[:, :q-1]`` and the generator is left
+    in the same state.
     """
     rng.standard_exponential(out=e)
     np.add(e[:, 0], 0.0, out=acc)
     for k in range(1, e.shape[1]):
         np.add(acc, e[:, k], out=acc)
     np.divide(1.0, acc, out=acc)
-    np.multiply(e[:, :-1], acc[:, None], out=out)
-    return np.multiply(out, -c, out=out)
+    return np.multiply(e[:, :-1].T, acc, out=out)
 
 
 def sample_fundamental(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples of ``D_c`` (Dirichlet weights over its q vertices)."""
     if c <= 0:
         raise DomainError(f"level must be positive, got {c}")
-    return _sample_fundamental_into(c, rng, np.empty((count, q)), np.empty(count),
-                                    np.empty((count, q - 1)))
+    out = np.empty((count, q - 1))
+    _dirichlet_weights_into(rng, np.empty((count, q)), np.empty(count), np.moveaxis(out, -1, 0))
+    return np.multiply(out, -c, out=out)
 
 
 def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,6 +114,16 @@ def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.nd
     return -c * rng.dirichlet(np.ones(q - 1), size=count)
 
 
+def _polytope_weights(q: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Vertex weights of :func:`sample_polytope`'s points, shape ``(count, q)``; they do not depend on ``c``."""
+    w = rng.dirichlet(np.ones(q), size=count)
+    onto = rng.random(count) < BOUNDARY_FRACTION
+    drop = rng.integers(0, q, size=count)
+    w[onto, drop[onto]] = 0.0
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
 def sample_polytope(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Samples of ``P_c``, biased onto its boundary.
 
@@ -115,12 +131,7 @@ def sample_polytope(c: float, q: int, count: int, rng: np.random.Generator) -> n
     of them is moved onto a uniformly chosen facet (one Dirichlet weight
     zeroed out).
     """
-    w = rng.dirichlet(np.ones(q), size=count)
-    onto = rng.random(count) < BOUNDARY_FRACTION
-    drop = rng.integers(0, q, size=count)
-    w[onto, drop[onto]] = 0.0
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ polytope_vertices(c, q)
+    return _polytope_weights(q, count, rng) @ polytope_vertices(c, q)
 
 
 def _midpoint_pullback_levels(fx: np.ndarray, fy: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -142,54 +153,62 @@ def _midpoint_pullback_levels(fx: np.ndarray, fy: np.ndarray, params: ModelParam
     return out
 
 
-def convexity_probe(c: float, params: ModelParams, pair_count: int, seed: int,
-                    threads: int = 1) -> CertificationReport:
-    """Sampled test that midpoints of ``F(P_c)`` pull back into ``P_c``.
+def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
+                    threads: int = 1) -> list[CertificationReport]:
+    """Sampled test that midpoints of ``F(P_c)`` pull back into ``P_c``, one report per level ``c``.
 
     Draws ``pair_count`` random pairs from ``P_c`` (plus every pair of
     polytope vertices, deterministically), maps them forward, and pulls the
     image midpoints back through the inverse map.  The report's margin is
     ``c - max(level of pullback)``; a pair whose pullback exceeds the level
     by more than 1e-6 — or has no pullback at all — is a reported witness.
+    Each chunk draws its vertex weights once and evaluates every level of
+    ``levels`` on them, so a level's report is the one a single-level call
+    gives.
     """
     q = params.q
-    vx = polytope_vertices(c, q)
+    vertices = [polytope_vertices(c, q) for c in levels]
     pairs = list(itertools.combinations(range(q), 2))
-    det_x = vx[[i for i, _ in pairs]]
-    det_y = vx[[j for _, j in pairs]]
 
     def worst_pair(x: np.ndarray, y: np.ndarray):
         lev = _midpoint_pullback_levels(log_ratio_map(x, params), log_ratio_map(y, params),
                                         params)
         k = int(np.argmax(lev))
-        return float(lev[k]), x[k], y[k]
+        # copies: a view would keep the level's whole batch alive with the result
+        return float(lev[k]), x[k].copy(), y[k].copy()
 
     def run_chunk(rng: np.random.Generator, n: int):
-        x = sample_polytope(c, q, n, rng)
-        return worst_pair(x, sample_polytope(c, q, n, rng))
+        wx = _polytope_weights(q, n, rng)
+        wy = _polytope_weights(q, n, rng)
+        return [worst_pair(wx @ vx, wy @ vx) for vx in vertices]
 
-    results = [worst_pair(det_x, det_y)] + sampled_sweep(run_chunk, pair_count, seed, threads)
-    worst_level, worst_x, worst_y = max(results, key=lambda r: r[0])
-    violation = worst_level - c
-    passed = bool(violation <= WITNESS_THRESHOLD)
-    witness = None
-    if not passed:
-        witness = {
-            "x": list(worst_x),
-            "y": list(worst_y),
-            "pullback_level": worst_level,
-            "violation": violation,
-        }
-    return CertificationReport(
-        kind="midpoint_convexity",
-        parameters={"q": q, "d": params.d, "alpha": params.alpha, "c": c,
-                    "boundary_fraction": BOUNDARY_FRACTION},
-        sample_count=int(pair_count + len(det_x)),
-        seed=seed,
-        min_margin=float(c - worst_level),
-        passed=passed,
-        witness=witness,
-    )
+    sampled = sampled_sweep(run_chunk, pair_count, seed, threads)
+    reports = []
+    for j, (c, vx) in enumerate(zip(levels, vertices)):
+        det = worst_pair(vx[[a for a, _ in pairs]], vx[[b for _, b in pairs]])
+        results = [det] + [chunk[j] for chunk in sampled]
+        worst_level, worst_x, worst_y = max(results, key=lambda r: r[0])
+        violation = worst_level - c
+        passed = bool(violation <= WITNESS_THRESHOLD)
+        witness = None
+        if not passed:
+            witness = {
+                "x": list(worst_x),
+                "y": list(worst_y),
+                "pullback_level": worst_level,
+                "violation": violation,
+            }
+        reports.append(CertificationReport(
+            kind="midpoint_convexity",
+            parameters={"q": q, "d": params.d, "alpha": params.alpha, "c": c,
+                        "boundary_fraction": BOUNDARY_FRACTION},
+            sample_count=int(pair_count + len(pairs)),
+            seed=seed,
+            min_margin=float(c - worst_level),
+            passed=passed,
+            witness=witness,
+        ))
+    return reports
 
 
 def _witness_cloud(q: int, pairs_per_c: int, seed: int, ci: int) -> np.ndarray:

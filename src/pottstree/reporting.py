@@ -9,7 +9,8 @@ Conventions used by every sweep in the package:
   layout depends only on the sample count, never on the thread count, and
   per-chunk results are reduced in chunk order — so outputs are
   byte-identical for any ``--threads``.  Must-test points are evaluated by
-  the caller, outside the sweep.
+  the caller, outside the sweep.  The chunks run on one thread pool per
+  thread count, made on first use and kept for the life of the process.
 * Floats are serialized with ``repr`` (shortest round-trip form), decimal
   point, no locale.
 * Files are written to a temporary sibling and atomically renamed, so a
@@ -23,6 +24,7 @@ import io
 import os
 import subprocess
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,16 +48,31 @@ def chunk_sizes(total: int) -> list[int]:
     return [DEFAULT_CHUNK] * full + ([rest] if rest else [])
 
 
+_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
+_EXECUTORS_LOCK = threading.Lock()
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of ``threads`` workers, shared by every sweep."""
+    with _EXECUTORS_LOCK:
+        if threads not in _EXECUTORS:
+            _EXECUTORS[threads] = ThreadPoolExecutor(max_workers=threads,
+                                                     thread_name_prefix=f"pottstree-{threads}")
+        return _EXECUTORS[threads]
+
+
 def parallel_chunk_map(fn, n_chunks: int, threads: int = 1) -> list:
     """Evaluate ``fn(i)`` for ``i in range(n_chunks)``, results in index order.
 
-    ``threads=1`` runs inline; larger values use a thread pool.  Since results
-    are consumed in index order, the output is independent of scheduling.
+    ``threads=1`` runs inline; larger values run on the shared pool of that
+    many workers.  Since results are consumed in index order, the output is
+    independent of scheduling.  ``fn`` must never start a sweep itself: a
+    nested sweep waits for workers of the same bounded pool that its own
+    callers occupy, and can deadlock.
     """
     if threads <= 1 or n_chunks <= 1:
         return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+    return list(_executor(threads).map(fn, range(n_chunks)))
 
 
 def sampled_sweep(fn, total: int, seed: int, threads: int) -> list:

@@ -29,6 +29,9 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 
+#: Most vertices a :class:`TreeSpec` can hold: its arrays index vertices with int32.
+MAX_VERTICES = 2**31 - 1
+
 
 @dataclass(frozen=True, eq=False)
 class TreeSpec:
@@ -81,8 +84,15 @@ class TreeSpec:
             raise DomainError(f"down-degree d must be an integer >= 1, got {d!r}")
         if not (isinstance(n, (int, np.integer)) and n >= 0):
             raise DomainError(f"depth n must be an integer >= 0, got {n!r}")
-        # vertex v's children are d*v + 1 .. d*v + d, so the child array is 1 .. total - 1
+        d, n = int(d), int(n)
+        if _power_over_2_64(d, n):  # the exact vertex count would be too long to form or print
+            raise DomainError(f"a depth-{n} tree with down-degree {d} has more than 2**64 "
+                              "vertices, over the int32 layout limit of 2**31 - 1 vertices")
         total = regular_size(d, n)
+        if total > MAX_VERTICES:
+            raise DomainError(f"{total} vertices exceed the int32 layout limit of "
+                              "2**31 - 1 vertices")
+        # vertex v's children are d*v + 1 .. d*v + d, so the child array is 1 .. total - 1
         counts = np.zeros(total, np.int32)
         counts[: total - d**n] = d
         return cls(counts, np.arange(1, total, dtype=np.int32))

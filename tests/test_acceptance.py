@@ -133,11 +133,12 @@ def test_criterion_05_two_step_invariance():
     levels = [0.5 * k for k in range(1, 13)]  # 0.5, 1, ..., 6
     min_margin_finite = np.inf
     worst_limit_excess = -np.inf
-    for c in levels:
-        rep = pt.two_step_level(c, pt.ModelParams(q, 1000, 1.0), sample_count=100_000, seed=0)
+    reps = pt.two_step_level(levels, pt.ModelParams(q, 1000, 1.0), sample_count=100_000, seed=0)
+    reps_inf = pt.two_step_level(levels, pt.ModelParams(q, pt.INFINITY), sample_count=100_000,
+                                 seed=0)
+    for c, rep, rep_inf in zip(levels, reps, reps_inf):
         min_margin_finite = min(min_margin_finite, rep.min_margin)
         assert rep.passed and rep.min_margin > 0
-        rep_inf = pt.two_step_level(c, pt.ModelParams(q, pt.INFINITY), sample_count=100_000, seed=0)
         assert rep_inf.passed and rep_inf.min_margin > 0
         excess = rep_inf.parameters["estimate"] - pt.diagonal_contraction(c, q)
         worst_limit_excess = max(worst_limit_excess, excess)
@@ -157,10 +158,10 @@ def test_criterion_06_convexity_probe_and_witness_search():
     worst_violation = -np.inf
     for q in (3, 4, 5):
         params = pt.ModelParams(q, 10_000, 1.0)
-        for c in (0.5, 2.0, q + 1.0):
-            probe = pt.convexity_probe(c, params, pair_count=100_000, seed=0, threads=4)
+        for probe in pt.convexity_probe([0.5, 2.0, q + 1.0], params, pair_count=100_000, seed=0,
+                                        threads=4):
             worst_violation = max(worst_violation, -probe.min_margin)
-            assert probe.min_margin >= -1e-9, (q, c, probe.min_margin)
+            assert probe.min_margin >= -1e-9, (q, probe.parameters["c"], probe.min_margin)
     witness = pt.convexity_witness_search(pt.ModelParams(3, 3, 1.0), [6.0, 8.0, 12.0],
                                           pairs_per_c=20_000, seed=0)
     if witness is None:

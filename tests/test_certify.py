@@ -9,6 +9,7 @@ from pottstree import (
     ModelParams,
     contraction_sequence,
     convergence_experiment,
+    convexity_probe,
     diagonal_contraction,
     diagonal_minimality_check,
     two_step_level,
@@ -19,7 +20,7 @@ def test_two_step_level_limit_is_attained_on_the_diagonal():
     # for the limit family, the maximum over the fundamental domain sits at
     # the diagonal face point, so the estimate equals the diagonal profile
     q, c = 5, 4.0
-    report = two_step_level(c, ModelParams(q, INFINITY), sample_count=5000, seed=0)
+    report = two_step_level([c], ModelParams(q, INFINITY), sample_count=5000, seed=0)[0]
     assert report.parameters["estimate"] == pytest.approx(diagonal_contraction(c, q), abs=1e-12)
     assert report.parameters["diagonal_bound"] == pytest.approx(diagonal_contraction(c, q), abs=0)
     assert report.passed and report.min_margin > 0
@@ -27,7 +28,7 @@ def test_two_step_level_limit_is_attained_on_the_diagonal():
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 6.0])
 def test_two_step_level_contracts_at_finite_degree(c):
-    report = two_step_level(c, ModelParams(5, 1000, 1.0), sample_count=3000, seed=1)
+    report = two_step_level([c], ModelParams(5, 1000, 1.0), sample_count=3000, seed=1)[0]
     assert report.passed
     assert report.parameters["estimate"] < c
     assert report.parameters["diagonal_bound"] is None
@@ -36,8 +37,43 @@ def test_two_step_level_contracts_at_finite_degree(c):
 
 def test_two_step_level_near_limit_stays_below_diagonal_profile():
     q, c = 5, 3.0
-    report = two_step_level(c, ModelParams(q, 10_000, 1.0), sample_count=3000, seed=2)
+    report = two_step_level([c], ModelParams(q, 10_000, 1.0), sample_count=3000, seed=2)[0]
     assert report.parameters["estimate"] <= diagonal_contraction(c, q) + 1e-3
+
+
+README_GRID = [0.5 * k for k in range(1, 13)]
+# (params, levels) lists: a q=3, d=3 grid whose probe finds witnesses; the
+# README q=5 grids; and (12, 12, 26), where a sample, not a probe point, sets
+# the two-step estimate
+GRIDS = {
+    "q3-d3-witnesses": [(ModelParams(3, 3, 1.0), [1.0, 2.0, 3.0, 4.0])],
+    "readme-q5": [(ModelParams(5, 1000, 1.0), README_GRID), (ModelParams(5, 1000, 0.5), README_GRID),
+                  (ModelParams(5, INFINITY), [4.0])],
+    "q12-d12-c26": [(ModelParams(12, 12, 1.0), [13.0, 26.0])],
+}
+CHECKS = {
+    "two_step_level": lambda levels, params, threads: two_step_level(
+        levels, params, 30_000, seed=3, threads=threads),
+    "convexity_probe": lambda levels, params, threads: convexity_probe(
+        levels, params, 30_000, seed=3, threads=threads),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_a_grid_call_gives_each_level_its_single_level_report(check, grid, threads):
+    run = CHECKS[check]
+    witnesses = 0
+    for params, levels in GRIDS[grid]:
+        reports = run(levels, params, threads)
+        assert len(reports) == len(levels)
+        for c, report in zip(levels, reports):
+            # every field, floats by repr: estimate, margin, sample count, witness x and y
+            assert repr(report) == repr(run([c], params, threads)[0]), c
+            witnesses += report.witness is not None
+    if check == "convexity_probe" and grid == "q3-d3-witnesses":
+        assert witnesses > 0
 
 
 def test_contraction_sequence_reaches_epsilon():

@@ -1,8 +1,9 @@
 """Colour-axis reductions by column passes give numpy's bits.
 
-The maps and ``level`` reduce over the short colour axis with
-``maps._colour_reduce``; these tests hold it, and the maps built on it, to the
-bytes of plain numpy ``axis=-1`` reductions.
+The maps and ``level`` reduce over the short colour axis of colour-major
+``(q-1, ...)`` arrays with ``maps._colour_reduce``; these tests hold it, and
+the maps built on it, to the bytes of plain numpy ``axis=-1`` reductions over
+row-major rows.
 """
 
 import numpy as np
@@ -56,18 +57,24 @@ def _cases(width: int):
 @pytest.mark.parametrize("width", range(2, 13))
 def test_colour_reduce_matches_numpy_bytes(width):
     for label, a in _cases(width):
-        for ufunc in (np.add, np.maximum):
-            with np.errstate(invalid="ignore", over="ignore"):
-                got, want = _colour_reduce(ufunc, a), ufunc.reduce(a, axis=-1)
-            assert np.shape(got) == np.shape(want), (label, ufunc.__name__)
-            assert got.tobytes() == want.tobytes(), (label, ufunc.__name__)
-        flags = a > 0
-        got, want = _colour_reduce(np.logical_and, flags), np.logical_and.reduce(flags, axis=-1)
-        assert np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes(), label
+        # numpy's bits are those of its reduce over contiguous rows: from 8
+        # colours on, a column-major array reduces in another order
+        rows = np.ascontiguousarray(a)
+        # the helper takes a transposed view (the public maps) or a
+        # contiguous colour-major array (the sweeps)
+        for layout in (np.moveaxis(a, -1, 0), np.ascontiguousarray(np.moveaxis(a, -1, 0))):
+            for ufunc in (np.add, np.maximum):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got, want = _colour_reduce(ufunc, layout), ufunc.reduce(rows, axis=-1)
+                assert np.shape(got) == np.shape(want), (label, ufunc.__name__)
+                assert got.tobytes() == want.tobytes(), (label, ufunc.__name__)
+            got = _colour_reduce(np.logical_and, layout > 0)
+            want = np.logical_and.reduce(rows > 0, axis=-1)
+            assert np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes(), label
 
 
 def test_colour_reduce_does_not_write_its_input():
-    a = np.random.default_rng(0).standard_normal((50, 4))
+    a = np.random.default_rng(0).standard_normal((4, 50))
     before = a.copy()
     _colour_reduce(np.add, a)
     _colour_reduce(np.maximum, a)
@@ -123,12 +130,14 @@ def _same_bytes(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("q", [3, 5, 8, 12])
+@pytest.mark.parametrize("q", range(3, 13))
 def test_maps_match_reference_formulas(q):
     rng = np.random.default_rng(100 + q)
+    shifted = rng.normal(scale=3.0, size=(3, q - 1))
+    shifted[:, 0] = 800.0  # rows that take the overflow-safe shift
     x = np.vstack([sample_polytope(float(q), q, 400, rng),
                    rng.normal(scale=3.0, size=(100, q - 1)),
-                   np.zeros((1, q - 1))])
+                   np.zeros((1, q - 1)), np.full((1, q - 1), -0.0), shifted])
     for params in _params(q):
         fx, ref_fx = log_ratio_map(x, params), _reference_log_ratio_map(x, params)
         assert _same_bytes(fx, ref_fx)

@@ -1,6 +1,7 @@
 """Invariant polytopes: geometry, sampling, and image-midpoint probes."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,10 +107,27 @@ def test_boundary_fraction_puts_samples_on_facets():
 
 @pytest.mark.parametrize("params", [ModelParams(3, 1000, 1.0), ModelParams(3, INFINITY)])
 def test_midpoint_probe_passes_in_the_contractive_regime(params):
-    report = convexity_probe(2.0, params, pair_count=2000, seed=0)
+    report = convexity_probe([2.0], params, pair_count=2000, seed=0)[0]
     assert report.passed
     assert report.min_margin >= -1e-9
     assert report.witness is None
+
+
+def test_a_grid_probe_peaks_like_a_single_level_probe():
+    # each level keeps copies of its worst rows; views would keep every
+    # level's whole batch alive (42 MB against 7 MB here)
+    params = ModelParams(5, 1000, 1.0)
+    grid = [0.5 * k for k in range(1, 13)]
+    convexity_probe(grid[:1], params, 30_000, seed=0)  # warm: imports, caches
+    peaks = []
+    for levels in (grid[:1], grid):
+        tracemalloc.start()
+        try:
+            convexity_probe(levels, params, 30_000, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_witness_search_finds_nonconvexity_at_low_degree():

@@ -1,5 +1,7 @@
 """Deterministic seeding, grids, serialization, and atomic output files."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,27 @@ def test_parallel_chunk_map_preserves_index_order():
     inline = parallel_chunk_map(lambda i: i * i, 17, threads=1)
     pooled = parallel_chunk_map(lambda i: i * i, 17, threads=8)
     assert inline == pooled == [i * i for i in range(17)]
+
+
+def test_sweeps_share_one_pool_per_thread_count():
+    # the barrier holds each chunk until a second worker arrives, so every
+    # sweep runs on both workers of the pool
+    barrier = threading.Barrier(2, timeout=10)
+    workers = []
+
+    def chunk(rng, n):
+        workers.append(threading.current_thread())
+        barrier.wait()
+        return n, int(rng.integers(2**32))
+
+    first = sampled_sweep(chunk, 4 * DEFAULT_CHUNK, seed=5, threads=2)
+    first_workers = set(workers)
+    second = sampled_sweep(chunk, 4 * DEFAULT_CHUNK, seed=5, threads=2)
+    assert len(first_workers) == 2 and set(workers) == first_workers
+    assert threading.current_thread() not in first_workers
+    inline = sampled_sweep(lambda rng, n: (n, int(rng.integers(2**32))), 4 * DEFAULT_CHUNK,
+                           seed=5, threads=1)
+    assert first == second == inline
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -73,9 +96,9 @@ def test_write_csv_atomic(tmp_path):
 # function -> (report kind, a small call)
 CHECKS = {
     "two_step_level": ("two_step_level", lambda: pt.two_step_level(
-        2.0, pt.ModelParams(4, 50, 0.8), sample_count=500, seed=1)),
+        [2.0], pt.ModelParams(4, 50, 0.8), sample_count=500, seed=1)[0]),
     "convexity_probe": ("midpoint_convexity", lambda: pt.convexity_probe(
-        2.0, pt.ModelParams(4, 50, 0.8), pair_count=500, seed=1)),
+        [2.0], pt.ModelParams(4, 50, 0.8), pair_count=500, seed=1)[0]),
     "diagonal_minimality_check": ("diagonal_minimality", lambda: pt.diagonal_minimality_check(
         2.0, 4, sample_count=500, seed=1)),
     "convergence_experiment": ("convergence", lambda: pt.convergence_experiment(

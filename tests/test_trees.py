@@ -67,6 +67,16 @@ def test_regular_tree_layout_allocates_under_two_megabytes():
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("n, message", [
+    (40, r"^18236498188585393201 vertices exceed the int32 layout limit of 2\*\*31 - 1 vertices$"),
+    (10_000, r"^a depth-10000 tree with down-degree 3 has more than 2\*\*64 vertices, "
+             r"over the int32 layout limit of 2\*\*31 - 1 vertices$"),
+])
+def test_regular_tree_refuses_more_vertices_than_int32_indexes(n, message):
+    with pytest.raises(DomainError, match=message):
+        TreeSpec.regular(3, n)
+
+
 def test_regular_tree_leaves_are_final_bfs_block():
     t = TreeSpec.regular(2, 3)
     assert t.leaves() == list(range(7, 15))

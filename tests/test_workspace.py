@@ -1,8 +1,9 @@
 """``two_step_level`` runs each chunk in place in one workspace per worker.
 
-The chunk draws, maps and levels its samples with the private kernels
-``_sample_fundamental_into``, ``_log_ratio_map_into`` and ``_level_into``,
-writing into a buffer that lives as long as one sweep.  These tests hold that
+The chunk draws its Dirichlet weights once with ``_dirichlet_weights_into``,
+then scales, maps and levels them at every level of the grid with
+``_log_ratio_map_into`` and ``_level_into``, writing into colour-major arrays
+cut from a buffer that lives as long as one sweep.  These tests hold that
 path to the bytes of the allocating formulas and bound what it allocates.
 """
 
@@ -14,8 +15,8 @@ import pytest
 
 from pottstree import (INFINITY, ModelParams, level, log_ratio_map, spawn_rng, two_step_level,
                        two_step_map, validate_log_ratio)
-from pottstree.certify import _fundamental_probe_points, _sampled_peak, _workspace
-from pottstree.polytope import _sample_fundamental_into
+from pottstree.certify import _fundamental_probe_points, _sampled_peaks, _workspace
+from pottstree.polytope import _dirichlet_weights_into
 from pottstree.reporting import DEFAULT_CHUNK, chunk_sizes
 
 
@@ -24,19 +25,26 @@ def _same_bytes(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _buffer(q):
+    return np.empty(DEFAULT_CHUNK * (2 * q + 1))
+
+
 @pytest.mark.parametrize("q", range(3, 13))
 def test_workspace_draw_is_numpy_dirichlet(q):
-    e, x, u, _ = _workspace(DEFAULT_CHUNK, q)
-    for c in (1.0, 2.7):
-        # the largest draw first, so the smaller ones land on stale buffer contents
-        for n in (DEFAULT_CHUNK, 7, 1):
-            ours, numpys = spawn_rng(q, n), spawn_rng(q, n)
-            got = _sample_fundamental_into(c, ours, e[:n], u[:n], out=x[:n])
-            want = -c * numpys.dirichlet(np.ones(q), size=n)[:, : q - 1]
-            assert _same_bytes(got, want), (c, n)
-            assert np.shares_memory(got, x)
-            # the generator is left where numpy's sampler leaves it
-            assert ours.random(3).tobytes() == numpys.random(3).tobytes(), (c, n)
+    buf = _buffer(q)
+    # the largest draw first, so the smaller ones land on stale buffer contents
+    for n in (DEFAULT_CHUNK, 7, 1):
+        e, w, x, u, _ = _workspace(buf, n, q)
+        ours, numpys = spawn_rng(q, n), spawn_rng(q, n)
+        got = _dirichlet_weights_into(ours, e, u, out=w)
+        want = numpys.dirichlet(np.ones(q), size=n)[:, : q - 1]
+        assert _same_bytes(got.T, want), n
+        assert np.shares_memory(got, w)
+        # the generator is left where numpy's sampler leaves it
+        assert ours.random(3).tobytes() == numpys.random(3).tobytes(), n
+        for c in (1.0, 2.7):
+            # each level's batch lies over the exponentials, dead once the weights exist
+            assert _same_bytes(np.multiply(w, -c, out=x).T, -c * want), (c, n)
 
 
 def _reference_peak(c, params, rng, n):
@@ -57,11 +65,13 @@ def _reference_estimate(c, params, sample_count, seed):
 @pytest.mark.parametrize("d", [1000, INFINITY])
 def test_each_chunk_peak_matches_the_fresh_array_reference(q, d):
     params = ModelParams(q, d, 1.0)
-    workspace = _workspace(DEFAULT_CHUNK, q)
-    for c in (0.3, 1.0, q / 2.0, q + 1.0):
-        for n in (DEFAULT_CHUNK, 10_000, 7, 1):
-            got = _sampled_peak(c, params, spawn_rng(q, n), tuple(a[:n] for a in workspace))
-            assert repr(got) == repr(_reference_peak(c, params, spawn_rng(q, n), n)), (c, n)
+    buf = _buffer(q)
+    levels = (0.3, 1.0, q / 2.0, q + 1.0)
+    for n in (DEFAULT_CHUNK, 10_000, 7, 1):
+        # one draw for the whole grid; the reference draws afresh at each level
+        got = _sampled_peaks(levels, params, spawn_rng(q, n), _workspace(buf, n, q))
+        for c, peak in zip(levels, got):
+            assert repr(peak) == repr(_reference_peak(c, params, spawn_rng(q, n), n)), (c, n)
 
 
 # (q, q, 2q+2): small degree, high level, where a sample beats every probe point
@@ -75,7 +85,7 @@ def test_two_step_level_matches_the_per_chunk_reference(q, d, c):
     if d == q:
         assert sampled > probe
     for threads in (1, 2):
-        got = two_step_level(c, params, 60_000, seed=q, threads=threads)
+        got = two_step_level([c], params, 60_000, seed=q, threads=threads)[0]
         assert repr(got.parameters["estimate"]) == repr(max(probe, sampled)), threads
 
 
@@ -83,12 +93,13 @@ def test_workers_never_share_a_workspace():
     # more workers than cores and a short switch interval, so chunks interleave;
     # at (5, 5, 12) the estimate comes from a sample, so a clobbered chunk shows
     params = ModelParams(5, 5, 1.0)
-    want = two_step_level(12.0, params, 200_000, seed=3, threads=1).parameters["estimate"]
+    want = two_step_level([12.0], params, 200_000, seed=3, threads=1)[0].parameters["estimate"]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            got = two_step_level(12.0, params, 200_000, seed=3, threads=4).parameters["estimate"]
+            got = two_step_level([12.0], params, 200_000, seed=3, threads=4)[0]
+            got = got.parameters["estimate"]
             assert repr(got) == repr(want)
     finally:
         sys.setswitchinterval(old)
@@ -110,15 +121,22 @@ def test_public_maps_leave_their_input_unchanged(params):
 
 
 def test_two_step_level_allocates_one_workspace():
-    params = ModelParams(5, 1000, 1.0)
-    workspace_bytes = sum(a.nbytes for a in _workspace(DEFAULT_CHUNK, params.q))
-    assert workspace_bytes == DEFAULT_CHUNK * (2 * params.q + 1) * 8
-    two_step_level(3.0, params, 100_000, threads=1)  # warm: imports, caches
-    tracemalloc.start()
-    try:
-        two_step_level(3.0, params, 100_000, threads=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # four chunks share the one buffer; per-chunk temporaries would double the peak
-    assert peak < 1.15 * workspace_bytes, (peak, workspace_bytes)
+    q = 5
+    params = ModelParams(q, 1000, 1.0)
+    buf = _buffer(q)
+    workspace_bytes = buf.nbytes
+    assert workspace_bytes == DEFAULT_CHUNK * (2 * q + 1) * 8
+    e, w, x, u, v = _workspace(buf, DEFAULT_CHUNK, q)
+    assert sum(a.nbytes for a in (e, w, u, v)) == workspace_bytes
+    assert np.shares_memory(x, e) and not np.shares_memory(x, w)
+    for levels in ([3.0], [0.5 * k for k in range(1, 13)]):
+        two_step_level(levels, params, 100_000, threads=1)  # warm: imports, caches
+        tracemalloc.start()
+        try:
+            two_step_level(levels, params, 100_000, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # four chunks and every level share the one buffer; per-chunk
+        # temporaries would double the peak
+        assert peak < 1.15 * workspace_bytes, (len(levels), peak, workspace_bytes)
