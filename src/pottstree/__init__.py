@@ -21,12 +21,10 @@ from .oracle import (brute_force_Z, conditional_root_distribution,
                      dp_log_Z, enumerate_log_ratio_sets, recursion_root_log_ratios,
                      root_log_ratios, root_summary)
 from .polytope import (convexity_probe, convexity_witness_search, level,
-                       polytope_vertices, sample_face, sample_fundamental,
-                       sample_polytope)
+                       polytope_vertices, sample_face, sample_fundamental)
 from .certify import (contraction_sequence, convergence_experiment,
                       diagonal_minimality_check, two_step_level)
-from .gradients import (comparator_exponents, comparator_gap,
-                        comparator_values, constant_exponent_point,
+from .gradients import (comparator_exponents, comparator_gap, constant_exponent_point,
                         gradient_identity_sweep, positivity_sweep,
                         rescaled_gap, rescaled_gap_line, two_step_sum_gradient)
 from .reporting import (CertificationReport, parse_grid, spawn_rng,
@@ -47,10 +45,10 @@ __all__ = [
     "enumerate_log_ratio_sets", "recursion_root_log_ratios", "root_log_ratios",
     "root_summary",
     "convexity_probe", "convexity_witness_search", "level", "polytope_vertices",
-    "sample_face", "sample_fundamental", "sample_polytope",
+    "sample_face", "sample_fundamental",
     "contraction_sequence", "convergence_experiment",
     "diagonal_minimality_check", "two_step_level",
-    "comparator_exponents", "comparator_gap", "comparator_values",
+    "comparator_exponents", "comparator_gap",
     "constant_exponent_point", "gradient_identity_sweep", "positivity_sweep",
     "rescaled_gap", "rescaled_gap_line", "two_step_sum_gradient",
     "CertificationReport", "parse_grid", "spawn_rng", "write_csv_atomic",

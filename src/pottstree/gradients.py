@@ -30,25 +30,6 @@ from .params import INFINITY, ModelParams, validate_log_ratio
 from .reporting import CertificationReport, sampled_sweep, spawn_rng
 
 
-def comparator_values(y: np.ndarray, q: int) -> np.ndarray:
-    """``v_i = y_i * (e^{G_i} (1 + sum y) + sum_j e^{G_j} (1 - y_j))``.
-
-    ``y`` holds positive ratio coordinates (batch-friendly); ``G`` is the
-    limit map on them.  The ordering of the ``v_i`` equals the ordering of
-    the two-step sum gradient at ``x = log y``.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != q - 1:
-        raise DomainError(f"need q-1={q - 1} coordinates, got shape {y.shape}")
-    if not (y >= 0).all():
-        raise DomainError("ratio coordinates must be nonnegative")
-    t = 1.0 + y.sum(axis=-1, keepdims=True)
-    g = q * (1.0 - y) / t
-    eg = np.exp(g)
-    s = (eg * (1.0 - y)).sum(axis=-1, keepdims=True)
-    return y * (eg * t + s)
-
-
 def two_step_sum_gradient(x: np.ndarray, q: int) -> np.ndarray:
     """Gradient of ``x -> <F(F(x)), 1>`` for the limit map, in closed form."""
     x = validate_log_ratio(x, q)

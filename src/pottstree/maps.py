@@ -25,11 +25,11 @@ are evaluated in an overflow-safe way: when some coordinate exceeds
 by the excess before exponentiation; otherwise nothing is shifted.
 
 Layout: the private kernels (:func:`_colour_reduce`, :func:`_shifted_exp`,
-:func:`_log_ratio_map_into`, and likewise ``polytope._level_into`` and
-``polytope._dirichlet_weights_into``) take colour-major arrays of shape
-``(q-1, ...)``: colour ``k`` is ``a[k]``, so every fold over the colours is
-a pass over whole rows and a per-point vector such as a denominator
-broadcasts along the long axis.  The public functions keep their
+:func:`_log_ratio_map_into`, :func:`_log_ratio_map_preimage_into`, and
+likewise ``polytope._level_into`` and ``polytope._dirichlet_weights_into``)
+take colour-major arrays of shape ``(q-1, ...)``: colour ``k`` is ``a[k]``,
+so every fold over the colours is a pass over whole rows and a per-point
+vector such as a denominator broadcasts along the long axis.  The public functions keep their
 ``(..., q-1)`` signatures and hand the kernels a transposed view
 (``np.moveaxis``) of their input and output; sampled sweeps call the kernels
 on contiguous colour-major buffers, where the passes are fastest.
@@ -40,10 +40,14 @@ more entries pairwise, which a fold (or a reduce over any other axis) does
 not reproduce, so from 8 colours on the helper reduces a row-major copy.
 
 ``F`` has one formula, :func:`_log_ratio_map_into`, which writes over its own
-exponentials with ``out=`` ufuncs.  The public maps are thin wrappers that
-give it a fresh output array, so they never write into their input (which
+exponentials with ``out=`` ufuncs, and so has its preimage,
+:func:`_log_ratio_map_preimage_into` (finite ``d`` and ``d = inf``).  The
+public maps are thin wrappers that give a kernel a fresh output array, so
+they never write into their input (which
 :func:`~pottstree.params.validate_log_ratio` may return as the caller's own
-array); sampled sweeps call the kernel on a workspace they reuse.
+array); sampled sweeps call ``F``'s kernel on a workspace they reuse, and the
+convexity probes call the preimage kernel in place on a midpoint batch they
+own.
 """
 
 from __future__ import annotations
@@ -187,33 +191,62 @@ def log_ratio_map(x: np.ndarray, params: ModelParams) -> np.ndarray:
     return out
 
 
+def _log_ratio_map_preimage_into(y: np.ndarray, params: ModelParams, out: np.ndarray,
+                                 den: np.ndarray) -> np.ndarray:
+    """Write the preimage of ``y`` under ``F`` into ``out`` and return its validity mask.
+
+    ``y`` and ``out`` are colour-major; ``den`` is a work array of shape
+    ``y.shape[1:]``, like the mask.  ``out`` may be ``y`` itself: ``y`` is
+    read only until its first step is written over it.  A point has no
+    preimage (mask False) when its candidate ratio coordinates leave the
+    positive orthant; its ``out`` entries are then unspecified.  ``y`` is
+    not validated.
+    """
+    if params.d == INFINITY:
+        den = _colour_reduce(np.add, y, out=den)
+        np.add(den, params.q, out=den)
+        valid = den > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.multiply(params.q, y, out=out)
+            np.divide(z, den, out=z)
+            np.subtract(1.0, z, out=z)
+    else:
+        if not 0.0 < params.alpha:
+            raise DomainError("preimage requires alpha > 0")
+        g = np.divide(y, params.d, out=out)
+        np.expm1(g, out=g)
+        np.multiply(g, params.d + 1.0, out=g)
+        np.divide(g, params.alpha * params.q, out=g)
+        s = _colour_reduce(np.add, g, out=den)
+        np.add(1.0, s, out=s)
+        valid = s > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.divide(params.q * (1.0 - params.alpha / (params.d + 1.0)), s, out=s)
+            z = np.subtract(1.0, np.multiply(g, k, out=g), out=g)
+    # every coordinate in (0, inf): min() propagates NaN, so a NaN fails the first test
+    valid &= _colour_reduce(np.minimum, z, out=den) > 0
+    valid &= _colour_reduce(np.maximum, z, out=den) < np.inf
+    # a plain pass beats a masked one; rows without a preimage may take NaN or -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(z, out=z)
+    return valid
+
+
 def log_ratio_map_preimage(y: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Batch preimage under ``F`` with a validity mask.
 
     Returns ``(x, valid)`` where rows with ``valid`` False have no preimage
     (the candidate ratio coordinates left the positive orthant); their ``x``
-    entries are NaN.  This is the workhorse for midpoint convexity probes,
-    where "no preimage" is an expected outcome rather than an error.
+    entries are NaN.  The midpoint convexity probes, where "no preimage" is
+    an expected outcome rather than an error, call its kernel
+    :func:`_log_ratio_map_preimage_into` directly.
     """
     y = validate_log_ratio(y, params.q)
-    yc = np.moveaxis(y, -1, 0)  # colour-major view
-    if params.d == INFINITY:
-        den = _colour_reduce(np.add, yc) + params.q
-        valid = den > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = 1.0 - params.q * yc / den
-    else:
-        if not 0.0 < params.alpha:
-            raise DomainError("preimage requires alpha > 0")
-        g = np.expm1(yc / params.d) * (params.d + 1.0) / (params.alpha * params.q)
-        s = 1.0 + _colour_reduce(np.add, g)
-        valid = s > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = params.q * (1.0 - params.alpha / (params.d + 1.0)) / s
-            z = 1.0 - g * k
-    valid &= _colour_reduce(np.logical_and, (z > 0) & np.isfinite(z))
-    x = np.full(y.shape, np.nan)
-    np.log(z, out=np.moveaxis(x, -1, 0), where=valid)
+    x = np.empty(y.shape)
+    xc = np.moveaxis(x, -1, 0)
+    valid = _log_ratio_map_preimage_into(np.moveaxis(y, -1, 0), params, xc,
+                                         np.empty(y.shape[:-1]))
+    np.copyto(xc, np.nan, where=~valid)
     return x, valid
 
 

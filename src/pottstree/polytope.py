@@ -28,7 +28,14 @@ each level.
 
 The convexity probe asks whether midpoints of images under the recursion map
 pull back inside the same level set; its negative answers (witnesses) are as
-meaningful as its positive margins.
+meaningful as its positive margins.  The pullback writes each batch of
+midpoints into one colour-major array and runs the preimage and level
+kernels on it in place.  The witness search scans all pairs of a point cloud
+in row blocks of broadcast views, so no pair is gathered; a block's pairs
+below the diagonal mirror pairs it visits earlier, with the same level bit
+for bit, so they never displace the first maximum.  A midpoint without a
+preimage has level ``+inf``, which no later pair can beat, so the scan, the
+refinement rounds and the remaining levels stop there.
 """
 
 from __future__ import annotations
@@ -38,14 +45,14 @@ import itertools
 import numpy as np
 
 from .errors import DomainError
-from .maps import _colour_reduce, log_ratio_map, log_ratio_map_preimage
+from .maps import _colour_reduce, _log_ratio_map_preimage_into, log_ratio_map
 from .params import ModelParams
 from .reporting import DEFAULT_CHUNK, CertificationReport, sampled_sweep, spawn_rng
 
 WITNESS_THRESHOLD = 1e-6
 #: Rounds of local refinement around the worst pair of each witness-search scan.
 WITNESS_REFINE_ROUNDS = 12
-#: Share of :func:`sample_polytope` samples moved onto a facet of ``P_c``.
+#: Share of the convexity probe's samples of ``P_c`` moved onto a facet.
 BOUNDARY_FRACTION = 0.5
 
 
@@ -115,7 +122,13 @@ def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.nd
 
 
 def _polytope_weights(q: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vertex weights of :func:`sample_polytope`'s points, shape ``(count, q)``; they do not depend on ``c``."""
+    """Vertex weights of the convexity probe's samples of ``P_c``, shape ``(count, q)``.
+
+    Points ``weights @ polytope_vertices(c, q)`` are uniform in ``P_c``,
+    except that a ``BOUNDARY_FRACTION`` share of them is moved onto a
+    uniformly chosen facet (one Dirichlet weight zeroed out).  The weights do
+    not depend on ``c``.
+    """
     w = rng.dirichlet(np.ones(q), size=count)
     onto = rng.random(count) < BOUNDARY_FRACTION
     drop = rng.integers(0, q, size=count)
@@ -124,32 +137,29 @@ def _polytope_weights(q: int, count: int, rng: np.random.Generator) -> np.ndarra
     return w
 
 
-def sample_polytope(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Samples of ``P_c``, biased onto its boundary.
-
-    Points are uniform in ``P_c``, except that a ``BOUNDARY_FRACTION`` share
-    of them is moved onto a uniformly chosen facet (one Dirichlet weight
-    zeroed out).
-    """
-    return _polytope_weights(q, count, rng) @ polytope_vertices(c, q)
-
-
 def _midpoint_pullback_levels(fx: np.ndarray, fy: np.ndarray, params: ModelParams) -> np.ndarray:
     """Level of the preimage of ``(fx+fy)/2``, for images ``fx = F(x)``, ``fy = F(y)``.
 
-    +inf where the midpoint has no preimage.  Symmetric in ``fx, fy`` bit for
-    bit, since floating-point addition commutes.
+    ``fx`` and ``fy`` are row-major and broadcast against each other; the
+    result has their broadcast shape without the colour axis.  +inf where
+    the midpoint has no preimage.  Symmetric in ``fx, fy`` bit for bit, since
+    floating-point addition commutes.  The midpoint is written into one
+    colour-major array, which the preimage and level kernels then overwrite
+    in place.
     """
-    mid = 0.5 * (fx + fy)
-    # drop the images before the preimage allocates: a caller that passes
-    # freshly mapped batches holds no other reference, so they are freed here
-    # and the peak memory holds one batch (the midpoint), not three
+    shape = np.broadcast_shapes(np.shape(fx), np.shape(fy))
+    mid = np.add(np.moveaxis(fx, -1, 0), np.moveaxis(fy, -1, 0),
+                 out=np.empty(shape[-1:] + shape[:-1]))
+    np.multiply(0.5, mid, out=mid)
+    # a caller that passes freshly mapped batches holds no other reference to
+    # them, so they are freed here and the kernels below run beside one batch
     del fx, fy
-    back, valid = log_ratio_map_preimage(mid, params)
-    # level only on rows with a preimage, +inf elsewhere (a definite violation)
-    out = np.full(valid.shape, np.inf)
-    if valid.any():
-        out[valid] = level(back[valid])
+    work = np.empty(shape[:-1])
+    valid = _log_ratio_map_preimage_into(mid, params, mid, work)
+    # rows without a preimage hold unspecified values; their level becomes +inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = _level_into(mid, np.empty(shape[:-1]), work)
+    np.copyto(out, np.inf, where=~valid)
     return out
 
 
@@ -236,22 +246,29 @@ def _worst_unordered_pair(fc: np.ndarray, params: ModelParams) -> tuple[float, i
     """Highest midpoint pullback level over the pairs ``i <= j`` of images ``fc``.
 
     Returns ``(level, i, j)`` for the first maximum of the ordered ``n x n``
-    scan in row-major order: the levels are symmetric, so that maximum has
-    ``i <= j``, and the strict ``>`` over row-major blocks of the triangle
-    (``DEFAULT_CHUNK`` pairs each) picks it, ties included.
+    scan in row-major order.  The scan runs in row blocks: rows
+    ``[i0, i0+h)`` against columns ``[i0, n)``, about ``DEFAULT_CHUNK`` pairs
+    each, passed to the pullback as broadcast views of ``fc``.  The levels
+    are symmetric bit for bit, so a pair ``(i, j)`` of a block with ``j < i``
+    mirrors the pair ``(j, i)`` that the block visits earlier, and the first
+    maximum of a block never falls on such a pair; the strict ``>`` across
+    blocks keeps the earliest one, ties included.  A pair without a preimage
+    has level ``+inf``, which no later pair can exceed, so the scan stops at
+    the first one.
     """
-    n = len(fc)
-    n_pairs = n * (n + 1) // 2
-    row_start = np.concatenate([[0], np.cumsum(np.arange(n, 1, -1))])  # index of (i, i)
+    n, width = fc.shape
     top_level, top_i, top_j = -np.inf, 0, 0
-    for lo in range(0, n_pairs, DEFAULT_CHUNK):
-        flat = np.arange(lo, min(lo + DEFAULT_CHUNK, n_pairs))
-        ii = np.searchsorted(row_start, flat, side="right") - 1
-        jj = flat - row_start[ii] + ii
-        lev = _midpoint_pullback_levels(fc[ii], fc[jj], params)
+    i0 = 0
+    while i0 < n and top_level < np.inf:
+        cols = n - i0
+        rows = fc[i0:i0 + max(1, DEFAULT_CHUNK // cols)]
+        h = len(rows)
+        lev = _midpoint_pullback_levels(np.broadcast_to(rows[:, None], (h, cols, width)),
+                                        fc[None, i0:], params)
         k = int(np.argmax(lev))
-        if lev[k] > top_level:
-            top_level, top_i, top_j = float(lev[k]), int(ii[k]), int(jj[k])
+        if lev.flat[k] > top_level:
+            top_level, top_i, top_j = float(lev.flat[k]), i0 + k // cols, i0 + k % cols
+        i0 += h
     return top_level, top_i, top_j
 
 
@@ -261,15 +278,29 @@ def convexity_witness_search(params: ModelParams, c_values, pairs_per_c: int = 2
 
     Scans dense point clouds on the boundary of ``P_c`` (edge grids plus
     random facet points) over all unordered pairs (the midpoint is
-    symmetric); ``F`` is evaluated once per cloud point.  Then it locally
-    refines the worst pair by perturbing its vertex-weight coordinates.
-    Returns the strongest witness found (violation > 1e-6) or ``None`` if the
-    budget is exhausted without one.
+    symmetric, see :func:`_worst_unordered_pair`); ``F`` is evaluated once
+    per cloud point.  Then it locally refines the worst pair by perturbing
+    its vertex-weight coordinates.  Returns the strongest witness found
+    (violation > 1e-6) or ``None`` if the budget is exhausted without one.
+
+    Every level and ``pairs_per_c`` are validated before any draw.  A
+    midpoint without a preimage has level ``+inf``, which the strict ``>``
+    never replaces: once a level's scan finds one, its refinement rounds are
+    skipped, and once the best witness has an infinite violation, so are the
+    remaining levels.  Each level and round draws from its own
+    ``spawn_rng(seed, ci, ...)`` stream, so skipping leaves the result
+    unchanged.  A skipped step is not evaluated at all, so it cannot raise
+    the ``DomainError`` that ``F`` raises off its domain (where ``w <= 0``).
     """
+    if not isinstance(pairs_per_c, (int, np.integer)) or pairs_per_c < 0:
+        raise DomainError(f"pairs_per_c must be an integer >= 0, got {pairs_per_c!r}")
     q = params.q
+    c_values = list(c_values)
+    vertices = [polytope_vertices(c, q) for c in c_values]
     best: dict | None = None
-    for ci, c in enumerate(c_values):
-        vx = polytope_vertices(c, q)
+    for ci, (c, vx) in enumerate(zip(c_values, vertices)):
+        if best is not None and best["violation"] == np.inf:
+            break
         w_cloud = _witness_cloud(q, pairs_per_c, seed, ci)
         fc = log_ratio_map(w_cloud @ vx, params)
         top_level, top_i, top_j = _worst_unordered_pair(fc, params)
@@ -278,6 +309,8 @@ def convexity_witness_search(params: ModelParams, c_values, pairs_per_c: int = 2
         # local refinement in weight space (stays inside P_c by construction)
         sigma = 0.15
         for r in range(WITNESS_REFINE_ROUNDS):
+            if top_level == np.inf:
+                break
             rr = spawn_rng(seed, ci, 3, r)
             px = np.abs(wx + sigma * rr.standard_normal((400, q)))
             py = np.abs(wy + sigma * rr.standard_normal((400, q)))

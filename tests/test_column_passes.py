@@ -12,7 +12,7 @@ import pytest
 from pottstree import (INFINITY, ModelParams, level, log_ratio_map, log_ratio_map_preimage,
                        two_step_map)
 from pottstree.maps import _colour_reduce
-from pottstree.polytope import sample_polytope
+from pottstree.polytope import _midpoint_pullback_levels, _polytope_weights, polytope_vertices
 
 # --- the helper against numpy ---------------------------------------------------
 
@@ -135,7 +135,7 @@ def test_maps_match_reference_formulas(q):
     rng = np.random.default_rng(100 + q)
     shifted = rng.normal(scale=3.0, size=(3, q - 1))
     shifted[:, 0] = 800.0  # rows that take the overflow-safe shift
-    x = np.vstack([sample_polytope(float(q), q, 400, rng),
+    x = np.vstack([_polytope_weights(q, 400, rng) @ polytope_vertices(float(q), q),
                    rng.normal(scale=3.0, size=(100, q - 1)),
                    np.zeros((1, q - 1)), np.full((1, q - 1), -0.0), shifted])
     for params in _params(q):
@@ -158,6 +158,67 @@ def test_maps_match_reference_formulas(q):
             b, v = log_ratio_map_preimage(row, params)
             rb, rv = _reference_preimage(row, params)
             assert _same_bytes(b, rb) and _same_bytes(v, rv)
+
+
+# --- the in-place preimage kernel against the allocating formula ----------------------
+
+
+def _allocating_preimage(y, params):
+    """``log_ratio_map_preimage`` as written before ``_log_ratio_map_preimage_into``."""
+    y = np.asarray(y, dtype=float)
+    yc = np.moveaxis(y, -1, 0)
+    if params.d == INFINITY:
+        den = _colour_reduce(np.add, yc) + params.q
+        valid = den > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = 1.0 - params.q * yc / den
+    else:
+        g = np.expm1(yc / params.d) * (params.d + 1.0) / (params.alpha * params.q)
+        s = 1.0 + _colour_reduce(np.add, g)
+        valid = s > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = params.q * (1.0 - params.alpha / (params.d + 1.0)) / s
+            z = 1.0 - g * k
+    valid &= _colour_reduce(np.logical_and, (z > 0) & np.isfinite(z))
+    x = np.full(y.shape, np.nan)
+    np.log(z, out=np.moveaxis(x, -1, 0), where=valid)
+    return x, valid
+
+
+def _allocating_pullback_levels(fx, fy, params):
+    """``polytope._midpoint_pullback_levels`` as written before the in-place kernel."""
+    back, valid = _allocating_preimage(0.5 * (fx + fy), params)
+    out = np.full(valid.shape, np.inf)
+    out[valid] = level(back[valid])
+    return out
+
+
+@pytest.mark.parametrize("q", range(3, 13))
+@pytest.mark.parametrize("d", ["q", 1000, INFINITY])
+def test_preimage_kernel_matches_the_allocating_formula(q, d):
+    params = ModelParams(q, q, 1.0) if d == "q" else ModelParams(q, d)
+    rng = np.random.default_rng(300 + q)
+    fx, fy = (log_ratio_map(_polytope_weights(q, 300, rng) @ polytope_vertices(q + 1.0, q),
+                            params) for _ in range(2))
+    # no preimage: ratio coordinates that leave the positive orthant (the
+    # far-negative rows make the coordinate sum of the candidate nonpositive)
+    far = -5.0 * (q if d == INFINITY else params.d)
+    y = np.vstack([0.5 * (fx + fy), 3.0 * fx[:100], rng.normal(scale=3.0, size=(100, q - 1)),
+                   np.full((2, q - 1), far), np.zeros((1, q - 1)), np.full((1, q - 1), -0.0)])
+    back, valid = log_ratio_map_preimage(y, params)
+    ref_back, ref_valid = _allocating_preimage(y, params)
+    assert 0 < valid.sum() < len(valid) and not valid[-4:-2].any()
+    assert _same_bytes(back, ref_back) and _same_bytes(valid, ref_valid)
+    for row in y[[0, 300, -4, -1]]:
+        b, v = log_ratio_map_preimage(row, params)
+        rb, rv = _allocating_preimage(row, params)
+        assert _same_bytes(b, rb) and _same_bytes(v, rv)
+    # the pullback on broadcast rows, as the witness scan passes them, and on pairs of rows
+    for gx, gy in ((fx[:20, None], fy[None, :]), (fx, 3.0 * fy)):
+        lev = _midpoint_pullback_levels(gx, gy, params)
+        ref = _allocating_pullback_levels(*np.broadcast_arrays(gx, gy), params)
+        assert _same_bytes(lev, ref)
+    assert np.isinf(lev).any() and np.isfinite(lev).any()
 
 
 # --- the overflow-safe shift ----------------------------------------------------------
