@@ -33,8 +33,6 @@ functions.  The buffers are dropped when the sweep returns.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .errors import CertificationError, DomainError
@@ -42,7 +40,8 @@ from .maps import (_log_ratio_map_into, diagonal_contraction, leaf_counts_log_ra
                    log_ratio_map, two_step_map, two_step_sum_limit)
 from .params import INFINITY, ModelParams
 from .polytope import _dirichlet_weights_into, _level_into, level, sample_face
-from .reporting import DEFAULT_CHUNK, CertificationReport, sampled_sweep, spawn_rng
+from .reporting import (DEFAULT_CHUNK, CertificationReport, per_thread_buffer, sampled_sweep,
+                        spawn_rng)
 
 #: Additive cushion per contraction step, so each next level lies strictly
 #: above the sampled estimate.  That estimate is a sampled maximum, so the
@@ -101,15 +100,10 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
         if not c > 0:
             raise DomainError(f"level must be positive, got {c}")
     q = params.q
-    rows = min(sample_count, DEFAULT_CHUNK)
-    # one buffer per worker thread, reused by every chunk that thread runs
-    # and dropped when this sweep returns
-    local = threading.local()
+    buffer = per_thread_buffer(min(sample_count, DEFAULT_CHUNK) * (2 * q + 1))
 
     def chunk_peaks(rng: np.random.Generator, n: int) -> list[float]:
-        if not hasattr(local, "buf"):
-            local.buf = np.empty(rows * (2 * q + 1))
-        return _sampled_peaks(levels, params, rng, _workspace(local.buf, n, q))
+        return _sampled_peaks(levels, params, rng, _workspace(buffer(), n, q))
 
     sampled = sampled_sweep(chunk_peaks, sample_count, seed, threads)
     reports = []

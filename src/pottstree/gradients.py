@@ -18,6 +18,26 @@ one-parameter family with frozen exponents:
 
 The module provides these pieces plus sampled sweeps that verify positivity
 and the finite-difference correctness of the gradient itself.
+
+Layout: each closed form has one formula, a private kernel
+(:func:`_comparator_exponents_into`, :func:`_gap_into`,
+:func:`_frozen_point_into`, :func:`_rescaled_gap_into` and
+:func:`_rescaled_gap_line_into`) that writes into arrays it is given with
+``out=`` ufuncs, in the operation order of the plain expression, and so
+allocates nothing.  A kernel takes the three blocks as three arrays that
+broadcast to its outputs' shape.  :func:`_gap_into` and
+:func:`_rescaled_gap_line_into` take the exponentials of their exponents, so
+a draw exponentiates its exponents once for both.  The public functions are
+thin wrappers: they broadcast their inputs, allocate the outputs and work
+arrays, and call the kernel.
+
+:func:`positivity_sweep` runs each chunk in one workspace per worker thread:
+``_SWEEP_ROWS`` rows of ``n`` floats, made on the worker's first chunk,
+reused by every chunk it runs and dropped when the sweep returns.  The draw
+fills an ``(n, 3)`` block of uniforms over the first three rows; a min/max
+sorting network writes ``x1 >= x2 >= x3`` into three contiguous rows (pure
+value selection, so the bits of a descending ``np.sort``), and the dead draw
+block then serves as three work rows.
 """
 
 from __future__ import annotations
@@ -27,7 +47,13 @@ import numpy as np
 from .errors import DomainError
 from .maps import log_ratio_map, two_step_sum_limit
 from .params import INFINITY, ModelParams, validate_log_ratio
-from .reporting import CertificationReport, sampled_sweep, spawn_rng
+from .reporting import (DEFAULT_CHUNK, CertificationReport, per_thread_buffer, sampled_sweep,
+                        spawn_rng)
+
+#: Rows of ``n`` floats in one chunk's workspace: the draw block (then three
+#: work rows), the triple, its exponents, the gap, line value and slope, the
+#: three rescaled gaps and seven more work rows.
+_SWEEP_ROWS = 22
 
 
 def two_step_sum_gradient(x: np.ndarray, q: int) -> np.ndarray:
@@ -42,11 +68,66 @@ def two_step_sum_gradient(x: np.ndarray, q: int) -> np.ndarray:
     return q**3 * z * (ef * t + s) / (d * t) ** 2
 
 
+def _arrays(count: int, *args) -> list[np.ndarray]:
+    """``count`` fresh arrays of the broadcast shape of ``args``."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    return [np.empty(shape) for _ in range(count)]
+
+
+def _comparator_exponents_into(y1, y2, y3, t, l: int, out, den):
+    """Write :func:`comparator_exponents` into ``out = (a1, a2, a3)`` and return it.
+
+    ``den`` is a work array; no output may share memory with an input.
+    """
+    np.multiply(l, y1, out=den)
+    np.add(1.0, den, out=den)
+    np.add(den, y2, out=den)
+    np.add(den, np.multiply(t - l - 1.0, y3, out=out[0]), out=den)
+    for y, a in zip((y1, y2, y3), out):
+        np.subtract(1.0, y, out=a)
+        np.multiply(t + 1.0, a, out=a)
+        np.divide(a, den, out=a)
+    return out
+
+
 def comparator_exponents(y1, y2, y3, t, l: int):
     """The exponents ``A_i = (t+1)(1 - y_i) / (1 + l*y1 + y2 + (t-l-1)*y3)``, ``i = 1, 2, 3``."""
-    y1, y2, y3 = (np.asarray(v, dtype=float) for v in (y1, y2, y3))
-    den = 1.0 + l * y1 + y2 + (t - l - 1.0) * y3
-    return tuple((t + 1.0) * (1.0 - y) / den for y in (y1, y2, y3))
+    y = [np.asarray(v, dtype=float) for v in (y1, y2, y3)]
+    *a, den = _arrays(4, *y, t)
+    return tuple(v[()] for v in _comparator_exponents_into(*y, t, l, a, den))
+
+
+def _gap_into(y1, y2, y3, t, l: int, exps, out, work):
+    """Write :func:`comparator_gap` into ``out`` and return it.
+
+    ``exps`` holds ``(e^A1, e^A2, e^A3)`` of the same point and ``work`` three
+    work arrays; neither ``out`` nor ``work`` may share memory with an input.
+    """
+    e1, e2, e3 = exps
+    p, r, s = work
+    m = t - l - 1.0
+    # c1 = y1 y3 m + (l+1) y1 + (l+1) y1 y2 - l y2
+    np.multiply(y1, y3, out=p)
+    np.multiply(p, m, out=p)
+    np.multiply(l + 1.0, y1, out=r)
+    np.add(p, r, out=p)
+    np.multiply(r, y2, out=r)  # (l+1) y1 y2, a term of c2 too
+    np.add(p, r, out=p)
+    np.subtract(p, np.multiply(l, y2, out=s), out=p)
+    np.multiply(p, e1, out=out)
+    # c2 = -y2 y3 m - (l+1) y1 y2 + y1 - 2 y2
+    np.negative(y2, out=p)
+    np.multiply(p, y3, out=p)
+    np.multiply(p, m, out=p)
+    np.subtract(p, r, out=p)
+    np.add(p, y1, out=p)
+    np.subtract(p, np.multiply(2.0, y2, out=s), out=p)
+    np.add(out, np.multiply(p, e2, out=p), out=out)
+    # c3 = (y1 - y2) (1 - y3) m
+    np.subtract(y1, y2, out=p)
+    np.multiply(p, np.subtract(1.0, y3, out=r), out=p)
+    np.multiply(p, m, out=p)
+    return np.add(out, np.multiply(p, e3, out=p), out=out)
 
 
 def comparator_gap(y1, y2, y3, t, l: int):
@@ -58,17 +139,30 @@ def comparator_gap(y1, y2, y3, t, l: int):
     broadcast.
     """
     y = [np.asarray(v, dtype=float) for v in (y1, y2, y3)]
-    return _gap(*y, t, l, comparator_exponents(*y, t, l))
+    out, *work = _arrays(7, *y, t)
+    exps = _comparator_exponents_into(*y, t, l, work[:3], out)
+    for a in exps:
+        np.exp(a, out=a)
+    return _gap_into(*y, t, l, exps, out, work[3:])[()]
 
 
-def _gap(y1, y2, y3, t, l: int, exponents):
-    """:func:`comparator_gap` from the exponents ``(A1, A2, A3)`` of the same point."""
-    a1, a2, a3 = exponents
-    m = t - l - 1.0
-    c1 = y1 * y3 * m + (l + 1.0) * y1 + (l + 1.0) * y1 * y2 - l * y2
-    c2 = -y2 * y3 * m - (l + 1.0) * y1 * y2 + y1 - 2.0 * y2
-    c3 = (y1 - y2) * (1.0 - y3) * m
-    return c1 * np.exp(a1) + c2 * np.exp(a2) + c3 * np.exp(a3)
+def _frozen_point_into(c1, c2, c3, l: int, t, b, y):
+    """Write ``B`` into ``b`` and the point of :func:`constant_exponent_point` into ``y``.
+
+    ``y = (y1, y2, y3)``; raises :class:`DomainError` where ``B <= 0``.
+    """
+    np.multiply(c3, t - l - 1.0, out=b)
+    np.add(b, np.multiply(c1, l, out=y[0]), out=b)
+    np.add(b, c2, out=b)
+    np.add(b, t, out=b)
+    np.add(b, 1.0, out=b)
+    if np.any(b <= 0):
+        raise DomainError("degenerate frozen-exponent point (nonpositive denominator)")
+    for c, yi in zip((c1, c2, c3), y):
+        np.multiply(c, t + 1.0, out=yi)
+        np.divide(yi, b, out=yi)
+        np.subtract(1.0, yi, out=yi)
+    return b, y
 
 
 def constant_exponent_point(c1, c2, c3, l: int, t):
@@ -78,25 +172,71 @@ def constant_exponent_point(c1, c2, c3, l: int, t):
     ``B = c3 (t-l-1) + c1 l + c2 + t + 1``; substituting into the exponent
     formulas gives back the constants identically in ``t``.
     """
-    return _frozen_point(c1, c2, c3, l, t)[1]
+    c1, c2, c3, t = (np.asarray(v, dtype=float) for v in (c1, c2, c3, t))
+    b, *y = _arrays(4, c1, c2, c3, t)
+    return tuple(v[()] for v in _frozen_point_into(c1, c2, c3, l, t, b, y)[1])
+
+
+def _rescaled_gap_into(c1, c2, c3, l: int, t, out, work):
+    """Write :func:`rescaled_gap` into ``out`` and return it; ``work`` is ten work arrays."""
+    b, y, a, gap_work = work[0], work[1:4], work[4:7], work[7:10]
+    _frozen_point_into(c1, c2, c3, l, t, b, y)
+    _comparator_exponents_into(*y, t, l, a, gap_work[0])
+    for v in a:
+        np.exp(v, out=v)
+    _gap_into(*y, t, l, a, out, gap_work)
+    np.divide(b, 1.0 + t, out=b)
+    if b.ndim:
+        np.square(b, out=b)
+    else:  # numpy squares a scalar with pow(), which can round differently from b * b
+        b[()] = b[()] ** 2
+    return np.multiply(out, b, out=out)
 
 
 def rescaled_gap(c1, c2, c3, l: int, t):
     """``comparator_gap`` on the frozen-exponent family, rescaled by
     ``((1+t)/B)^{-2}`` — an exactly linear function of ``t`` (a column of
     ``t`` values broadcasts to one row of gaps per value)."""
-    t = np.asarray(t, dtype=float)
-    b, y = _frozen_point(c1, c2, c3, l, t)
-    return _gap(*y, t, l, comparator_exponents(*y, t, l)) * (b / (1.0 + t)) ** 2
-
-
-def _frozen_point(c1, c2, c3, l: int, t):
-    """``B`` and the point ``(y1, y2, y3)`` of :func:`constant_exponent_point`."""
     c1, c2, c3, t = (np.asarray(v, dtype=float) for v in (c1, c2, c3, t))
-    b = c3 * (t - l - 1.0) + c1 * l + c2 + t + 1.0
-    if np.any(b <= 0):
-        raise DomainError("degenerate frozen-exponent point (nonpositive denominator)")
-    return b, tuple(1.0 - c * (t + 1.0) / b for c in (c1, c2, c3))
+    out, *work = _arrays(11, c1, c2, c3, t)
+    return _rescaled_gap_into(c1, c2, c3, l, t, out, work)[()]
+
+
+def _rescaled_gap_line_into(c1, c2, c3, l: int, exps, out, work):
+    """Write :func:`rescaled_gap_line` into ``out = (value, slope)`` and return it.
+
+    ``exps`` holds ``(e^c1, e^c2, e^c3)`` and ``work`` two work arrays.
+    """
+    e1, e2, e3 = exps
+    value, slope = out
+    p, r = work
+    # u1 = 2 + l + c2 - 2 c1 + l c1 c2 - l c1^2
+    np.add(2.0 + l, c2, out=p)
+    np.subtract(p, np.multiply(2.0, c1, out=r), out=p)
+    np.multiply(l, c1, out=r)
+    np.add(p, np.multiply(r, c2, out=r), out=p)
+    np.square(c1, out=r)
+    np.subtract(p, np.multiply(l, r, out=r), out=p)
+    np.multiply(p, e1, out=value)
+    # u2 = -(2 + l + l c1 - (l+1) c2 + c1 c2 - c2^2)
+    np.multiply(l, c1, out=p)
+    np.add(2.0 + l, p, out=p)
+    np.subtract(p, np.multiply(l + 1.0, c2, out=r), out=p)
+    np.add(p, np.multiply(c1, c2, out=r), out=p)
+    np.subtract(p, np.square(c2, out=r), out=p)
+    np.negative(p, out=p)
+    np.add(value, np.multiply(p, e2, out=p), out=value)
+    # slope = (1 + c3 - c1) e^c1 - (1 + c3 - c2) e^c2 + (c2 - c1) c3 e^c3
+    np.add(1.0, c3, out=p)
+    np.subtract(p, c1, out=p)
+    np.multiply(p, e1, out=slope)
+    np.add(1.0, c3, out=p)
+    np.subtract(p, c2, out=p)
+    np.subtract(slope, np.multiply(p, e2, out=p), out=slope)
+    np.subtract(c2, c1, out=p)
+    np.multiply(p, c3, out=p)
+    np.add(slope, np.multiply(p, e3, out=p), out=slope)
+    return out
 
 
 def rescaled_gap_line(c1, c2, c3, l: int):
@@ -105,19 +245,79 @@ def rescaled_gap_line(c1, c2, c3, l: int):
     Positivity of both, for all admissible constants ``0 <= c1 < c2 <= c3``,
     is what propagates the gap's positivity to every ``t >= l+1``.
     """
-    c1, c2, c3 = (np.asarray(v, dtype=float) for v in (c1, c2, c3))
-    u1 = 2.0 + l + c2 - 2.0 * c1 + l * c1 * c2 - l * c1**2
-    u2 = -(2.0 + l + l * c1 - (l + 1.0) * c2 + c1 * c2 - c2**2)
-    value = u1 * np.exp(c1) + u2 * np.exp(c2)
-    slope = ((1.0 + c3 - c1) * np.exp(c1) - (1.0 + c3 - c2) * np.exp(c2)
-             + (c2 - c1) * c3 * np.exp(c3))
-    return value, slope
+    c = [np.asarray(v, dtype=float) for v in (c1, c2, c3)]
+    value, slope, *work = _arrays(7, *c)
+    exps = work[:3]
+    for v, e in zip(c, exps):
+        np.exp(v, out=e)
+    _rescaled_gap_line_into(*c, l, exps, (value, slope), work[3:])
+    return value[()], slope[()]
 
 
-def _draw_triples(count: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Admissible (x1, x2, x3) draws: three sorted uniforms (a.s. strict)."""
-    u = np.sort(rng.random((count, 3)), axis=1)[:, ::-1]
-    return u[:, 0], u[:, 1], u[:, 2]
+def _sweep_workspace(buf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut ``_SWEEP_ROWS * n`` floats of ``buf`` into one chunk's arrays.
+
+    Returns the ``(n, 3)`` draw block and the ``(_SWEEP_ROWS, n)`` rows; the
+    draw block lies over rows 0-2.
+    """
+    return buf[:3 * n].reshape(n, 3), buf[:_SWEEP_ROWS * n].reshape(_SWEEP_ROWS, n)
+
+
+def _draw_triples_into(rng: np.random.Generator, raw: np.ndarray, x, tmp: np.ndarray):
+    """Fill ``raw`` with uniforms and write its rows, sorted descending, into ``x``.
+
+    ``x = (x1, x2, x3)`` gets the admissible draws (a.s. strict) from a
+    min/max network on the three columns; ``tmp`` is one work row.
+    """
+    rng.random(out=raw)
+    u0, u1, u2 = raw.T
+    x1, x2, x3 = x
+    np.minimum(u0, u1, out=x3)
+    np.maximum(u0, u1, out=x1)
+    np.minimum(x1, u2, out=tmp)
+    np.maximum(x1, u2, out=x1)
+    np.maximum(x3, tmp, out=x2)
+    np.minimum(x3, tmp, out=x3)
+    return x
+
+
+def _positivity_chunk(q: int, l: int, rng: np.random.Generator, workspace):
+    """One chunk of :func:`positivity_sweep`, in the arrays of :func:`_sweep_workspace`.
+
+    Returns the chunk's margin, closed-form and linearity errors, and the
+    witness tuple ``(x1, x2, x3, gap, value, slope)`` at its smallest margin.
+    """
+    raw, rows = workspace
+    t = float(q - 1)
+    x, c, r = rows[3:6], rows[6:9], rows[12:15]
+    gap, value, slope = rows[9:12]
+    work = [*rows[:3], *rows[15:]]
+    _draw_triples_into(rng, raw, x, c[0])
+    _comparator_exponents_into(*x, t, l, c, work[0])
+    exps = np.exp(c, out=rows[:3])
+    _gap_into(*x, t, l, exps, gap, work[3:6])
+    _rescaled_gap_line_into(*c, l, exps, (value, slope), work[3:5])
+    for k, rk in zip((1.0, 2.0, 3.0), r):
+        _rescaled_gap_into(*c, l, l + k, rk, work)
+    r1, r2, r3 = r
+    scale, err, margin = work[:3]
+    np.maximum(1.0, np.abs(r3, out=scale), out=scale)
+    # closed_err = max(|r1 - value|, |(r3 - r1)/2 - slope|) / scale
+    np.abs(np.subtract(r1, value, out=err), out=err)
+    np.subtract(r3, r1, out=margin)
+    np.divide(margin, 2.0, out=margin)
+    np.abs(np.subtract(margin, slope, out=margin), out=margin)
+    np.maximum(err, margin, out=err)
+    closed_err = float(np.divide(err, scale, out=err).max())
+    # linear_err = |r1 - 2 r2 + r3| / scale
+    np.subtract(r1, np.multiply(2.0, r2, out=err), out=err)
+    np.abs(np.add(err, r3, out=err), out=err)
+    linear_err = float(np.divide(err, scale, out=err).max())
+    np.minimum(np.minimum(gap, value, out=margin), slope, out=margin)
+    k = int(np.argmin(margin))
+    return (float(margin[k]), closed_err, linear_err,
+            (float(x[0, k]), float(x[1, k]), float(x[2, k]),
+             float(gap[k]), float(value[k]), float(slope[k])))
 
 
 def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
@@ -132,23 +332,12 @@ def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
     """
     if not 1 <= l <= q - 2:
         raise DomainError(f"l must lie in 1..{q - 2}, got {l}")
-    t = float(q - 1)
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    buffer = per_thread_buffer(_SWEEP_ROWS * min(trials, DEFAULT_CHUNK))
 
     def run_chunk(rng: np.random.Generator, n: int):
-        x1, x2, x3 = _draw_triples(n, rng)
-        c = comparator_exponents(x1, x2, x3, t, l)
-        gap = _gap(x1, x2, x3, t, l, c)
-        value, slope = rescaled_gap_line(*c, l)
-        # one call per t: a (3, 1) column of t would keep ten or so (3, n) temporaries alive
-        r1, r2, r3 = (rescaled_gap(*c, l, l + k) for k in (1.0, 2.0, 3.0))
-        scale = np.maximum(1.0, np.abs(r3))
-        closed_err = np.maximum(np.abs(r1 - value), np.abs((r3 - r1) / 2.0 - slope)) / scale
-        linear_err = np.abs(r1 - 2.0 * r2 + r3) / scale
-        margin = np.minimum(np.minimum(gap, value), slope)
-        k = int(np.argmin(margin))
-        return (float(margin[k]), float(closed_err.max()), float(linear_err.max()),
-                (float(x1[k]), float(x2[k]), float(x3[k]),
-                 float(gap[k]), float(value[k]), float(slope[k])))
+        return _positivity_chunk(q, l, rng, _sweep_workspace(buffer(), n))
 
     results = sampled_sweep(run_chunk, trials, seed, threads)
     min_margin = min(r[0] for r in results)
@@ -174,6 +363,8 @@ def gradient_identity_sweep(q: int, points: int = 1000, seed: int = 0) -> Certif
     ``|fd - grad| / max(1, |grad|)`` per component, and the sweep passes at
     1e-6.
     """
+    if points < 1:
+        raise DomainError(f"points must be >= 1, got {points}")
     step = 1e-5
     rng = spawn_rng(seed)
     x = rng.standard_normal((points, q - 1))

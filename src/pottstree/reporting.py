@@ -11,6 +11,8 @@ Conventions used by every sweep in the package:
   byte-identical for any ``--threads``.  Must-test points are evaluated by
   the caller, outside the sweep.  The chunks run on one thread pool per
   thread count, made on first use and kept for the life of the process.
+  A sweep that works in place takes its work arrays from
+  :func:`per_thread_buffer`: one buffer per worker thread, for one sweep.
 * Floats are serialized with ``repr`` (shortest round-trip form), decimal
   point, no locale.
 * Files are written to a temporary sibling and atomically renamed, so a
@@ -83,6 +85,24 @@ def sampled_sweep(fn, total: int, seed: int, threads: int) -> list:
     """
     sizes = chunk_sizes(total)
     return parallel_chunk_map(lambda i: fn(spawn_rng(seed, i), sizes[i]), len(sizes), threads)
+
+
+def per_thread_buffer(size: int):
+    """A getter for one float64 buffer of ``size`` floats per calling thread.
+
+    A sweep makes one getter and calls it in each chunk: a worker thread gets
+    its buffer on its first chunk and the same one in every chunk it runs
+    after, so no two running chunks share a buffer.  The buffers are dropped
+    with the getter, when the sweep returns.
+    """
+    local = threading.local()
+
+    def get() -> np.ndarray:
+        if not hasattr(local, "buf"):
+            local.buf = np.empty(size)
+        return local.buf
+
+    return get
 
 
 def parse_grid(text: str) -> list[float]:

@@ -174,6 +174,27 @@ def test_lemmas_output_digests_are_pinned(tmp_path, capsys):
         "3a12f7335f858a55c0b2a9a8139d88b41bf9db8b7ae890662ccc5a2bfd2dbf1c")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "6e0f9d37e604cef2f8ed92b28f493065a175df7baa57521ed30729ec1ce41db3")
+    # two full chunks and a 1-sample last chunk per (q, l), at q = 3..9
+    code = main(["lemmas", "--q-max", "9", "--trials", "50001", "--seed", "1",
+                 "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "cc1f2c452a066d9d4c1a29c7e847e1584170155e42b822a463af837c3fab2c31")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7d5da07566000ba7c462141e3067ded357371a5dfb71f809c686a4f1b7bed5fb")
+
+
+@pytest.mark.parametrize("flag, value, name", [("--trials", "0", "trials"),
+                                               ("--gradient-points", "0", "points"),
+                                               ("--gradient-points", "-1", "points")])
+def test_lemmas_command_rejects_empty_sweeps(flag, value, name, tmp_path, capsys):
+    # each used to end in a bare ValueError traceback
+    out = tmp_path / "lemmas.csv"
+    code = main(["lemmas", "--q-max", "3", "--trials", "100", flag, value, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {name} must be >= 1, got {value}\n"
+    assert not out.exists()
 
 
 def test_oracle_command_reports_exact_quantities(capsys):

@@ -160,17 +160,31 @@ def test_positivity_sweep_rejects_bad_block_index():
         positivity_sweep(3, 2, trials=10)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_positivity_sweep_rejects_an_empty_sweep(trials, monkeypatch):
+    monkeypatch.setattr(gradients, "sampled_sweep", lambda *a: pytest.fail("drew samples"))
+    with pytest.raises(DomainError, match=">= 1"):
+        positivity_sweep(5, 2, trials=trials)
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_gradient_identity_sweep_rejects_an_empty_sweep(points, monkeypatch):
+    monkeypatch.setattr(gradients, "spawn_rng", lambda *a: pytest.fail("drew samples"))
+    with pytest.raises(DomainError, match=">= 1"):
+        gradient_identity_sweep(5, points=points)
+
+
 def test_sweeps_do_not_repeat_closed_form_evaluations(monkeypatch):
     calls = []
-    for name in ("comparator_exponents", "rescaled_gap", "two_step_sum_limit"):
+    for name in ("_comparator_exponents_into", "_rescaled_gap_into", "two_step_sum_limit"):
         fn = getattr(gradients, name)
         monkeypatch.setattr(gradients, name,
                             lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     positivity_sweep(6, 2, trials=60_000, seed=0)
     chunks = len(chunk_sizes(60_000))
     # the draw's exponents once, then the frozen point's at each of t = l+1, l+2, l+3
-    assert calls.count("comparator_exponents") == 4 * chunks
-    assert calls.count("rescaled_gap") == 3 * chunks
+    assert calls.count("_comparator_exponents_into") == 4 * chunks
+    assert calls.count("_rescaled_gap_into") == 3 * chunks
     gradient_identity_sweep(6, points=20)
     assert calls.count("two_step_sum_limit") == 2
 

@@ -8,7 +8,7 @@ import pytest
 import pottstree as pt
 from pottstree import DomainError, parse_grid, spawn_rng, write_csv_atomic
 from pottstree.reporting import (DEFAULT_CHUNK, CertificationReport, chunk_sizes, format_value,
-                                 parallel_chunk_map, sampled_sweep)
+                                 parallel_chunk_map, per_thread_buffer, sampled_sweep)
 
 
 def test_spawn_rng_streams_are_reproducible_and_distinct():
@@ -61,6 +61,20 @@ def test_sampled_sweep_pins_the_chunk_and_seed_layout(threads):
                         seed=3, threads=threads)
     draws = [int(spawn_rng(3, i).integers(2**32)) for i in range(3)]
     assert got == [(25_000, draws[0]), (25_000, draws[1]), (10_000, draws[2])]
+
+
+def test_per_thread_buffer_gives_each_thread_its_own_buffer():
+    buffer = per_thread_buffer(16)
+    mine = buffer()
+    assert mine.shape == (16,) and mine.dtype == np.float64
+    assert buffer() is mine
+    theirs = []
+    worker = threading.Thread(target=lambda: theirs.extend([buffer(), buffer()]))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert theirs[0] is theirs[1] and theirs[0] is not mine
+    assert per_thread_buffer(16)() is not mine  # a new getter, a new buffer
 
 
 def test_parse_grid():
