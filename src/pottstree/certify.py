@@ -8,7 +8,10 @@ The certification story has three layers:
   set always contains, so the estimate is tight from below.
 * :func:`contraction_sequence` — iterate that estimate from the universal
   starting level ``q+1`` down to a target, certifying that two-step images
-  keep shrinking (the engine behind uniqueness of the Gibbs measure).
+  keep shrinking (the engine behind uniqueness of the Gibbs measure).  It
+  first iterates the diagonal probe alone, a lower bound on every sampled
+  step, and refuses a chain that this lower chain proves cannot reach the
+  target, before it draws a sample.
 * :func:`convergence_experiment` — run the actual recursion on regular trees
   of growing depth and measure how fast the conditional root distribution
   approaches uniform, compared against the ``alpha**(n/2)`` rate.
@@ -48,11 +51,27 @@ from .reporting import (DEFAULT_CHUNK, CertificationReport, per_thread_buffer, s
 #: levels are evidence, not proven upper bounds.
 STEP_CUSHION = 1e-6
 
+#: Rounding allowance of the diagonal lower chain, in ulps of ``q+1`` per
+#: step (see :func:`contraction_sequence`).  Against a 50-digit evaluation,
+#: the float diagonal level is off by at most 3 ulps of ``q+1`` for q = 3..12,
+#: d from 2 to 10**6 and inf, alpha from 0.1 to 1 and levels in (0, q+1].
+_CHAIN_ALLOWANCE_ULPS = 16
+
 
 def _fundamental_probe_points(c: float, q: int) -> np.ndarray:
-    """Deterministic must-test points: origin, vertices, diagonal face point."""
+    """Deterministic must-test points: origin, diagonal face point (row 1), vertices."""
     pts = [np.zeros(q - 1), np.full(q - 1, -c / (q - 1.0)), -c * np.eye(q - 1)]
     return np.vstack(pts)
+
+
+def _probe_levels(c: float, params: ModelParams) -> np.ndarray:
+    """``level(F(F(x)))`` at each of the probe points of level ``c``."""
+    return level(two_step_map(_fundamental_probe_points(c, params.q), params))
+
+
+def _diagonal_level(c: float, params: ModelParams) -> float:
+    """``psi(c)``: the two-step level of the diagonal probe; no estimate at ``c`` is below it."""
+    return float(_probe_levels(c, params)[1])
 
 
 def _workspace(buf: np.ndarray, n: int, q: int) -> tuple[np.ndarray, ...]:
@@ -108,8 +127,7 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
     sampled = sampled_sweep(chunk_peaks, sample_count, seed, threads)
     reports = []
     for j, c in enumerate(levels):
-        probes = two_step_map(_fundamental_probe_points(c, q), params)
-        estimate = max([float(np.max(level(probes)))] + [peaks[j] for peaks in sampled])
+        estimate = max([float(np.max(_probe_levels(c, params)))] + [peaks[j] for peaks in sampled])
         bound = diagonal_contraction(c, q) if params.d == INFINITY else None
         reports.append(CertificationReport(
             kind="two_step_level",
@@ -121,6 +139,37 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
     return reports
 
 
+def check_contraction_target(epsilon: float, max_iters: int) -> None:
+    """Raise :class:`DomainError` unless ``epsilon > 0`` and ``max_iters >= 1``."""
+    if not epsilon > 0:
+        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
+
+
+def _doomed_reason(params: ModelParams, epsilon: float, max_iters: int) -> str | None:
+    """Why no sampled chain reaches ``epsilon`` within ``max_iters`` steps, or None when one may.
+
+    Iterates the diagonal lower chain described in :func:`contraction_sequence`.
+    """
+    allowance = _CHAIN_ALLOWANCE_ULPS * float(np.spacing(params.q + 1.0))
+    lower = params.q + 1.0
+    for k in range(max_iters):
+        if lower < epsilon + k * allowance:
+            return None
+        following = _diagonal_level(lower, params) + STEP_CUSHION
+        if following >= lower and lower >= epsilon + max_iters * allowance:
+            return (f"the diagonal lower chain stopped decreasing at step {k} "
+                    f"({lower!r} -> {following!r}), so every sampled level stays at or above "
+                    f"epsilon={epsilon!r} for all max_iters={max_iters} steps")
+        lower = following
+    if lower < epsilon + max_iters * allowance:
+        return None
+    return (f"the diagonal lower chain is still at {lower!r} after {max_iters} steps, "
+            f"so no sampled level falls below epsilon={epsilon!r} within "
+            f"max_iters={max_iters} steps")
+
+
 def contraction_sequence(params: ModelParams, epsilon: float, max_iters: int,
                          *, sample_count: int = 20_000, seed: int = 0,
                          threads: int = 1) -> list[float]:
@@ -130,11 +179,32 @@ def contraction_sequence(params: ModelParams, epsilon: float, max_iters: int,
     first) and returns the whole sequence.  A step that fails to decrease
     raises :class:`CertificationError` — the certification claim would be
     vacuous from that point on.
+
+    Before it draws a sample, the function iterates the lower chain
+    ``l_0 = q+1, l_{k+1} = psi(l_k) + cushion``, where ``psi(c)`` is the
+    two-step level of the diagonal probe point ``-c/(q-1) * 1``.  Every
+    estimate at ``c`` is a maximum that includes ``psi(c)``, computed by the
+    same call, so it is at least ``psi(c)`` bit for bit.  ``psi`` is
+    increasing (the diagonal step is decreasing) with slope at most 1, so by
+    induction ``c_k >= l_k - k*A``, where the allowance ``A`` is 16 ulps of
+    ``q+1`` per step.  It covers the float error of ``psi``, measured at no
+    more than 3 ulps of ``q+1`` and paid twice a step, and the rounding of
+    the added cushion.  So the chain is refused with
+    :class:`CertificationError`, and no sample is drawn, when
+
+    * ``l_k >= epsilon + k*A`` at every step ``k <= max_iters``: no sampled
+      level can fall below ``epsilon`` in time;
+    * ``l`` stops decreasing (``l_{k+1} >= l_k``) at a level
+      ``l_k >= epsilon + max_iters*A``: by the same induction every later
+      sampled level stays at least ``l_k - max_iters*A``.
+
+    Otherwise, near ties included, the sampled chain runs.  The lower chain
+    draws no random numbers, so it changes neither the samples nor the levels.
     """
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
+    check_contraction_target(epsilon, max_iters)
+    reason = _doomed_reason(params, epsilon, max_iters)
+    if reason is not None:
+        raise CertificationError(f"{reason}; no samples were drawn; params={params}")
     c = params.q + 1.0
     seq = [c]
     for it in range(max_iters):

@@ -27,7 +27,8 @@ import time
 
 import numpy as np
 
-from .certify import contraction_sequence, convergence_experiment, two_step_level
+from .certify import (check_contraction_target, contraction_sequence, convergence_experiment,
+                      two_step_level)
 from .errors import BudgetError, CertificationError, DomainError, ParseError
 from .gradients import gradient_identity_sweep, positivity_sweep
 from .oracle import (_check_regular_dp_budget, brute_force_Z, dp_log_Z,
@@ -162,6 +163,8 @@ def _cmd_certify(args) -> int:
     for c in levels:
         if not 0.0 < c <= args.q + 1.0 + 1e-12:
             raise DomainError(f"certification levels must lie in (0, q+1]; got {c}")
+    if args.contract_to is not None:
+        check_contraction_target(args.contract_to, args.max_iters)
 
     invs = two_step_level(levels, params, args.samples, seed=args.seed, threads=args.threads)
     probes = convexity_probe(levels, params, args.pairs, seed=args.seed, threads=args.threads)

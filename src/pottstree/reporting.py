@@ -70,9 +70,12 @@ def parallel_chunk_map(fn, n_chunks: int, threads: int = 1) -> list:
     many workers.  Since results are consumed in index order, the output is
     independent of scheduling.  ``fn`` must never start a sweep itself: a
     nested sweep waits for workers of the same bounded pool that its own
-    callers occupy, and can deadlock.
+    callers occupy, and can deadlock.  ``threads < 1`` raises
+    :class:`~pottstree.errors.DomainError`.
     """
-    if threads <= 1 or n_chunks <= 1:
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    if threads == 1 or n_chunks <= 1:
         return [fn(i) for i in range(n_chunks)]
     return list(_executor(threads).map(fn, range(n_chunks)))
 

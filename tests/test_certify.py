@@ -5,6 +5,7 @@ import pytest
 
 from pottstree import (
     INFINITY,
+    CertificationError,
     DomainError,
     ModelParams,
     contraction_sequence,
@@ -14,6 +15,9 @@ from pottstree import (
     diagonal_minimality_check,
     two_step_level,
 )
+from pottstree import certify
+from pottstree.certify import STEP_CUSHION, _diagonal_level
+from pottstree.reporting import spawn_rng
 
 
 def test_two_step_level_limit_is_attained_on_the_diagonal():
@@ -107,10 +111,138 @@ def test_contraction_sequence_stops_at_epsilon():
     assert all(v >= 2.0 for v in seq[:-1])
 
 
-def test_contraction_sequence_respects_max_iters():
+def _refuse_sampling(*args, **kwargs):
+    raise AssertionError("a sample was drawn")
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    monkeypatch.setattr(certify, "sampled_sweep", _refuse_sampling)
+
+
+def test_contraction_sequence_respects_max_iters(no_sampling):
+    # three steps cannot reach 1e-12: the diagonal lower chain proves it without sampling
     params = ModelParams(3, 100, 0.9)
-    seq = contraction_sequence(params, epsilon=1e-12, max_iters=3, sample_count=500, seed=6)
-    assert len(seq) == 4  # initial level plus exactly three steps
+    with pytest.raises(CertificationError) as exc:
+        contraction_sequence(params, epsilon=1e-12, max_iters=3, sample_count=500, seed=6)
+    assert str(exc.value) == (
+        "the diagonal lower chain is still at 1.1109807817882271 after 3 steps, so no sampled "
+        "level falls below epsilon=1e-12 within max_iters=3 steps; no samples were drawn; "
+        f"params={params}")
+
+
+def _old_contraction_sequence(params, epsilon, max_iters, sample_count, seed, threads):
+    """The sampled chain as it ran before the lower chain existed."""
+    c = params.q + 1.0
+    seq = [c]
+    for it in range(max_iters):
+        if c < epsilon:
+            break
+        rep = two_step_level([c], params, sample_count,
+                             seed=int(spawn_rng(seed, it).integers(2**32)), threads=threads)[0]
+        c = rep.parameters["estimate"] + STEP_CUSHION
+        assert c < seq[-1]
+        seq.append(c)
+    return seq
+
+
+def _lower_chain(params, steps):
+    chain = [params.q + 1.0]
+    for _ in range(steps):
+        chain.append(_diagonal_level(chain[-1], params) + STEP_CUSHION)
+    return chain
+
+
+@pytest.mark.parametrize("d", [1000, INFINITY])
+def test_readme_threshold_chain_is_refused_without_sampling(d, no_sampling):
+    params = ModelParams(5, d, 1.0)
+    with pytest.raises(CertificationError) as exc:
+        contraction_sequence(params, epsilon=1e-2, max_iters=200, sample_count=100_000)
+    message = str(exc.value)
+    assert "epsilon=0.01" in message and "max_iters=200" in message
+    assert "after 200 steps" in message and "no samples were drawn" in message
+    if d == 1000:  # the level the sampled chain used to end at, in 200 sampled sweeps
+        assert "still at 0.47932709344859226 after" in message
+
+
+def test_a_stalled_lower_chain_is_refused_at_once(monkeypatch, no_sampling):
+    # a cushion this large stops the q=3 limit chain at c = 1.069 after 226 steps
+    monkeypatch.setattr(certify, "STEP_CUSHION", 0.05)
+    calls = []
+    monkeypatch.setattr(certify, "_diagonal_level",
+                        lambda c, params: calls.append(c) or _diagonal_level(c, params))
+    with pytest.raises(CertificationError) as exc:
+        contraction_sequence(ModelParams(3, INFINITY), epsilon=1e-2, max_iters=10**6)
+    message = str(exc.value)
+    assert "stopped decreasing at step 226 (1.06926624479421 -> 1.06926624479421)" in message
+    assert "epsilon=0.01" in message and "max_iters=1000000" in message
+    assert "no samples were drawn" in message
+    assert len(calls) == 227
+
+
+def test_a_near_tie_runs_the_sampled_chain(monkeypatch):
+    # the lower chain ends exactly at epsilon: only the allowance lets the sampled chain run
+    params = ModelParams(3, 100, 0.9)
+    end = _lower_chain(params, 3)[-1]
+    seq = contraction_sequence(params, epsilon=end, max_iters=3, sample_count=500, seed=6)
+    assert repr(seq) == repr(_old_contraction_sequence(params, end, 3, 500, 6, 1))
+    allowance = certify._CHAIN_ALLOWANCE_ULPS * np.spacing(params.q + 1.0)
+    monkeypatch.setattr(certify, "sampled_sweep", _refuse_sampling)
+    with pytest.raises(CertificationError):
+        contraction_sequence(params, epsilon=end - 4 * allowance, max_iters=3)
+
+
+# (params, epsilon, max_iters): chains the lower chain does not doom.  At
+# (5, 2, 1.0) a sample beats the diagonal probe from the first step on.
+CHAINS = [(ModelParams(4, 50, 0.8), 0.25, 60), (ModelParams(3, INFINITY), 1.0, 30),
+          (ModelParams(8, 8, 1.0), 4.0, 40), (ModelParams(5, 2, 1.0), 2.0, 30)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("params, epsilon, max_iters", CHAINS)
+def test_a_chain_that_is_not_doomed_runs_as_before(params, epsilon, max_iters, threads):
+    seq = contraction_sequence(params, epsilon, max_iters, sample_count=2000, seed=4,
+                               threads=threads)
+    assert seq[-1] < epsilon
+    assert repr(seq) == repr(_old_contraction_sequence(params, epsilon, max_iters, 2000, 4,
+                                                       threads))
+    lower = _lower_chain(params, len(seq) - 1)
+    assert all(c >= low for c, low in zip(seq, lower))
+    if params.d == 2:
+        assert seq[1] > lower[1]
+
+
+def _diagonal_level_mp(c, params, mp):
+    """``psi(c)`` to 50 digits, from the float parameters the maps use."""
+    q = params.q
+    if params.d == INFINITY:
+        def g(s):
+            return q * (1 - mp.exp(s)) / ((q - 1) * mp.exp(s) + 1)
+    else:
+        beta, w = mp.mpf(params.alpha * q / (params.d + 1.0)), mp.mpf(params.w)
+
+        def g(s):
+            return params.d * mp.log1p(beta * (1 - mp.exp(s)) / ((q - 1) * mp.exp(s) + w))
+    return -(q - 1) * g(g(mp.mpf(-c / (q - 1.0))))
+
+
+@pytest.mark.parametrize("params", [ModelParams(3, 3, 1.0), ModelParams(4, 50, 0.8),
+                                    ModelParams(5, 2, 1.0), ModelParams(5, 1000, 0.5),
+                                    ModelParams(5, 1000, 1.0), ModelParams(8, 8, 1.0),
+                                    ModelParams(12, 12, 1.0), ModelParams(12, INFINITY)])
+def test_the_chain_allowance_covers_the_diagonal_level(params):
+    # contraction_sequence's argument: psi increases with slope at most 1, and its float
+    # value is within 3 ulps of q+1, paid twice a step, plus one ulp for the cushion
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    levels = np.geomspace(1e-3, params.q + 1.0, 25)
+    exact = [_diagonal_level_mp(c, params, mp) for c in levels]
+    ulp = np.spacing(params.q + 1.0)
+    for c, value in zip(levels, exact):
+        assert abs(_diagonal_level(c, params) - value) <= 3 * ulp, c
+    for a, b, lo, hi in zip(levels, levels[1:], exact, exact[1:]):
+        assert 0 < hi - lo <= b - a
+    assert 2 * 3 + 1 <= certify._CHAIN_ALLOWANCE_ULPS
 
 
 @pytest.mark.parametrize("q,c", [(3, 1.0), (4, 2.0), (6, 5.0)])

@@ -125,6 +125,56 @@ def test_certify_command_rejects_levels_beyond_invariant_range(capsys):
     assert "(0, q+1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--contract-to", "-1"], "epsilon must be positive, got -1.0"),
+    (["--contract-to", "1e-2", "--max-iters", "0"], "max_iters must be >= 1, got 0"),
+])
+def test_certify_command_checks_the_contraction_target_first(flags, message, tmp_path, capsys):
+    # both used to run the whole level grid, print its PASS lines, then fail
+    code = main(["certify", "--q", "5", "--d", "1000", "--c-grid", "0.5:6.0:0.5",
+                 "--samples", "2000", "--pairs", "2000", *flags,
+                 "--out-prefix", str(tmp_path / "cert")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert "two_step_level" not in captured.out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["certify", "--q", "3", "--d", "inf", "--c", "2.0", "--samples", "2000",
+      "--threads", "0", "--out-prefix", "{tmp}/cert"], "cert.csv"),
+    (["lemmas", "--q-max", "3", "--trials", "2000", "--threads", "-5",
+      "--out", "{tmp}/lemmas.csv"], "lemmas.csv"),
+])
+def test_commands_reject_fewer_than_one_thread(argv, written, tmp_path, capsys):
+    # both used to run inline, exit 0 and write the value to the manifest
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    value = argv[argv.index("--threads") + 1]
+    assert code == 1
+    assert captured.err == f"error: threads must be >= 1, got {value}\n"
+    assert captured.out == ""
+    assert not (tmp_path / written).exists()
+
+
+@pytest.mark.parametrize("alpha, code, line", [
+    ("0.5", 0, "contraction_sequence steps=5 final=0.006077241238986299 PASS"),
+    ("1.0", 2, "contraction_sequence FAIL: the diagonal lower chain is still at "
+               "0.47932709344859226 after 200 steps, so no sampled level falls below "
+               "epsilon=0.01 within max_iters=200 steps; no samples were drawn; "
+               "params=ModelParams(q=5, d=1000, alpha=1.0, w=0.995004995004995)"),
+])
+def test_readme_certify_examples_print_their_contraction_line(alpha, code, line, capsys):
+    # the README grid runs: alpha=0.5 samples the whole chain, alpha=1 is refused unsampled
+    assert main(["certify", "--q", "5", "--alpha", alpha, "--d", "1000",
+                 "--c-grid", "0.5:6.0:0.5", "--samples", "100000", "--pairs", "100000",
+                 "--seed", "0", "--contract-to", "1e-2"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == line
+    assert [ln for ln in lines if "FAIL" in ln] == ([line] if code else [])
+
+
 def test_certify_csv_is_byte_identical_across_threads(tmp_path, capsys):
     blobs = []
     for threads in ("1", "4"):

@@ -34,6 +34,14 @@ def test_parallel_chunk_map_preserves_index_order():
     assert inline == pooled == [i * i for i in range(17)]
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_parallel_chunk_map_rejects_fewer_than_one_thread(threads):
+    calls = []
+    with pytest.raises(DomainError, match=f"threads must be >= 1, got {threads}"):
+        parallel_chunk_map(calls.append, 3, threads=threads)
+    assert calls == []
+
+
 def test_sweeps_share_one_pool_per_thread_count():
     # the barrier holds each chunk until a second worker arrives, so every
     # sweep runs on both workers of the pool
