@@ -31,7 +31,7 @@ from .certify import (check_contraction_target, contraction_sequence, convergenc
                       two_step_level)
 from .errors import BudgetError, CertificationError, DomainError, ParseError
 from .gradients import gradient_identity_sweep, positivity_sweep
-from .oracle import (_check_regular_dp_budget, brute_force_Z, dp_log_Z,
+from .oracle import (_check_regular_dp_budget, brute_force_Z,
                      recursion_root_log_ratios, root_summary)
 from .params import INFINITY, ModelParams
 from .polytope import convexity_probe
@@ -269,7 +269,7 @@ def _cmd_oracle(args) -> int:
         w = ModelParams(q, d, alpha).w
 
     lines = [f"q={q} d={d} n={n} w={format_value(w)}"]
-    log_z, p, ratios = root_summary(tree, q, w, boundary)
+    log_z, p, ratios, pinned = root_summary(tree, q, w, boundary)
     lines.append(f"log_Z={format_value(log_z)}")
     try:
         z = math.exp(log_z)
@@ -277,8 +277,10 @@ def _cmd_oracle(args) -> int:
         z = math.inf
     lines.append(f"Z={format_value(z)}")
     if args.pin_root is not None:
-        lines.append(f"log_Z_root_pinned_{args.pin_root}="
-                     f"{format_value(dp_log_Z(tree, q, w, boundary, pinned_root=args.pin_root))}")
+        if not 1 <= args.pin_root <= q:
+            raise DomainError(f"root color {args.pin_root} outside 1..{q}")
+        # a pinned row's log-sum-exp is its one finite entry, bit for bit
+        lines.append(f"log_Z_root_pinned_{args.pin_root}={format_value(pinned[args.pin_root - 1])}")
     lines.append("conditional_distribution=" + ",".join(format_value(v) for v in p))
     lines.append("log_ratios=" + ",".join(format_value(v) for v in ratios))
 

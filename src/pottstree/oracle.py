@@ -5,10 +5,12 @@ be validated against it:
 
 * :func:`brute_force_Z` enumerates colorings outright (vectorized in chunks);
 * :func:`dp_log_Z` runs a leaf-to-root dynamic program in log space, exact up
-  to floating point for trees far beyond enumeration range.  It is one array
-  pass per (level, child slot) of the :class:`TreeSpec` layout, deepest first;
-  each vertex adds its children's messages in order, so the tables are
-  bitwise those of a loop over the vertices, on regular and irregular trees alike;
+  to floating point for trees far beyond enumeration range.  It is one pass
+  per level of the :class:`TreeSpec` layout, deepest first, on colour-major
+  ``(q, width)`` arrays, and holds only two levels at a time, so its memory
+  grows with the widest level; each vertex adds its children's messages in
+  order, so the root row is bitwise that of a loop over the vertices, on
+  regular and irregular trees alike;
 * :func:`root_log_ratios` / :func:`conditional_root_distribution` derive the
   quantities the recursion predicts, straight from the dynamic program, and
   :func:`root_summary` gives both with ``log Z`` from a single pass;
@@ -29,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .maps import leaf_counts_log_ratios, log_ratio_map
+from .maps import _colour_reduce, leaf_counts_log_ratios, log_ratio_map
 from .params import ModelParams
 from .trees import BoundaryCondition, TreeSpec, _int64s, _power_over_2_64, regular_size
 
@@ -81,17 +83,17 @@ def brute_force_Z(tree: TreeSpec, q: int, w: float,
     total = q ** len(free)
     if total > BRUTE_FORCE_BUDGET:
         raise BudgetError(f"{total} colorings exceed the enumeration budget {BRUTE_FORCE_BUDGET}")
-    base = pins.astype(np.int16)
     parents = np.repeat(np.arange(tree.n_vertices), tree.counts)
     z = 0.0
     for lo in range(0, total, BRUTE_FORCE_CHUNK):
         idx = np.arange(lo, min(lo + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
-        cols = np.tile(base, (len(idx), 1))
-        for j, v in enumerate(free):
-            cols[:, v] = (idx // q**j) % q + 1
+        cols = np.repeat(pins[:, None], len(idx), axis=1)  # cols[v]: v's color in each coloring
+        for v in free:  # the j-th free vertex takes base-q digit j of the coloring's index
+            cols[v] = idx % q + 1
+            idx //= q
         mono = np.zeros(len(idx), dtype=np.int32)
         for a, b in zip(parents, tree.child):
-            mono += cols[:, a] == cols[:, b]
+            mono += cols[a] == cols[b]
         z += float(np.power(float(w), mono).sum())
     return z
 
@@ -101,16 +103,17 @@ def dp_log_Z(tree: TreeSpec, q: int, w: float,
              pinned_root: int | None = None) -> float:
     """``log Z`` by the leaf-to-root dynamic program.
 
-    Per-vertex tables are normalized by their running maximum, so depth and
-    size are limited only by the vertex budget, not by float range.  Each
-    depth is one array operation per child slot: slot ``s`` adds the message
-    of the ``s``-th child of every vertex that has one, so a vertex sums its
-    children in order and the result does not depend on how the tree
-    is numbered or batched.  Returns ``-inf`` when no compatible coloring has
-    positive weight (possible only at ``w = 0``).
+    Each message is normalized by its largest entry, so depth and size are
+    limited only by the vertex budget, not by float range.  The pass runs
+    level by level, deepest first, on colour-major ``(q, width)`` arrays and
+    holds only a level and the one below it, so its memory grows with the
+    widest level, not with the tree.  Child slot ``s`` adds the message of
+    the ``s``-th child of every vertex that has one, so a vertex sums its
+    children in order and the result does not depend on how the tree is
+    numbered.  Returns ``-inf`` when no compatible coloring has positive
+    weight (possible only at ``w = 0``).
     """
-    table = _dp_tables(tree, q, w, boundary, pinned_root)
-    return _logsumexp(table[tree.root])
+    return _logsumexp(_dp_tables(tree, q, w, boundary, pinned_root))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -123,19 +126,52 @@ def _logsumexp(a: np.ndarray) -> float:
 def _dp_tables(tree: TreeSpec, q: int, w: float,
                boundary: BoundaryCondition | None,
                pinned_root: int | None) -> np.ndarray:
-    """Per-vertex arrays ``L[v][i] = log Z(subtree of v | v colored i+1)``.
+    """The root's row ``L[i] = log Z(tree | root colored i+1)``.
 
-    Deepest level first, one pass per child slot (see :func:`dp_log_Z`).
+    ``table[:, j]`` is that row for the ``j``-th vertex of the current level.
+    The level below is turned into its messages in place; child slot ``s``
+    then adds the message at ``start + s`` into every vertex with more than
+    ``s`` children, and pinned vertices keep only their colour's entry.
     """
     pins = _collect_pins(tree, q, w, boundary, pinned_root)
     _check_dp_budget(tree.n_vertices)
-    table = np.zeros((tree.n_vertices, q))
     below = None  # the deepest level has no children
     for level in reversed(tree.levels):
-        _add_child_messages(table, level, below, tree.counts, w)
-        _pin_rows(table, level, pins)
-        below = level
-    return table
+        table = np.zeros((q, len(level)))
+        if below is not None:
+            _messages_in_place(below, w)
+            k = tree.counts[level]
+            at, start = np.arange(len(level), dtype=np.int32), np.cumsum(k, dtype=np.int32) - k
+            for s in range(k.max()):
+                keep = k > s
+                at, k, start = at[keep], k[keep], start[keep]
+                child = start + s
+                for row, messages in zip(table, below):
+                    row[at] += messages[child]
+        pinned = pins[level]
+        for color, row in enumerate(table, start=1):
+            np.putmask(row, (pinned != color) & (pinned > 0), -np.inf)
+        below = table
+    return below[:, 0]
+
+
+def _messages_in_place(logs: np.ndarray, w: float) -> None:
+    """Overwrite a colour-major level of log-tables with the messages its
+    vertices send up, ``m + log(sum_j w**[i==j] * exp(logs_j - m))`` for all
+    ``i``: ``m`` is a column's max (exact in any order), and the sum has
+    numpy's row-sum bits."""
+    m = logs.max(axis=0)
+    # An all -inf column (w = 0 conflict) gets m = 0: exp gives 0 and
+    # log(0) = -inf, so its message is the -inf column.
+    m[m == -np.inf] = 0.0
+    np.subtract(logs, m, out=logs)
+    np.exp(logs, out=logs)
+    total = _colour_reduce(np.add, logs)
+    np.multiply(logs, 1.0 - w, out=logs)
+    np.subtract(total, logs, out=logs)
+    with np.errstate(divide="ignore"):
+        np.log(logs, out=logs)
+    np.add(m, logs, out=logs)
 
 
 def _check_dp_budget(n_vertices: int) -> None:
@@ -152,57 +188,21 @@ def _check_regular_dp_budget(d: int, n: int) -> None:
     _check_dp_budget(regular_size(d, n))
 
 
-def _add_child_messages(table: np.ndarray, parents: np.ndarray, below: np.ndarray | None,
-                        counts: np.ndarray, w: float) -> None:
-    """Add the messages of ``below``, the next level, into their parents' rows,
-    one child slot at a time (the block layout of :class:`TreeSpec`)."""
-    k = counts[parents]
-    start = np.cumsum(k) - k
-    for s in itertools.count():
-        keep = k > s
-        parents, k, start = parents[keep], k[keep], start[keep]
-        if not len(parents):
-            return
-        msg = table[below[start + s]]
-        m = msg.max(axis=1, keepdims=True)
-        # An all -inf child (w = 0 conflict) gets m = 0: exp gives 0 and
-        # log(0) = -inf, so its message is the -inf row.
-        m[m == -np.inf] = 0.0
-        # m + log(sum_j w**[i==j] * exp(msg_j - m)), for all i at once
-        np.subtract(msg, m, out=msg)
-        np.exp(msg, out=msg)
-        total = msg.sum(axis=1, keepdims=True)
-        np.multiply(msg, 1.0 - w, out=msg)
-        np.subtract(total, msg, out=msg)
-        with np.errstate(divide="ignore"):
-            np.log(msg, out=msg)
-        np.add(m, msg, out=msg)
-        msg += table[parents]
-        table[parents] = msg
-
-
-def _pin_rows(table: np.ndarray, level: np.ndarray, pins: np.ndarray) -> None:
-    """Set every entry but the pinned color's to -inf in the rows of pinned vertices."""
-    pinned = level[pins[level] > 0]
-    color = pins[pinned] - 1
-    keep = table[pinned, color]
-    table[pinned] = -np.inf
-    table[pinned, color] = keep
-
-
-def root_summary(tree: TreeSpec, q: int, w: float,
-                 boundary: BoundaryCondition) -> tuple[float, np.ndarray, np.ndarray]:
-    """``log Z``, the conditional root law and the root log-ratios, from one DP pass.
+def root_summary(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition
+                 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """``log Z``, the conditional root law, the root log-ratios and the root
+    row ``log Z(root colored i+1)``, from one DP pass.
 
     The same values as :func:`dp_log_Z`, :func:`conditional_root_distribution`
-    and :func:`root_log_ratios`, under the latter's requirements.
+    and :func:`root_log_ratios`, under the latter's requirements; entry
+    ``c-1`` of the row is ``dp_log_Z(..., pinned_root=c)``.
     """
     if not 0.0 < w <= 1.0:
         raise DomainError(f"log-ratios require w in (0, 1], got w={w}")
     if tree.root in boundary.colors:
         raise DomainError("log-ratios are undefined when the root is pinned")
-    root = _dp_tables(tree, q, w, boundary, None)[tree.root]
-    return _logsumexp(root), _root_law(root), root[: q - 1] - root[q - 1]
+    root = _dp_tables(tree, q, w, boundary, None)
+    return _logsumexp(root), _root_law(root), root[: q - 1] - root[q - 1], root
 
 
 def root_log_ratios(tree: TreeSpec, q: int, w: float,
@@ -219,8 +219,8 @@ def conditional_root_distribution(tree: TreeSpec, q: int, w: float,
                                   boundary: BoundaryCondition) -> np.ndarray:
     """Distribution of the root color conditioned on the boundary."""
     if not 0.0 < w <= 1.0:
-        raise DomainError("the conditional distribution requires w in (0, 1]")
-    return _root_law(_dp_tables(tree, q, w, boundary, None)[tree.root])
+        raise DomainError(f"the conditional distribution requires w in (0, 1], got w={w}")
+    return _root_law(_dp_tables(tree, q, w, boundary, None))
 
 
 def _root_law(root: np.ndarray) -> np.ndarray:

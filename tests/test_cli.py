@@ -280,13 +280,41 @@ def test_oracle_command_prints_inf_beyond_float_range(capsys):
 
 
 def test_oracle_command_makes_one_dp_pass(monkeypatch, capsys):
-    passes = []
     dp_tables = oracle._dp_tables
-    monkeypatch.setattr(oracle, "_dp_tables", lambda *a: passes.append(a) or dp_tables(*a))
-    code = main(["oracle", "--q", "3", "--d", "3", "--n", "8", "--check-recursion"])
-    assert code == 0
-    assert len(passes) == 1
-    capsys.readouterr()
+    for pin in ([], ["--pin-root", "2"]):
+        passes = []
+        monkeypatch.setattr(oracle, "_dp_tables", lambda *a: passes.append(a) or dp_tables(*a))
+        code = main(["oracle", "--q", "3", "--d", "3", "--n", "8", "--check-recursion", *pin])
+        assert code == 0
+        assert len(passes) == 1
+        assert ("log_Z_root_pinned_2=" in capsys.readouterr().out) == bool(pin)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--q", "3", "--d", "3", "--n", "8", "--boundary", "random", "--seed", "5",
+      "--check-recursion", "--pin-root", "2"],
+     "96f9c66ad49321d757d8d7255133ea8a12f1132551586c2a728c56af0d76a8db"),
+    # 9 colours: messages sum their colours pairwise
+    (["--q", "9", "--d", "2", "--n", "7", "--boundary", "mono", "--color", "4", "--w", "0.6",
+      "--pin-root", "4"],
+     "1370197bcb1eb0e248ce0719976eb388153d2a0d61d7b986c16f2cf5689dfcad"),
+    (["--q", "4", "--d", "2", "--n", "3", "--boundary", "random", "--seed", "3", "--w", "0.3",
+      "--brute-check", "--check-recursion"],
+     "486d5003659a8288b9b8f417eb5fcf9ced93e6957bccbb91180a9635edd6fb46"),
+])
+def test_oracle_output_digests_are_pinned(argv, digest, capsys):
+    # pins the oracle report byte for byte: any change to the DP's arithmetic shows here
+    assert main(["oracle", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("color", ["0", "4"])
+def test_oracle_command_rejects_a_root_color_outside_the_palette(color, capsys):
+    code = main(["oracle", "--q", "3", "--d", "3", "--n", "2", "--pin-root", color])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: root color {color} outside 1..3\n"
 
 
 def test_oracle_command_reads_boundary_files(monkeypatch, tmp_path, capsys):

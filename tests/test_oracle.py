@@ -138,10 +138,13 @@ def test_root_log_ratios_of_a_free_single_vertex_are_zero():
 def test_root_summary_is_bitwise_the_three_oracles(q, d, n, w):
     t = TreeSpec.regular(d, n)
     b = BoundaryCondition.random(t, q, np.random.default_rng(q))
-    log_z, p, ratios = root_summary(t, q, w, b)
+    log_z, p, ratios, row = root_summary(t, q, w, b)
     assert log_z == dp_log_Z(t, q, w, b)
     np.testing.assert_array_equal(p, conditional_root_distribution(t, q, w, b))
     np.testing.assert_array_equal(ratios, root_log_ratios(t, q, w, b))
+    # entry c-1 of the root row is log Z with the root pinned to c, sign bit included
+    pinned = np.array([dp_log_Z(t, q, w, b, pinned_root=c) for c in range(1, q + 1)])
+    assert np.array_equal(row.view(np.int64), pinned.view(np.int64))
 
 
 def _reference_tables(children, root, q, w, boundary, pinned_root):
@@ -172,7 +175,7 @@ def _reference_tables(children, root, q, w, boundary, pinned_root):
     return table
 
 
-def _random_query(rng):
+def _random_query(rng, colours=(2, 11)):
     """A random tree with shuffled labels and child order, and random pins on it."""
     n = int(rng.integers(1, 40))
     parent = [int(rng.integers(0, v)) for v in range(1, n)]
@@ -183,7 +186,7 @@ def _random_query(rng):
     for ch in children:
         rng.shuffle(ch)
     tree = TreeSpec.from_children(children, root=int(label[0]))
-    q = int(rng.integers(2, 11))
+    q = int(rng.integers(*colours))
     w = float(rng.choice([0.0, rng.uniform(), 1.0]))
     pinned = rng.random(n) < rng.uniform(0, 0.6)
     boundary = BoundaryCondition({int(v): int(rng.integers(1, q + 1))
@@ -195,8 +198,9 @@ def _random_query(rng):
 
 
 def _assert_bitwise_reference(tree, children, q, w, boundary, pinned_root):
+    # the level pass keeps no per-vertex table, so the root row is what it returns
     got = oracle._dp_tables(tree, q, w, boundary, pinned_root)
-    want = _reference_tables(children, tree.root, q, w, boundary, pinned_root)
+    want = _reference_tables(children, tree.root, q, w, boundary, pinned_root)[tree.root]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -209,26 +213,84 @@ def test_dp_tables_are_bitwise_the_per_vertex_loop_on_random_trees():
         _assert_bitwise_reference(*_random_query(rng))
 
 
+def _regular_children(d, n):
+    """Vertex ``v``'s children in the BFS numbering of ``TreeSpec.regular(d, n)``."""
+    internal = sum(d**k for k in range(n))
+    return [range(d * v + 1, d * v + d + 1) for v in range(internal)] + [()] * d**n
+
+
 @pytest.mark.parametrize("n", range(6, 11))
 def test_dp_tables_are_bitwise_the_per_vertex_loop_on_regular_trees(n):
     t = TreeSpec.regular(3, n)
     b = BoundaryCondition.random(t, 3, np.random.default_rng(n))
-    # vertex v's children in the BFS numbering, written out
-    children = [range(3 * v + 1, 3 * v + 4) for v in range(sum(3**k for k in range(n)))]
-    children += [()] * 3**n
-    _assert_bitwise_reference(t, children, 3, ModelParams(3, 3, 1.0).w, b, None)
+    _assert_bitwise_reference(t, _regular_children(3, n), 3, ModelParams(3, 3, 1.0).w, b, None)
 
 
-def test_dp_pass_peak_memory_is_within_three_tables():
+def test_dp_tables_are_bitwise_the_per_vertex_loop_from_eight_colours():
+    # from 8 colours numpy sums a message's colours pairwise, not left to right
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        _assert_bitwise_reference(*_random_query(rng, colours=(8, 14)))
+    for q in (8, 9, 12):
+        t = TreeSpec.regular(3, 5)
+        b = BoundaryCondition.random(t, q, np.random.default_rng(q))
+        for w in (0.0, 0.77, 1.0):
+            _assert_bitwise_reference(t, _regular_children(3, 5), q, w, b, None)
+
+
+def _mixed_level_tree(rng):
+    """Depth 4, child counts 0..9 within each level below the root, labels and
+    child order shuffled."""
+    children, frontier, n = [[]], [0], 1
+    for depth in range(4):
+        nxt = []
+        for v in frontier:
+            k = 8 if depth == 0 else int(rng.integers(0, 10))
+            children[v] = list(range(n, n + k))
+            children += [[] for _ in range(k)]
+            nxt += children[v]
+            n += k
+        frontier = nxt
+    label = rng.permutation(n)
+    shuffled = [[] for _ in range(n)]
+    for v, ch in enumerate(children):
+        shuffled[label[v]] = [int(label[c]) for c in rng.permutation(ch)]
+    return TreeSpec.from_children(shuffled, root=int(label[0])), shuffled
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_dp_tables_are_bitwise_the_per_vertex_loop_when_child_counts_differ_within_a_level(q):
+    rng = np.random.default_rng(40 + q)
+    for _ in range(5):
+        tree, children = _mixed_level_tree(rng)
+        assert all(len(set(tree.counts[level])) > 2 for level in tree.levels[1:-1])
+        pinned = rng.random(tree.n_vertices) < 0.4
+        b = BoundaryCondition({int(v): int(rng.integers(1, q + 1)) for v in np.flatnonzero(pinned)})
+        for w in (0.0, 0.45, 1.0):
+            _assert_bitwise_reference(tree, children, q, w, b, None)
+
+
+def test_dp_pass_peak_memory_is_bounded_by_the_widest_level():
     t = TreeSpec.regular(3, 10)
     b = BoundaryCondition.random(t, 3, np.random.default_rng(0))
+    level_nbytes = 3 * max(map(len, t.levels)) * np.dtype(float).itemsize
     tracemalloc.start()
     try:
-        table = oracle._dp_tables(t, 3, 0.25, b, None)
+        oracle._dp_tables(t, 3, 0.25, b, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * table.nbytes
+    # the widest level, its parents' level, and a max and a sum per vertex
+    assert peak <= 2.25 * level_nbytes
+    # a path holds one vertex per level: a per-vertex table would be 96 kB
+    path = TreeSpec.from_children([[v + 1] for v in range(1_999)] + [[]])
+    tracemalloc.start()
+    try:
+        oracle._dp_tables(path, 6, 0.25, BoundaryCondition({1_999: 2}), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24_000
 
 
 def test_dp_budget_error_names_the_limit():
@@ -247,6 +309,14 @@ def test_conditional_distribution_monochromatic_star():
     assert p.sum() == pytest.approx(1.0, abs=1e-15)
     assert p[0] == pytest.approx(w**d / (w**d + q - 1), rel=1e-13)
     assert p[1] == pytest.approx(p[2], rel=1e-13)
+
+
+@pytest.mark.parametrize("w", [0.0, 1.5, -0.25])
+def test_conditional_distribution_error_names_the_weight(w):
+    t = TreeSpec.regular(2, 1)
+    with pytest.raises(DomainError, match=rf"^the conditional distribution requires w in "
+                                          rf"\(0, 1\], got w={w}$"):
+        conditional_root_distribution(t, 3, w, BoundaryCondition.monochromatic(t, 1))
 
 
 def test_conditional_distribution_is_uniform_at_weight_one():
@@ -330,6 +400,13 @@ def test_enumeration_budget_guards():
         enumerate_log_ratio_sets(4, 2, 3, 0.5)
     with pytest.raises(BudgetError):
         enumerate_log_ratio_sets(3, 4, 4, 0.5, max_states=10)
+
+
+def test_brute_force_enumerates_every_coloring_across_chunks():
+    # 3**13 colorings: eight chunks of BRUTE_FORCE_CHUNK
+    t = TreeSpec.regular(3, 2)
+    q, w = 3, 0.9
+    assert brute_force_Z(t, q, w) == pytest.approx(q * (w + q - 1) ** 12, rel=1e-12)
 
 
 def test_brute_force_budget_guard():
