@@ -11,17 +11,15 @@ uniqueness regime ``w > 1 - q/(d+1)``.
 from .errors import BudgetError, CertificationError, DomainError, ParseError
 from .params import INFINITY, ModelParams, validate_log_ratio
 from .symmetry import all_permutations, apply_permutation
-from .maps import (degree_rescaling, diagonal_contraction,
-                   diagonal_contraction_finite, log_ratio_map,
+from .maps import (degree_rescaling, diagonal_contraction, log_ratio_map,
                    log_ratio_map_jacobian, log_ratio_map_preimage,
                    pattern_image, two_step_map, two_step_sum_limit)
-from .trees import (BoundaryCondition, BoundaryFile, TreeSpec,
-                    read_boundary_file, write_boundary_file)
+from .trees import BoundaryCondition, BoundaryFile, TreeSpec, read_boundary_file
 from .oracle import (brute_force_Z, conditional_root_distribution,
                      dp_log_Z, enumerate_log_ratio_sets, recursion_root_log_ratios,
                      root_log_ratios, root_summary)
 from .polytope import (convexity_probe, convexity_witness_search, level,
-                       polytope_vertices, sample_face, sample_fundamental)
+                       polytope_vertices, sample_face)
 from .certify import (contraction_sequence, convergence_experiment,
                       diagonal_minimality_check, two_step_level)
 from .gradients import (comparator_exponents, comparator_gap, constant_exponent_point,
@@ -36,16 +34,15 @@ __all__ = [
     "BudgetError", "CertificationError", "DomainError", "ParseError",
     "INFINITY", "ModelParams", "validate_log_ratio",
     "all_permutations", "apply_permutation",
-    "degree_rescaling", "diagonal_contraction", "diagonal_contraction_finite",
+    "degree_rescaling", "diagonal_contraction",
     "log_ratio_map", "log_ratio_map_jacobian", "log_ratio_map_preimage",
     "pattern_image", "two_step_map", "two_step_sum_limit",
     "BoundaryCondition", "BoundaryFile", "TreeSpec", "read_boundary_file",
-    "write_boundary_file",
     "brute_force_Z", "conditional_root_distribution", "dp_log_Z",
     "enumerate_log_ratio_sets", "recursion_root_log_ratios", "root_log_ratios",
     "root_summary",
     "convexity_probe", "convexity_witness_search", "level", "polytope_vertices",
-    "sample_face", "sample_fundamental",
+    "sample_face",
     "contraction_sequence", "convergence_experiment",
     "diagonal_minimality_check", "two_step_level",
     "comparator_exponents", "comparator_gap",

@@ -27,11 +27,11 @@ Dirichlet weights once, for the whole grid of levels, and evaluates every
 level on them (``x = -c * weights``).  Its temporaries live in one buffer per
 worker thread: the draw's exponentials, the weights and two vectors, sized to
 one chunk, with each level's batch written over the exponentials once the
-weights exist.  The chunk maps twice and levels each batch in place, with the
-same colour-major kernels the public ``sample_fundamental``,
-``log_ratio_map`` and ``level`` wrap (the layout is described in
-:mod:`pottstree.maps`), so every estimate has the bits of the allocating
-functions.  The buffers are dropped when the sweep returns.
+weights exist.  The weights have the bits of numpy's Dirichlet sampler.  The
+chunk maps twice and levels each batch in place, with the same colour-major
+kernels the public ``log_ratio_map`` and ``level`` wrap (the layout is
+described in :mod:`pottstree.maps`), so every estimate has the bits of the
+allocating functions.  The buffers are dropped when the sweep returns.
 """
 
 from __future__ import annotations
@@ -70,7 +70,12 @@ def _probe_levels(c: float, params: ModelParams) -> np.ndarray:
 
 
 def _diagonal_level(c: float, params: ModelParams) -> float:
-    """``psi(c)``: the two-step level of the diagonal probe; no estimate at ``c`` is below it."""
+    """``psi(c)``: the two-step level of the diagonal probe; no estimate at ``c`` is below it.
+
+    This is the diagonal profile ``-<F(F(-c/(q-1) * 1)), 1>`` at every degree,
+    ``d = inf`` included; :func:`~pottstree.maps.diagonal_contraction` is its
+    closed form in the limit.
+    """
     return float(_probe_levels(c, params)[1])
 
 

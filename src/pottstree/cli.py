@@ -30,7 +30,7 @@ import numpy as np
 from .certify import (check_contraction_target, contraction_sequence, convergence_experiment,
                       two_step_level)
 from .errors import BudgetError, CertificationError, DomainError, ParseError
-from .gradients import gradient_identity_sweep, positivity_sweep
+from .gradients import check_sweep_sizes, gradient_identity_sweep, positivity_sweep
 from .oracle import (_check_regular_dp_budget, brute_force_Z,
                      recursion_root_log_ratios, root_summary)
 from .params import INFINITY, ModelParams
@@ -159,6 +159,10 @@ def _cmd_certify(args) -> int:
     params = ModelParams(args.q, args.d, args.alpha)
     if not params.alpha > 0.0:
         raise DomainError(f"certification requires alpha > 0, got {args.alpha}")
+    if params.w < 0.0:
+        raise DomainError(f"certification requires w >= 0, i.e. alpha*q <= d+1; got "
+                          f"w={format_value(params.w)} at alpha*q={args.alpha * args.q}, "
+                          f"d+1={args.d + 1}")
     levels = [args.c] if args.c is not None else parse_grid(args.c_grid)
     for c in levels:
         if not 0.0 < c <= args.q + 1.0 + 1e-12:
@@ -215,6 +219,7 @@ def _cmd_lemmas(args) -> int:
     started = time.time()
     if args.q_max < 3:
         raise DomainError(f"--q-max must be >= 3, got {args.q_max}")
+    check_sweep_sizes(args.trials, args.gradient_points)
     rows, all_passed = [], True
     for q in range(3, args.q_max + 1):
         for l in range(1, q - 1):

@@ -320,6 +320,13 @@ def _positivity_chunk(q: int, l: int, rng: np.random.Generator, workspace):
              float(gap[k]), float(value[k]), float(slope[k])))
 
 
+def check_sweep_sizes(trials: int = 1, points: int = 1) -> None:
+    """Raise :class:`DomainError` unless the sweep sizes ``trials`` and ``points`` are ``>= 1``."""
+    for name, value in (("trials", trials), ("points", points)):
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
                      threads: int = 1) -> CertificationReport:
     """Verify gap positivity and the linear-form identities on random draws.
@@ -332,8 +339,7 @@ def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
     """
     if not 1 <= l <= q - 2:
         raise DomainError(f"l must lie in 1..{q - 2}, got {l}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    check_sweep_sizes(trials=trials)
     buffer = per_thread_buffer(_SWEEP_ROWS * min(trials, DEFAULT_CHUNK))
 
     def run_chunk(rng: np.random.Generator, n: int):
@@ -363,8 +369,7 @@ def gradient_identity_sweep(q: int, points: int = 1000, seed: int = 0) -> Certif
     ``|fd - grad| / max(1, |grad|)`` per component, and the sweep passes at
     1e-6.
     """
-    if points < 1:
-        raise DomainError(f"points must be >= 1, got {points}")
+    check_sweep_sizes(points=points)
     step = 1e-5
     rng = spawn_rng(seed)
     x = rng.standard_normal((points, q - 1))

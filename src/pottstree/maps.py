@@ -312,20 +312,6 @@ def diagonal_contraction(x: np.ndarray | float, q: int) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def diagonal_contraction_finite(x: np.ndarray | float, params: ModelParams) -> np.ndarray | float:
-    """Finite-``d`` analogue: ``-<F(F(-x/(q-1) * 1)), 1>``.
-
-    Converges pointwise to :func:`diagonal_contraction` as ``d -> inf`` at
-    ``alpha = 1``.
-    """
-    if params.d == INFINITY:
-        raise DomainError("use diagonal_contraction for the limit family")
-    x = np.asarray(x, dtype=float)
-    diag = np.repeat(-x[..., None] / (params.q - 1.0), params.q - 1, axis=-1)
-    out = -two_step_map(diag, params).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
 def degree_rescaling(params: ModelParams) -> tuple[float, float]:
     """Equivalent threshold-family degree and amplitude ratio.
 

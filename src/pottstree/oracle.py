@@ -38,6 +38,8 @@ from .trees import BoundaryCondition, TreeSpec, _int64s, _power_over_2_64, regul
 BRUTE_FORCE_BUDGET = 10_000_000
 BRUTE_FORCE_CHUNK = 200_000
 DP_VERTEX_BUDGET = 1_000_000
+#: Most multisets one level of :func:`enumerate_log_ratio_sets` may form.
+ENUMERATION_STATE_BUDGET = 200_000
 
 
 def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition | None,
@@ -255,15 +257,14 @@ def recursion_root_log_ratios(q: int, d: int, n: int, w: float, leaf_colors) -> 
     return level[0]
 
 
-def enumerate_log_ratio_sets(n: int, d: int, q: int, w: float,
-                             max_states: int = 200_000) -> np.ndarray:
+def enumerate_log_ratio_sets(n: int, d: int, q: int, w: float) -> np.ndarray:
     """All log-ratio vectors achievable at depth ``n`` of the regular tree.
 
     Works level by level: the depth-1 set is indexed by leaf color counts,
     and each further level by size-``d`` multisets of the previous level
     (boundary conditions only enter through such multisets).  Vectors are
     deduplicated at 1e-12 resolution.  Guarded by hard caps on ``n, d, q``
-    and by a predicted per-level state budget.
+    and by the predicted per-level state budget ``ENUMERATION_STATE_BUDGET``.
     """
     if not (1 <= n <= 3 and 2 <= d <= 4 and 3 <= q <= 4):
         raise BudgetError(f"enumeration supports n<=3, d<=4, q<=4; got n={n}, d={d}, q={q}")
@@ -274,9 +275,9 @@ def enumerate_log_ratio_sets(n: int, d: int, q: int, w: float,
     for _ in range(n - 1):
         m = len(level)
         predicted = math.comb(m + d - 1, d)
-        if predicted > max_states:
+        if predicted > ENUMERATION_STATE_BUDGET:
             raise BudgetError(f"{predicted} multisets at the next level exceed "
-                              f"the state budget {max_states}")
+                              f"the state budget {ENUMERATION_STATE_BUDGET}")
         mapped = log_ratio_map(level, params)
         combos = np.array(list(itertools.combinations_with_replacement(range(m), d)))
         level = _dedup(mapped[combos].mean(axis=1))

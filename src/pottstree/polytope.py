@@ -21,7 +21,7 @@ standard exponentials divided by their left-to-right row sum: numpy's own
 Dirichlet sampler, bit for bit.  :func:`level` and the Dirichlet draw each
 keep their one formula in a private colour-major kernel (the layout is
 described in :mod:`pottstree.maps`) that writes into arrays the caller owns;
-the public functions allocate those arrays, and the ``two_step_level`` sweep
+:func:`level` allocates those arrays, and the ``two_step_level`` sweep
 reuses one workspace instead.  The weights do not depend on the level, so a
 sweep over a grid of levels draws them once per chunk and scales them by
 each level.
@@ -103,15 +103,6 @@ def _dirichlet_weights_into(rng: np.random.Generator, e: np.ndarray, acc: np.nda
         np.add(acc, e[:, k], out=acc)
     np.divide(1.0, acc, out=acc)
     return np.multiply(e[:, :-1].T, acc, out=out)
-
-
-def sample_fundamental(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples of ``D_c`` (Dirichlet weights over its q vertices)."""
-    if c <= 0:
-        raise DomainError(f"level must be positive, got {c}")
-    out = np.empty((count, q - 1))
-    _dirichlet_weights_into(rng, np.empty((count, q)), np.empty(count), np.moveaxis(out, -1, 0))
-    return np.multiply(out, -c, out=out)
 
 
 def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -223,13 +223,3 @@ def read_boundary_file(path) -> BoundaryFile:
         first = next(i for i in itertools.count() if i not in colors)
         raise ParseError(f"missing colors for {n_leaves - len(colors)} leaves (first: {first})")
     return BoundaryFile(q, d, n, tuple(colors[i] for i in range(n_leaves)))
-
-
-def write_boundary_file(path, q: int, d: int, n: int, leaf_colors) -> None:
-    leaf_colors = list(leaf_colors)
-    if len(leaf_colors) != d**n:
-        raise DomainError(f"need {d**n} leaf colors, got {len(leaf_colors)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{q} {d} {n}\n")
-        for i, c in enumerate(leaf_colors):
-            fh.write(f"{i} {int(c)}\n")

@@ -8,11 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from pottstree import TreeSpec, oracle, write_boundary_file
+from pottstree import TreeSpec, oracle
 from pottstree.cli import build_parser, main
 from pottstree.reporting import format_value
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _write_boundary_file(path, q, d, n, leaf_colors):
+    """The boundary file format: a 'q d n' header, then one '<leaf_index> <color>' line per leaf."""
+    path.write_text(f"{q} {d} {n}\n" + "".join(f"{i} {c}\n" for i, c in enumerate(leaf_colors)))
 
 
 def test_recursion_command_prints_depth_table(capsys):
@@ -125,6 +130,18 @@ def test_certify_command_rejects_levels_beyond_invariant_range(capsys):
     assert "(0, q+1]" in capsys.readouterr().err
 
 
+def test_certify_command_rejects_a_negative_weight(tmp_path, capsys):
+    # alpha = 1 with q > d+1 puts w below 0; this used to sample there and print PASS lines
+    code = main(["certify", "--q", "5", "--d", "2", "--c", "6", "--samples", "2000",
+                 "--pairs", "2000", "--out-prefix", str(tmp_path / "cert")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: certification requires w >= 0, i.e. alpha*q <= d+1; "
+                            "got w=-0.6666666666666667 at alpha*q=5.0, d+1=3\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--contract-to", "-1"], "epsilon must be positive, got -1.0"),
     (["--contract-to", "1e-2", "--max-iters", "0"], "max_iters must be >= 1, got 0"),
@@ -173,6 +190,27 @@ def test_readme_certify_examples_print_their_contraction_line(alpha, code, line,
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == line
     assert [ln for ln in lines if "FAIL" in ln] == ([line] if code else [])
+
+
+@pytest.mark.parametrize("argv, code, stdout, csv", [
+    # the alpha=1 grid, whose contraction chain is refused unsampled
+    (["--d", "1000", "--c-grid", "0.5:6.0:2.75", "--contract-to", "1e-2"], 2,
+     "ed4a4e45a2fda56ef2cefc504bffc16e4a6907e5ee75219d850f70c89d999fbd",
+     "d85f431e4fdb7de44b54de4a70b672e6b8e99bb0527edae4ab71c50d3a0f9062"),
+    # the alpha=0.5 grid, whose sampled chain contracts
+    (["--alpha", "0.5", "--d", "1000", "--c-grid", "0.5:6.0:2.75", "--contract-to", "1e-2"], 0,
+     "bc05046eb897974103ef2f53071c3ff9bbc4d1d31da4d7762a2b5cfc1b1fc5a9",
+     "e9ef463f6a7d3ecd7c3688a23bd668715b1439a35a99b81e2a4ca412f1c06271"),
+    (["--d", "inf", "--c", "4.0"], 0,
+     "3db5ea2c6094d36f969a793967168a962e75ac495ccbbec92f966934a430c61b",
+     "019ff55aa81629028654b00c82aceefd37064fda03f89047f1fc27cb17930d4f"),
+])
+def test_certify_output_digests_are_pinned(argv, code, stdout, csv, tmp_path, capsys):
+    # pins the certify outputs byte for byte: any change to a sampler, map or level shows here
+    assert main(["certify", "--q", "5", *argv, "--samples", "2000", "--pairs", "2000",
+                 "--seed", "0", "--out-prefix", str(tmp_path / "cert")]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout
+    assert hashlib.sha256((tmp_path / "cert.csv").read_bytes()).hexdigest() == csv
 
 
 def test_certify_csv_is_byte_identical_across_threads(tmp_path, capsys):
@@ -238,13 +276,15 @@ def test_lemmas_output_digests_are_pinned(tmp_path, capsys):
                                                ("--gradient-points", "0", "points"),
                                                ("--gradient-points", "-1", "points")])
 def test_lemmas_command_rejects_empty_sweeps(flag, value, name, tmp_path, capsys):
-    # each used to end in a bare ValueError traceback
+    # each used to end in a bare ValueError traceback; an empty gradient sweep
+    # used to fail only after the positivity sweeps had printed their PASS lines
     out = tmp_path / "lemmas.csv"
-    code = main(["lemmas", "--q-max", "3", "--trials", "100", flag, value, "--out", str(out)])
+    code = main(["lemmas", "--q-max", "4", "--trials", "100", flag, value, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: {name} must be >= 1, got {value}\n"
-    assert not out.exists()
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_oracle_command_reports_exact_quantities(capsys):
@@ -319,7 +359,7 @@ def test_oracle_command_rejects_a_root_color_outside_the_palette(color, capsys):
 
 def test_oracle_command_reads_boundary_files(monkeypatch, tmp_path, capsys):
     path = tmp_path / "b.txt"
-    write_boundary_file(path, q=3, d=2, n=2, leaf_colors=[1, 2, 3, 1])
+    _write_boundary_file(path, q=3, d=2, n=2, leaf_colors=[1, 2, 3, 1])
     report = tmp_path / "report.txt"
     builds = []
     regular = TreeSpec.regular
@@ -335,7 +375,7 @@ def test_oracle_command_reads_boundary_files(monkeypatch, tmp_path, capsys):
 
 def test_oracle_command_flags_conflicting_dimensions(tmp_path, capsys):
     path = tmp_path / "b.txt"
-    write_boundary_file(path, q=3, d=2, n=1, leaf_colors=[1, 2])
+    _write_boundary_file(path, q=3, d=2, n=1, leaf_colors=[1, 2])
     code = main(["oracle", "--boundary-file", str(path), "--q", "4", "--w", "0.4"])
     assert code == 1
     assert "conflicts" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from pottstree import (
     apply_permutation,
     degree_rescaling,
     diagonal_contraction,
-    diagonal_contraction_finite,
     log_ratio_map,
     log_ratio_map_jacobian,
     log_ratio_map_preimage,
@@ -23,6 +22,7 @@ from pottstree import (
     two_step_sum_gradient,
     two_step_sum_limit,
 )
+from pottstree.certify import _diagonal_level
 
 finite_params = [ModelParams(3, 3, 1.0), ModelParams(4, 9, 0.7), ModelParams(5, 200, 0.5)]
 all_params = finite_params + [ModelParams(3, INFINITY), ModelParams(6, INFINITY)]
@@ -214,15 +214,16 @@ def test_diagonal_contraction_matches_two_step_sum():
 
 
 def test_diagonal_contraction_finite_approaches_limit():
+    # the finite-degree diagonal contraction is the two-step level of the diagonal probe
     q, x = 3, 2.0
-    assert diagonal_contraction_finite(x, ModelParams(q, 10**6, 1.0)) == pytest.approx(
+    assert _diagonal_level(x, ModelParams(q, 10**6, 1.0)) == pytest.approx(
         diagonal_contraction(x, q), abs=1e-4
     )
 
 
 @pytest.mark.parametrize("d", range(2, 51))
 def test_diagonal_contraction_finite_below_identity_q4(d):
-    assert diagonal_contraction_finite(2.0, ModelParams(4, d, 1.0)) < 2.0
+    assert _diagonal_level(2.0, ModelParams(4, d, 1.0)) < 2.0
 
 
 def test_diagonal_contraction_large_argument_is_finite():

@@ -395,11 +395,12 @@ def test_depth_one_sets_stay_in_the_invariant_polytope():
     assert (level(vectors) <= q + 1 + 1e-12).all()
 
 
-def test_enumeration_budget_guards():
+def test_enumeration_budget_guards(monkeypatch):
     with pytest.raises(BudgetError):
         enumerate_log_ratio_sets(4, 2, 3, 0.5)
-    with pytest.raises(BudgetError):
-        enumerate_log_ratio_sets(3, 4, 4, 0.5, max_states=10)
+    monkeypatch.setattr(oracle, "ENUMERATION_STATE_BUDGET", 10)
+    with pytest.raises(BudgetError, match="state budget 10$"):
+        enumerate_log_ratio_sets(3, 4, 4, 0.5)
 
 
 def test_brute_force_enumerates_every_coloring_across_chunks():

@@ -20,12 +20,11 @@ from pottstree import (
     log_ratio_map_preimage,
     polytope_vertices,
     sample_face,
-    sample_fundamental,
     spawn_rng,
 )
 from pottstree import polytope
-from pottstree.polytope import (_midpoint_pullback_levels, _polytope_weights, _witness_cloud,
-                                _worst_unordered_pair)
+from pottstree.polytope import (_dirichlet_weights_into, _midpoint_pullback_levels,
+                                _polytope_weights, _witness_cloud, _worst_unordered_pair)
 
 
 def polytope_samples(c, q, count, rng):
@@ -76,7 +75,8 @@ def test_membership_margin_matches_orbit_enumeration(q):
 def test_sampled_points_lie_inside(q, c):
     x = polytope_samples(c, q, 500, spawn_rng(1))
     assert (level(x) <= c * (1 + 1e-12)).all()
-    x = sample_fundamental(c, q, 500, spawn_rng(2))
+    weights = np.empty((q - 1, 500))
+    x = -c * _dirichlet_weights_into(spawn_rng(2), np.empty((500, q)), np.empty(500), weights).T
     assert (x <= 1e-12).all()
     assert (x.sum(axis=1) >= -c * (1 + 1e-12)).all()
 

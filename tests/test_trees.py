@@ -11,7 +11,6 @@ from pottstree import (
     ParseError,
     TreeSpec,
     read_boundary_file,
-    write_boundary_file,
 )
 
 
@@ -19,6 +18,11 @@ def _regular_children(d, n):
     """The BFS-numbered regular tree written out: vertex v's children are d*v + 1 .. d*v + d."""
     internal = sum(d**k for k in range(n))
     return [tuple(range(d * v + 1, d * v + d + 1)) for v in range(internal)] + [()] * d**n
+
+
+def _write_boundary_file(path, q, d, n, leaf_colors):
+    """The boundary file format: a 'q d n' header, then one '<leaf_index> <color>' line per leaf."""
+    path.write_text(f"{q} {d} {n}\n" + "".join(f"{i} {c}\n" for i, c in enumerate(leaf_colors)))
 
 
 def _bfs_reference(children, root):
@@ -162,7 +166,7 @@ def test_random_boundary_is_valid():
 def test_boundary_file_round_trip(tmp_path):
     path = tmp_path / "boundary.txt"
     colors = [1, 3, 2, 2, 1, 3, 1, 2, 3]
-    write_boundary_file(path, q=3, d=3, n=2, leaf_colors=colors)
+    _write_boundary_file(path, q=3, d=3, n=2, leaf_colors=colors)
     spec = read_boundary_file(path)
     assert (spec.q, spec.d, spec.n) == (3, 3, 2)
     assert list(spec.leaf_colors) == colors
@@ -216,8 +220,3 @@ def test_short_boundary_file_fails_without_a_slot_per_leaf(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_write_boundary_file_checks_count(tmp_path):
-    with pytest.raises(DomainError):
-        write_boundary_file(tmp_path / "x.txt", q=3, d=2, n=2, leaf_colors=[1, 2])
