@@ -22,9 +22,7 @@ from .polytope import (convexity_probe, convexity_witness_search, level,
                        polytope_vertices, sample_face)
 from .certify import (contraction_sequence, convergence_experiment,
                       diagonal_minimality_check, two_step_level)
-from .gradients import (comparator_exponents, comparator_gap, constant_exponent_point,
-                        gradient_identity_sweep, positivity_sweep,
-                        rescaled_gap, rescaled_gap_line, two_step_sum_gradient)
+from .gradients import gradient_identity_sweep, positivity_sweep, two_step_sum_gradient
 from .reporting import (CertificationReport, parse_grid, spawn_rng,
                         write_csv_atomic)
 
@@ -45,8 +43,6 @@ __all__ = [
     "sample_face",
     "contraction_sequence", "convergence_experiment",
     "diagonal_minimality_check", "two_step_level",
-    "comparator_exponents", "comparator_gap",
-    "constant_exponent_point", "gradient_identity_sweep", "positivity_sweep",
-    "rescaled_gap", "rescaled_gap_line", "two_step_sum_gradient",
+    "gradient_identity_sweep", "positivity_sweep", "two_step_sum_gradient",
     "CertificationReport", "parse_grid", "spawn_rng", "write_csv_atomic",
 ]

@@ -144,9 +144,9 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
     return reports
 
 
-def check_contraction_target(epsilon: float, max_iters: int) -> None:
-    """Raise :class:`DomainError` unless ``epsilon > 0`` and ``max_iters >= 1``."""
-    if not epsilon > 0:
+def check_contraction_target(epsilon: float | None, max_iters: int) -> None:
+    """Raise :class:`DomainError` unless ``max_iters >= 1`` and ``epsilon`` is None or > 0."""
+    if epsilon is not None and not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")

@@ -167,8 +167,7 @@ def _cmd_certify(args) -> int:
     for c in levels:
         if not 0.0 < c <= args.q + 1.0 + 1e-12:
             raise DomainError(f"certification levels must lie in (0, q+1]; got {c}")
-    if args.contract_to is not None:
-        check_contraction_target(args.contract_to, args.max_iters)
+    check_contraction_target(args.contract_to, args.max_iters)
 
     invs = two_step_level(levels, params, args.samples, seed=args.seed, threads=args.threads)
     probes = convexity_probe(levels, params, args.pairs, seed=args.seed, threads=args.threads)
@@ -254,8 +253,14 @@ def _cmd_oracle(args) -> int:
         if args.q is None or args.d is None or args.n is None:
             raise DomainError("--q, --d and --n are required without --boundary-file")
         q, d, n = args.q, args.d, args.n
+        if q < 2:  # before the color checks below, whose range it sets
+            raise DomainError(f"q must be an integer >= 2, got {q}")
         if n < 1:
             raise DomainError("depth n must be >= 1 (a depth-0 root is just a pinned vertex)")
+    if not 1 <= args.color <= q:
+        raise DomainError(f"color must lie in 1..{q}, got {args.color}")
+    if args.pin_root is not None and not 1 <= args.pin_root <= q:
+        raise DomainError(f"root color {args.pin_root} outside 1..{q}")
     _check_regular_dp_budget(d, n)
     tree = TreeSpec.regular(d, n)
     if args.boundary_file:
@@ -282,8 +287,6 @@ def _cmd_oracle(args) -> int:
         z = math.inf
     lines.append(f"Z={format_value(z)}")
     if args.pin_root is not None:
-        if not 1 <= args.pin_root <= q:
-            raise DomainError(f"root color {args.pin_root} outside 1..{q}")
         # a pinned row's log-sum-exp is its one finite entry, bit for bit
         lines.append(f"log_Z_root_pinned_{args.pin_root}={format_value(pinned[args.pin_root - 1])}")
     lines.append("conditional_distribution=" + ",".join(format_value(v) for v in p))

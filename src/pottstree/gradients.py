@@ -6,30 +6,27 @@ point has coordinate blocks ``x1 (l times) > x2 >= x3 (rest)``, then the
 gradient components satisfy ``psi_l > psi_{l+1}``.  Because the gradient has
 a positive scalar prefactor, the ordering is carried by the *comparator
 values* ``v_i`` in ratio coordinates; their adjacent difference collapses to
-a three-exponential expression (:func:`comparator_gap`, with exponents
-:func:`comparator_exponents`) whose positivity is established through a
-one-parameter family with frozen exponents:
+a three-exponential gap (:func:`_gap_into`, with exponents
+:func:`_comparator_exponents_into`) whose positivity is established through
+a one-parameter family with frozen exponents:
 
-* :func:`constant_exponent_point` pins the exponents to constants
+* :func:`_frozen_point_into` pins the exponents to constants
   ``C1 < C2 <= C3`` while a degree-like parameter ``t`` varies;
-* the rescaled gap :func:`rescaled_gap` is then *linear* in ``t``, so
-  positivity reduces to its value at ``t = l+1`` and its slope — both of
-  which have closed forms (:func:`rescaled_gap_line`).
+* the rescaled gap (:func:`_rescaled_gap_into`) is then *linear* in ``t``,
+  so positivity reduces to its value at ``t = l+1`` and its slope, both of
+  which have closed forms (:func:`_rescaled_gap_line_into`).
 
-The module provides these pieces plus sampled sweeps that verify positivity
-and the finite-difference correctness of the gradient itself.
+The module's surface is :func:`two_step_sum_gradient` and two sampled
+sweeps: :func:`positivity_sweep` checks the gap's positivity and the linear
+form on random draws, and :func:`gradient_identity_sweep` checks the
+gradient against finite differences.
 
-Layout: each closed form has one formula, a private kernel
-(:func:`_comparator_exponents_into`, :func:`_gap_into`,
-:func:`_frozen_point_into`, :func:`_rescaled_gap_into` and
-:func:`_rescaled_gap_line_into`) that writes into arrays it is given with
-``out=`` ufuncs, in the operation order of the plain expression, and so
-allocates nothing.  A kernel takes the three blocks as three arrays that
-broadcast to its outputs' shape.  :func:`_gap_into` and
-:func:`_rescaled_gap_line_into` take the exponentials of their exponents, so
-a draw exponentiates its exponents once for both.  The public functions are
-thin wrappers: they broadcast their inputs, allocate the outputs and work
-arrays, and call the kernel.
+Layout: each closed form has one formula, a private kernel that writes into
+1-D arrays it is given with ``out=`` ufuncs, in the operation order of the
+plain expression, and so allocates nothing.  A kernel takes the three blocks
+as three rows of the same length; ``t`` and ``l`` are scalars.
+:func:`_gap_into` and :func:`_rescaled_gap_line_into` take the exponentials
+of their exponents, so a draw exponentiates its exponents once for both.
 
 :func:`positivity_sweep` runs each chunk in one workspace per worker thread:
 ``_SWEEP_ROWS`` rows of ``n`` floats, made on the worker's first chunk,
@@ -68,14 +65,9 @@ def two_step_sum_gradient(x: np.ndarray, q: int) -> np.ndarray:
     return q**3 * z * (ef * t + s) / (d * t) ** 2
 
 
-def _arrays(count: int, *args) -> list[np.ndarray]:
-    """``count`` fresh arrays of the broadcast shape of ``args``."""
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    return [np.empty(shape) for _ in range(count)]
-
-
 def _comparator_exponents_into(y1, y2, y3, t, l: int, out, den):
-    """Write :func:`comparator_exponents` into ``out = (a1, a2, a3)`` and return it.
+    """Write the exponents ``A_i = (t+1)(1 - y_i) / (1 + l*y1 + y2 + (t-l-1)*y3)``
+    into ``out = (a1, a2, a3)`` and return it.
 
     ``den`` is a work array; no output may share memory with an input.
     """
@@ -90,18 +82,14 @@ def _comparator_exponents_into(y1, y2, y3, t, l: int, out, den):
     return out
 
 
-def comparator_exponents(y1, y2, y3, t, l: int):
-    """The exponents ``A_i = (t+1)(1 - y_i) / (1 + l*y1 + y2 + (t-l-1)*y3)``, ``i = 1, 2, 3``."""
-    y = [np.asarray(v, dtype=float) for v in (y1, y2, y3)]
-    *a, den = _arrays(4, *y, t)
-    return tuple(v[()] for v in _comparator_exponents_into(*y, t, l, a, den))
-
-
 def _gap_into(y1, y2, y3, t, l: int, exps, out, work):
-    """Write :func:`comparator_gap` into ``out`` and return it.
+    """Write the adjacent comparator difference ``v_l - v_{l+1}`` into ``out`` and return it.
 
-    ``exps`` holds ``(e^A1, e^A2, e^A3)`` of the same point and ``work`` three
-    work arrays; neither ``out`` nor ``work`` may share memory with an input.
+    Evaluated on the point with ``l`` coordinates ``y1``, one ``y2`` and
+    ``t - l - 1`` coordinates ``y3`` (at ``t = q-1`` this is exactly the
+    comparator difference on that structured point).  ``exps`` holds
+    ``(e^A1, e^A2, e^A3)`` of the same point and ``work`` three work arrays;
+    neither ``out`` nor ``work`` may share memory with an input.
     """
     e1, e2, e3 = exps
     p, r, s = work
@@ -130,33 +118,20 @@ def _gap_into(y1, y2, y3, t, l: int, exps, out, work):
     return np.add(out, np.multiply(p, e3, out=p), out=out)
 
 
-def comparator_gap(y1, y2, y3, t, l: int):
-    """Adjacent comparator difference ``v_l - v_{l+1}`` in three-block form.
-
-    Evaluated on the point with ``l`` coordinates ``y1``, one ``y2`` and
-    ``t - l - 1`` coordinates ``y3`` (at ``t = q-1`` this is exactly the
-    comparator difference on that structured point).  All arguments
-    broadcast.
-    """
-    y = [np.asarray(v, dtype=float) for v in (y1, y2, y3)]
-    out, *work = _arrays(7, *y, t)
-    exps = _comparator_exponents_into(*y, t, l, work[:3], out)
-    for a in exps:
-        np.exp(a, out=a)
-    return _gap_into(*y, t, l, exps, out, work[3:])[()]
-
-
 def _frozen_point_into(c1, c2, c3, l: int, t, b, y):
-    """Write ``B`` into ``b`` and the point of :func:`constant_exponent_point` into ``y``.
+    """Write ``B`` into ``b`` and the frozen-exponent point into ``y = (y1, y2, y3)``.
 
-    ``y = (y1, y2, y3)``; raises :class:`DomainError` where ``B <= 0``.
+    The point has ``1 - y_i = c_i (t+1) / B`` with
+    ``B = c3 (t-l-1) + c1 l + c2 + t + 1``; substituting it into the exponent
+    formulas gives back the constants ``(c1, c2, c3)`` identically in ``t``.
+    Raises :class:`DomainError` unless every ``B > 0`` (a NaN ``B`` too).
     """
     np.multiply(c3, t - l - 1.0, out=b)
     np.add(b, np.multiply(c1, l, out=y[0]), out=b)
     np.add(b, c2, out=b)
     np.add(b, t, out=b)
     np.add(b, 1.0, out=b)
-    if np.any(b <= 0):
+    if not b.min(initial=np.inf) > 0:  # min() propagates NaN
         raise DomainError("degenerate frozen-exponent point (nonpositive denominator)")
     for c, yi in zip((c1, c2, c3), y):
         np.multiply(c, t + 1.0, out=yi)
@@ -165,20 +140,9 @@ def _frozen_point_into(c1, c2, c3, l: int, t, b, y):
     return b, y
 
 
-def constant_exponent_point(c1, c2, c3, l: int, t):
-    """The block point whose exponents stay pinned at ``(c1, c2, c3)``.
-
-    Returns ``(y1, y2, y3)`` with ``1 - y_i = c_i (t+1) / B`` where
-    ``B = c3 (t-l-1) + c1 l + c2 + t + 1``; substituting into the exponent
-    formulas gives back the constants identically in ``t``.
-    """
-    c1, c2, c3, t = (np.asarray(v, dtype=float) for v in (c1, c2, c3, t))
-    b, *y = _arrays(4, c1, c2, c3, t)
-    return tuple(v[()] for v in _frozen_point_into(c1, c2, c3, l, t, b, y)[1])
-
-
 def _rescaled_gap_into(c1, c2, c3, l: int, t, out, work):
-    """Write :func:`rescaled_gap` into ``out`` and return it; ``work`` is ten work arrays."""
+    """Write the frozen point's gap times ``((1+t)/B)^{-2}``, exactly linear in ``t``,
+    into ``out`` and return it; ``work`` is ten work arrays."""
     b, y, a, gap_work = work[0], work[1:4], work[4:7], work[7:10]
     _frozen_point_into(c1, c2, c3, l, t, b, y)
     _comparator_exponents_into(*y, t, l, a, gap_work[0])
@@ -186,26 +150,17 @@ def _rescaled_gap_into(c1, c2, c3, l: int, t, out, work):
         np.exp(v, out=v)
     _gap_into(*y, t, l, a, out, gap_work)
     np.divide(b, 1.0 + t, out=b)
-    if b.ndim:
-        np.square(b, out=b)
-    else:  # numpy squares a scalar with pow(), which can round differently from b * b
-        b[()] = b[()] ** 2
+    np.square(b, out=b)
     return np.multiply(out, b, out=out)
 
 
-def rescaled_gap(c1, c2, c3, l: int, t):
-    """``comparator_gap`` on the frozen-exponent family, rescaled by
-    ``((1+t)/B)^{-2}`` — an exactly linear function of ``t`` (a column of
-    ``t`` values broadcasts to one row of gaps per value)."""
-    c1, c2, c3, t = (np.asarray(v, dtype=float) for v in (c1, c2, c3, t))
-    out, *work = _arrays(11, c1, c2, c3, t)
-    return _rescaled_gap_into(c1, c2, c3, l, t, out, work)[()]
-
-
 def _rescaled_gap_line_into(c1, c2, c3, l: int, exps, out, work):
-    """Write :func:`rescaled_gap_line` into ``out = (value, slope)`` and return it.
+    """Write the closed forms ``(value at t=l+1, slope)`` of the linear rescaled
+    gap into ``out = (value, slope)`` and return it.
 
-    ``exps`` holds ``(e^c1, e^c2, e^c3)`` and ``work`` two work arrays.
+    Positivity of both, for all admissible constants ``0 <= c1 < c2 <= c3``,
+    is what propagates the gap's positivity to every ``t >= l+1``.  ``exps``
+    holds ``(e^c1, e^c2, e^c3)`` and ``work`` two work arrays.
     """
     e1, e2, e3 = exps
     value, slope = out
@@ -237,21 +192,6 @@ def _rescaled_gap_line_into(c1, c2, c3, l: int, exps, out, work):
     np.multiply(p, c3, out=p)
     np.add(slope, np.multiply(p, e3, out=p), out=slope)
     return out
-
-
-def rescaled_gap_line(c1, c2, c3, l: int):
-    """Closed forms ``(value at t=l+1, slope)`` of the linear rescaled gap.
-
-    Positivity of both, for all admissible constants ``0 <= c1 < c2 <= c3``,
-    is what propagates the gap's positivity to every ``t >= l+1``.
-    """
-    c = [np.asarray(v, dtype=float) for v in (c1, c2, c3)]
-    value, slope, *work = _arrays(7, *c)
-    exps = work[:3]
-    for v, e in zip(c, exps):
-        np.exp(v, out=e)
-    _rescaled_gap_line_into(*c, l, exps, (value, slope), work[3:])
-    return value[()], slope[()]
 
 
 def _sweep_workspace(buf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pottstree import TreeSpec, oracle
+from pottstree import TreeSpec, cli, oracle
 from pottstree.cli import build_parser, main
 from pottstree.reporting import format_value
 
@@ -145,9 +145,12 @@ def test_certify_command_rejects_a_negative_weight(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--contract-to", "-1"], "epsilon must be positive, got -1.0"),
     (["--contract-to", "1e-2", "--max-iters", "0"], "max_iters must be >= 1, got 0"),
+    (["--max-iters", "0"], "max_iters must be >= 1, got 0"),
+    (["--max-iters", "-5"], "max_iters must be >= 1, got -5"),
 ])
 def test_certify_command_checks_the_contraction_target_first(flags, message, tmp_path, capsys):
-    # both used to run the whole level grid, print its PASS lines, then fail
+    # the first two used to run the whole level grid, print its PASS lines, then
+    # fail; without --contract-to, --max-iters went unread into the manifest
     code = main(["certify", "--q", "5", "--d", "1000", "--c-grid", "0.5:6.0:0.5",
                  "--samples", "2000", "--pairs", "2000", *flags,
                  "--out-prefix", str(tmp_path / "cert")])
@@ -348,13 +351,36 @@ def test_oracle_output_digests_are_pinned(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("color", ["0", "4"])
-def test_oracle_command_rejects_a_root_color_outside_the_palette(color, capsys):
-    code = main(["oracle", "--q", "3", "--d", "3", "--n", "2", "--pin-root", color])
+def _oracle_refuses_before_building_the_tree(flags, message, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(TreeSpec, "regular", lambda *a: pytest.fail("built the tree"))
+    monkeypatch.setattr(cli, "root_summary", lambda *a: pytest.fail("ran the DP"))
+    code = main(["oracle", "--q", "3", "--d", "3", "--n", "4", *flags,
+                 "--out", str(tmp_path / "o.txt")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == f"error: root color {color} outside 1..3\n"
+    assert captured.err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("color", ["0", "4"])
+def test_oracle_command_rejects_a_root_color_outside_the_palette(color, monkeypatch, tmp_path,
+                                                                capsys):
+    # used to be refused only after the DP pass
+    _oracle_refuses_before_building_the_tree(["--pin-root", color],
+                                             f"root color {color} outside 1..3",
+                                             monkeypatch, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("boundary, color", [("mono", "0"), ("random", "9")],
+                         ids=["mono-0", "random-9"])
+def test_oracle_command_rejects_colors_outside_one_to_q(boundary, color, monkeypatch, tmp_path,
+                                                        capsys):
+    # random: used to exit 0 and write color=9 to the manifest; mono: refused
+    # only after the tree was built
+    _oracle_refuses_before_building_the_tree(["--boundary", boundary, "--color", color],
+                                             f"color must lie in 1..3, got {color}",
+                                             monkeypatch, tmp_path, capsys)
 
 
 def test_oracle_command_reads_boundary_files(monkeypatch, tmp_path, capsys):

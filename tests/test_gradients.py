@@ -7,14 +7,9 @@ from hypothesis import strategies as st
 
 from pottstree import (
     DomainError,
-    comparator_exponents,
-    comparator_gap,
-    constant_exponent_point,
     gradient_identity_sweep,
     gradients,
     positivity_sweep,
-    rescaled_gap,
-    rescaled_gap_line,
     two_step_sum_gradient,
 )
 from pottstree.reporting import chunk_sizes
@@ -22,6 +17,45 @@ from pottstree.reporting import chunk_sizes
 triples = st.tuples(
     st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)
 ).map(lambda u: tuple(sorted(u, reverse=True))).filter(lambda u: u[0] > u[1] + 1e-6)
+
+
+# The closed forms run through their private kernels on 1-D rows, as a sweep
+# chunk calls them; these helpers only allocate the outputs and work rows.
+
+def _rows(*values):
+    return [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+
+
+def exponents(y1, y2, y3, t, l):
+    y = _rows(y1, y2, y3)
+    n = len(y[0])
+    return gradients._comparator_exponents_into(*y, t, l, np.empty((3, n)), np.empty(n))
+
+
+def gap(y1, y2, y3, t, l):
+    y = _rows(y1, y2, y3)
+    n = len(y[0])
+    exps = np.exp(exponents(*y, t, l))
+    return gradients._gap_into(*y, t, l, exps, np.empty(n), np.empty((3, n)))
+
+
+def frozen_point(c1, c2, c3, l, t):
+    c = _rows(c1, c2, c3)
+    n = len(c[0])
+    return gradients._frozen_point_into(*c, l, t, np.empty(n), np.empty((3, n)))[1]
+
+
+def rescaled_gap(c1, c2, c3, l, t):
+    c = _rows(c1, c2, c3)
+    n = len(c[0])
+    return gradients._rescaled_gap_into(*c, l, t, np.empty(n), np.empty((10, n)))
+
+
+def rescaled_gap_line(c1, c2, c3, l):
+    c = _rows(c1, c2, c3)
+    n = len(c[0])
+    return gradients._rescaled_gap_line_into(*c, l, np.exp(c), np.empty((2, n)),
+                                             np.empty((2, n)))
 
 
 def block_vector(q, l, x1, x2, x3):
@@ -53,54 +87,43 @@ def test_comparator_values_track_the_gradient_ordering():
 @pytest.mark.parametrize("q,l", [(4, 1), (5, 2), (7, 3), (8, 1)])
 def test_gap_formula_equals_comparator_difference(q, l):
     rng = np.random.default_rng(q * 10 + l)
+    x, direct = [], []
     for _ in range(50):
         x1, x2, x3 = np.sort(rng.uniform(0.02, 1.0, 3))[::-1]
-        y = block_vector(q, l, x1, x2, x3)
-        v = comparator_values(y, q)
-        direct = v[l - 1] - v[l]
-        assert comparator_gap(x1, x2, x3, q - 1, l) == pytest.approx(direct, rel=1e-11, abs=1e-13)
+        v = comparator_values(block_vector(q, l, x1, x2, x3), q)
+        x.append((x1, x2, x3))
+        direct.append(v[l - 1] - v[l])
+    x1, x2, x3 = np.array(x).T
+    assert gap(x1, x2, x3, q - 1, l) == pytest.approx(np.array(direct), rel=1e-11, abs=1e-13)
 
 
 def test_comparator_exponents_are_the_per_block_formula_bit_for_bit():
     rng = np.random.default_rng(1)
-    y1, y2, y3 = rng.uniform(0.02, 1.0, (3, 40, 1))
-    t, l = rng.uniform(3.0, 9.0, (1, 5)), 2
-    den = 1.0 + l * y1 + y2 + (t - l - 1.0) * y3
-    expected = [(t + 1.0) * (1.0 - y) / den for y in (y1, y2, y3)]
-    got = comparator_exponents(y1, y2, y3, t, l)
-    assert len(got) == 3
-    for a, b in zip(got, expected):
-        assert a.shape == (40, 5)
-        assert a.tobytes() == b.tobytes()
+    y1, y2, y3 = rng.uniform(0.02, 1.0, (3, 40))
+    l = 2
+    for t in rng.uniform(3.0, 9.0, 5):
+        den = 1.0 + l * y1 + y2 + (t - l - 1.0) * y3
+        expected = [(t + 1.0) * (1.0 - y) / den for y in (y1, y2, y3)]
+        got = exponents(y1, y2, y3, t, l)
+        assert len(got) == 3
+        for a, b in zip(got, expected):
+            assert a.shape == (40,)
+            assert a.tobytes() == b.tobytes()
 
 
 def test_frozen_exponents_are_constant_in_t():
-    c1, c2, c3, l = 0.2, 0.7, 0.9, 2
+    c, l = np.array([[0.2], [0.7], [0.9]]), 2
     for t in (float(l + 1), 6.0, 25.0, 400.0):
-        y1, y2, y3 = constant_exponent_point(c1, c2, c3, l, t)
-        a = comparator_exponents(y1, y2, y3, t, l)
-        assert a == pytest.approx((c1, c2, c3), abs=1e-12)
-
-
-def test_rescaled_gap_takes_a_column_of_t_values():
-    rng = np.random.default_rng(2)
-    x1, x2, x3 = np.sort(rng.uniform(0.02, 1.0, (3, 200)), axis=0)[::-1]
-    l = 2
-    c = comparator_exponents(x1, x2, x3, 5.0, l)
-    ts = [l + 1.0, l + 2.0, l + 3.0]
-    rows = rescaled_gap(*c, l, np.array(ts)[:, None])
-    assert rows.shape == (3, 200)
-    for row, t in zip(rows, ts):
-        assert row.tobytes() == rescaled_gap(*c, l, t).tobytes()
+        a = exponents(*frozen_point(*c, l, t), t, l)
+        assert a == pytest.approx(c, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
 @given(triples, st.integers(1, 4))
 def test_rescaled_gap_is_linear_in_t(triple, l):
-    x1, x2, x3 = triple
     t0 = float(l + 1)
-    c1, c2, c3 = comparator_exponents(x1, x2, x3, t0, l)
-    r = [float(rescaled_gap(c1, c2, c3, l, t0 + k)) for k in range(4)]
+    c = exponents(*triple, t0, l)
+    r = [float(rescaled_gap(*c, l, t0 + k)[0]) for k in range(4)]
     second_diffs = [r[i] - 2 * r[i + 1] + r[i + 2] for i in range(2)]
     scale = max(1.0, max(abs(v) for v in r))
     assert max(abs(s) for s in second_diffs) <= 1e-9 * scale
@@ -109,12 +132,11 @@ def test_rescaled_gap_is_linear_in_t(triple, l):
 @settings(deadline=None, max_examples=60)
 @given(triples, st.integers(1, 4))
 def test_closed_form_line_matches_sampled_gap(triple, l):
-    x1, x2, x3 = triple
     t0 = float(l + 1)
-    c1, c2, c3 = comparator_exponents(x1, x2, x3, t0, l)
-    value, slope = rescaled_gap_line(c1, c2, c3, l)
-    r1 = float(rescaled_gap(c1, c2, c3, l, t0))
-    r3 = float(rescaled_gap(c1, c2, c3, l, t0 + 2))
+    c = exponents(*triple, t0, l)
+    value, slope = (float(v[0]) for v in rescaled_gap_line(*c, l))
+    r1 = float(rescaled_gap(*c, l, t0)[0])
+    r3 = float(rescaled_gap(*c, l, t0 + 2)[0])
     scale = max(1.0, abs(r3))
     assert abs(r1 - value) <= 1e-9 * scale
     assert abs((r3 - r1) / 2 - slope) <= 1e-9 * scale
@@ -123,7 +145,7 @@ def test_closed_form_line_matches_sampled_gap(triple, l):
 
 def test_closed_form_spot_values():
     # l = 1, constants (c1, c2) = (0.3, 0.8): value and slope by hand
-    value, slope = rescaled_gap_line(0.3, 0.8, 1.0, 1)
+    value, slope = (float(v[0]) for v in rescaled_gap_line(0.3, 0.8, 1.0, 1))
     u1 = 2 + 1 + 0.8 - 2 * 0.3 + 0.3 * 0.8 - 0.3**2
     u2 = -(2 + 1 + 0.3 - 2 * 0.8 + 0.3 * 0.8 - 0.8**2)
     assert u1 == pytest.approx(3.35, abs=1e-12)
@@ -136,7 +158,7 @@ def test_closed_form_spot_values():
 
 def test_constant_exponent_point_rejects_degenerate_denominator():
     with pytest.raises(DomainError):
-        constant_exponent_point(-30.0, 0.5, 0.5, 1, 2.0)
+        frozen_point(-30.0, 0.5, 0.5, 1, 2.0)
 
 
 @pytest.mark.parametrize("q,l", [(3, 1), (5, 2), (8, 6)])
