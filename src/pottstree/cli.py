@@ -35,8 +35,8 @@ from .oracle import (_check_regular_dp_budget, brute_force_Z,
                      recursion_root_log_ratios, root_summary)
 from .params import INFINITY, ModelParams
 from .polytope import convexity_probe
-from .reporting import (code_version, format_value, parse_grid, spawn_rng, write_csv_atomic,
-                        write_text_atomic)
+from .reporting import (_expand_grid, _grid_fields, code_version, format_value, spawn_rng,
+                        write_csv_atomic, write_text_atomic)
 from .trees import BoundaryCondition, TreeSpec, read_boundary_file
 
 PASS, FAIL = "PASS", "FAIL"
@@ -154,6 +154,12 @@ def _cmd_recursion(args) -> int:
     return 0 if report.passed else 2
 
 
+def _check_levels(levels, q: int) -> None:
+    for c in levels:
+        if not 0.0 < c <= q + 1.0 + 1e-12:
+            raise DomainError(f"certification levels must lie in (0, q+1]; got {c}")
+
+
 def _cmd_certify(args) -> int:
     started = time.time()
     params = ModelParams(args.q, args.d, args.alpha)
@@ -163,10 +169,10 @@ def _cmd_certify(args) -> int:
         raise DomainError(f"certification requires w >= 0, i.e. alpha*q <= d+1; got "
                           f"w={format_value(params.w)} at alpha*q={args.alpha * args.q}, "
                           f"d+1={args.d + 1}")
-    levels = [args.c] if args.c is not None else parse_grid(args.c_grid)
-    for c in levels:
-        if not 0.0 < c <= args.q + 1.0 + 1e-12:
-            raise DomainError(f"certification levels must lie in (0, q+1]; got {c}")
+    fields = [args.c] if args.c is not None else _grid_fields(args.c_grid)
+    _check_levels(fields[:2], args.q)  # a grid's start and stop, before it is expanded
+    levels = _expand_grid(fields)
+    _check_levels(levels, args.q)
     check_contraction_target(args.contract_to, args.max_iters)
 
     invs = two_step_level(levels, params, args.samples, seed=args.seed, threads=args.threads)
@@ -301,8 +307,8 @@ def _cmd_oracle(args) -> int:
         lines.append(f"brute_vs_dp_rel_err={format_value(rel)} {PASS if ok else FAIL}")
         failed |= not ok
     if args.check_recursion:
-        leaf_colors = [boundary.colors[v] for v in tree.leaves()]
-        rec = recursion_root_log_ratios(q, d, n, w, leaf_colors)
+        # every boundary above is made by a constructor that pins the leaves in BFS order
+        rec = recursion_root_log_ratios(q, d, n, w, boundary.pins[1])
         diff = float(np.abs(rec - ratios).max())
         ok = diff <= 1e-9
         lines.append("recursion_log_ratios=" + ",".join(format_value(v) for v in rec))

@@ -10,7 +10,9 @@ be validated against it:
   ``(q, width)`` arrays, and holds only two levels at a time, so its memory
   grows with the widest level; each vertex adds its children's messages in
   order, so the root row is bitwise that of a loop over the vertices, on
-  regular and irregular trees alike;
+  regular and irregular trees alike.  A level whose every vertex is pinned
+  (the leaves, under a full boundary) sends its messages in closed form,
+  with the same bits;
 * :func:`root_log_ratios` / :func:`conditional_root_distribution` derive the
   quantities the recursion predicts, straight from the dynamic program, and
   :func:`root_summary` gives both with ``log Z`` from a single pass;
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .maps import _colour_reduce, leaf_counts_log_ratios, log_ratio_map
 from .params import ModelParams
-from .trees import BoundaryCondition, TreeSpec, _int64s, _power_over_2_64, regular_size
+from .trees import BoundaryCondition, TreeSpec, _power_over_2_64, regular_size
 
 BRUTE_FORCE_BUDGET = 10_000_000
 BRUTE_FORCE_CHUNK = 200_000
@@ -54,11 +56,9 @@ def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition 
         raise DomainError(f"w must lie in [0, 1], got {w!r}")
     pins = np.zeros(tree.n_vertices, dtype=np.min_scalar_type(q))
     if boundary is not None:
-        # range-check as int64: in the pin dtype an out-of-range color or
-        # vertex could wrap around to a valid one
-        k = len(boundary.colors)
-        vertices = _int64s(boundary.colors.keys, k)
-        colors = _int64s(boundary.colors.values, k)
+        # range-checked in the boundary's own dtypes: in the pin dtype an
+        # out-of-range color or vertex could wrap around to a valid one
+        vertices, colors = boundary.pins
         bad_vertex = (vertices < 0) | (vertices >= tree.n_vertices)
         bad = bad_vertex | (colors < 1) | (colors > q)
         if bad.any():
@@ -112,8 +112,12 @@ def dp_log_Z(tree: TreeSpec, q: int, w: float,
     widest level, not with the tree.  Child slot ``s`` adds the message of
     the ``s``-th child of every vertex that has one, so a vertex sums its
     children in order and the result does not depend on how the tree is
-    numbered.  Returns ``-inf`` when no compatible coloring has positive
-    weight (possible only at ``w = 0``).
+    numbered.  A level whose every vertex is pinned sends its messages in
+    closed form, with the bits of the general formula: a vertex pinned to
+    ``c`` sends ``L_c`` on every colour and ``L_c + log(w)`` on ``c``, the
+    log taken of ``1 - (1 - w)`` as that formula rounds it.
+    Returns ``-inf`` when no compatible coloring has positive weight
+    (possible only at ``w = 0``).
     """
     return _logsumexp(_dp_tables(tree, q, w, boundary, pinned_root))
 
@@ -131,30 +135,82 @@ def _dp_tables(tree: TreeSpec, q: int, w: float,
     """The root's row ``L[i] = log Z(tree | root colored i+1)``.
 
     ``table[:, j]`` is that row for the ``j``-th vertex of the current level.
-    The level below is turned into its messages in place; child slot ``s``
-    then adds the message at ``start + s`` into every vertex with more than
-    ``s`` children, and pinned vertices keep only their colour's entry.
+    The level below is turned into its messages in place, in closed form
+    when every vertex of it is pinned; child slot ``s`` then adds the message
+    at ``start + s`` into every vertex with more than ``s`` children, and
+    pinned vertices keep only their colour's entry.  A fully pinned level
+    below the root skips that mask: its closed form reads only that entry.
     """
     pins = _collect_pins(tree, q, w, boundary, pinned_root)
     _check_dp_budget(tree.n_vertices)
-    below = None  # the deepest level has no children
-    for level in reversed(tree.levels):
+    below = below_pins = None  # the deepest level has no children
+    for depth in reversed(range(len(tree.levels))):  # a range: a path has a level per vertex
+        level = tree.levels[depth]
         table = np.zeros((q, len(level)))
         if below is not None:
-            _messages_in_place(below, w)
-            k = tree.counts[level]
-            at, start = np.arange(len(level), dtype=np.int32), np.cumsum(k, dtype=np.int32) - k
-            for s in range(k.max()):
-                keep = k > s
-                at, k, start = at[keep], k[keep], start[keep]
-                child = start + s
-                for row, messages in zip(table, below):
-                    row[at] += messages[child]
+            if below_pins.all():
+                _pinned_messages_in_place(below, below_pins, w)
+            else:
+                _messages_in_place(below, w)
+            _add_child_messages(table, below, tree.counts[level])
         pinned = pins[level]
-        for color, row in enumerate(table, start=1):
-            np.putmask(row, (pinned != color) & (pinned > 0), -np.inf)
-        below = table
+        if depth == 0 or not pinned.all():
+            _mask_pins(table, pinned)
+        below, below_pins = table, pinned
     return below[:, 0]
+
+
+def _add_child_messages(table: np.ndarray, messages: np.ndarray, k: np.ndarray) -> None:
+    """Add slot by slot the message of child ``s`` into every vertex with ``k > s`` children.
+
+    The slots that every vertex has add into whole rows; from the first slot
+    that some vertex lacks on, the vertices still to add are filtered.
+    """
+    start = np.cumsum(k, dtype=np.int32) - k
+    full = int(k.min())
+    for s in range(full):
+        # when every vertex has ``full`` children, ``start + s`` is the slice
+        child = slice(s, None, full) if full == k.max() else start + s
+        for row, m in zip(table, messages):
+            row += m[child]
+    at = np.arange(len(k), dtype=np.int32)
+    for s in range(full, int(k.max())):
+        keep = k > s
+        at, k, start = at[keep], k[keep], start[keep]
+        child = start + s
+        for row, m in zip(table, messages):
+            row[at] += m[child]
+
+
+def _mask_pins(table: np.ndarray, pinned: np.ndarray) -> None:
+    """Set each pinned column of a level to ``-inf`` off its colour's entry."""
+    cols = np.flatnonzero(pinned)
+    if len(cols):
+        colours = pinned[cols]
+        for colour, row in enumerate(table, start=1):
+            row[cols[colours != colour]] = -np.inf
+
+
+def _pinned_messages_in_place(logs: np.ndarray, pinned: np.ndarray, w: float) -> None:
+    """:func:`_messages_in_place` for a level whose every vertex is pinned.
+
+    Vertex ``j`` pinned to colour ``c`` sends ``L_c + 0.0`` on every colour
+    and ``L_c + log(1 - (1 - w))`` on colour ``c``, with ``L_c = logs[c-1, j]``:
+    the bits :func:`_messages_in_place` gives a column whose one finite entry
+    is ``L_c`` (there ``exp`` gives 1 and 0, the colour sum 1, and ``1 - (1 - w)``
+    the pinned colour), and ``-inf`` everywhere when ``L_c`` is.  The other
+    entries of a column are never read, so they need no mask.
+    """
+    with np.errstate(divide="ignore"):
+        own = np.log(np.float64(1.0 - (1.0 - w)))
+    for colour, own_row in enumerate(logs, start=1):
+        # the columns pinned to this colour; the other colours' columns are disjoint
+        at = np.flatnonzero(pinned == colour)
+        entry = own_row[at]
+        sent = entry + 0.0
+        for row in logs:
+            row[at] = sent
+        own_row[at] = entry + own
 
 
 def _messages_in_place(logs: np.ndarray, w: float) -> None:

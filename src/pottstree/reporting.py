@@ -22,6 +22,7 @@ Conventions used by every sweep in the package:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import subprocess
@@ -114,20 +115,40 @@ def parse_grid(text: str) -> list[float]:
     The endpoint is included when it lands within 1e-12 of a grid point.
     A bare number parses as a single-point grid.
     """
+    return _expand_grid(_grid_fields(text))
+
+
+def _grid_fields(text: str) -> list[float]:
+    """The checked ``[start, stop, step]`` of a grid, or ``[value]`` for a bare number.
+
+    Every field must be finite, ``step`` positive and ``stop`` not below
+    ``start``; :func:`_expand_grid` turns the fields into the grid.
+    """
     parts = text.split(":")
     try:
         values = [float(p) for p in parts]
     except ValueError:
         raise DomainError(f"malformed grid {text!r} (want start:stop:step)")
-    if len(values) == 1:
-        return values
-    if len(values) != 3:
+    if len(values) not in (1, 3):
         raise DomainError(f"malformed grid {text!r} (want start:stop:step)")
-    start, stop, step = values
-    if step <= 0:
-        raise DomainError(f"grid step must be positive, got {step}")
-    if stop < start - 1e-12:
-        raise DomainError(f"grid stop {stop} precedes start {start}")
+    names = ("value",) if len(values) == 1 else ("start", "stop", "step")
+    for name, v in zip(names, values):
+        if not np.isfinite(v):
+            raise DomainError(f"grid {name} must be finite, got {v}")
+    if len(values) == 3:
+        start, stop, step = values
+        if step <= 0:
+            raise DomainError(f"grid step must be positive, got {step}")
+        if stop < start - 1e-12:
+            raise DomainError(f"grid stop {stop} precedes start {start}")
+    return values
+
+
+def _expand_grid(fields: list[float]) -> list[float]:
+    """The grid of :func:`_grid_fields`' output."""
+    if len(fields) == 1:
+        return fields
+    start, stop, step = fields
     count = int(np.floor((stop - start) / step + 1e-12)) + 1
     return [start + k * step for k in range(count)]
 
@@ -167,8 +188,9 @@ def write_csv_atomic(path, header: list[str], rows: list[list]) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
+@functools.cache
 def code_version() -> str:
-    """``git describe`` of the working tree, or the package version."""
+    """``git describe`` of the working tree, or the package version; computed once a process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],

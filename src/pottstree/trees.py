@@ -23,7 +23,10 @@ lines and ``#`` comments are ignored).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -102,7 +105,7 @@ class TreeSpec:
         return len(self.counts)
 
     def leaves(self) -> list[int]:
-        return np.flatnonzero(self.counts == 0).tolist()
+        return _leaf_vertices(self).tolist()
 
 
 def regular_size(d: int, n: int) -> int:
@@ -141,31 +144,75 @@ def _bfs_levels(root: int, counts: np.ndarray, child: np.ndarray) -> list[np.nda
     return levels
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryCondition:
-    """Colors (in ``1..q``) pinned onto a subset of vertices, usually leaves."""
+    """Colors (in ``1..q``) pinned onto a subset of vertices, usually leaves.
 
-    colors: dict[int, int] = field(default_factory=dict)
+    Immutable: ``colors`` is a read-only mapping from vertex to color, a copy
+    of the one passed in.  :attr:`pins` holds the same pins as two arrays,
+    made once: by :meth:`random`, :meth:`monochromatic` and
+    :meth:`from_leaf_colors` from the leaf arrays they draw on (in leaf
+    order), and on first use for a boundary made from a mapping.
+    """
+
+    colors: Mapping[int, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "colors", MappingProxyType(dict(self.colors)))
+
+    @cached_property
+    def pins(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(vertices, colors)`` in the mapping's order: int32 vertices and
+        colors in the smallest unsigned dtype that holds them, where every
+        value fits; otherwise int64, or exact ints beyond int64, so that a
+        range check can name them."""
+        k = len(self.colors)
+        return _compact_pins(_int64s(self.colors.keys, k), _int64s(self.colors.values, k))
+
+    @classmethod
+    def _from_pins(cls, vertices: np.ndarray, colors: np.ndarray) -> "BoundaryCondition":
+        """The boundary pinning ``vertices[i]`` to ``colors[i]``, its one dict made from the arrays."""
+        vertices, colors = _compact_pins(vertices, colors)
+        boundary = cls.__new__(cls)  # skips the copy of a dict made here
+        object.__setattr__(boundary, "colors",
+                           MappingProxyType(dict(zip(vertices.tolist(), colors.tolist()))))
+        object.__setattr__(boundary, "pins", (vertices, colors))
+        return boundary
 
     @classmethod
     def monochromatic(cls, tree: TreeSpec, color: int) -> "BoundaryCondition":
-        return cls(dict.fromkeys(tree.leaves(), color))
+        leaves = _leaf_vertices(tree)
+        return cls._from_pins(leaves, np.full(len(leaves), int(color)))
 
     @classmethod
     def from_leaf_colors(cls, tree: TreeSpec, leaf_colors) -> "BoundaryCondition":
         """Assign ``leaf_colors[k]`` to the k-th leaf in BFS order."""
-        leaves = tree.leaves()
+        leaves = _leaf_vertices(tree)
         if len(leaf_colors) != len(leaves):
             raise DomainError(
                 f"got {len(leaf_colors)} colors for {len(leaves)} leaves"
             )
-        return cls(dict(zip(leaves, map(int, leaf_colors))))
+        return cls._from_pins(leaves, _int64s(lambda: map(int, leaf_colors), len(leaves)))
 
     @classmethod
     def random(cls, tree: TreeSpec, q: int, rng: np.random.Generator) -> "BoundaryCondition":
-        leaves = tree.leaves()
-        draws = rng.integers(1, q + 1, size=len(leaves))
-        return cls(dict(zip(leaves, draws.tolist())))
+        leaves = _leaf_vertices(tree)
+        return cls._from_pins(leaves, rng.integers(1, q + 1, size=len(leaves)))
+
+
+def _leaf_vertices(tree: TreeSpec) -> np.ndarray:
+    """The leaves of ``tree`` in BFS order, as int32."""
+    return np.flatnonzero(tree.counts == 0).astype(np.int32)
+
+
+def _compact_pins(vertices: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pins as int32 vertices and colors in the smallest unsigned dtype, where every value fits."""
+    if (vertices.dtype != object and len(vertices)
+            and 0 <= vertices.min() <= vertices.max() <= MAX_VERTICES):
+        vertices = vertices.astype(np.int32, copy=False)
+    if colors.dtype != object and len(colors) and colors.min() >= 0:
+        colors = colors.astype(np.min_scalar_type(colors.max()), copy=False)
+    return vertices, colors
 
 
 @dataclass(frozen=True)

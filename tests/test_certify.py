@@ -245,6 +245,20 @@ def test_the_chain_allowance_covers_the_diagonal_level(params):
     assert 2 * 3 + 1 <= certify._CHAIN_ALLOWANCE_ULPS
 
 
+@pytest.mark.parametrize("q", range(3, 13))
+def test_the_diagonal_level_is_bitwise_the_diagonal_probe(q):
+    # the lower chain's proof needs every sampled estimate, whose probes include
+    # this point, to be at least psi(c) bit for bit
+    finite = (0.1, 0.5, 0.9, 1.0)
+    for d, alphas in ((q, finite), (1000, finite), (INFINITY, (1.0,))):
+        for alpha in alphas:
+            params = ModelParams(q, d, alpha)
+            for c in np.linspace(0.0, q + 1.0, 14)[1:]:
+                want = float(certify._probe_levels(c, params)[1])
+                assert np.float64(_diagonal_level(c, params)).view(np.int64) == \
+                    np.float64(want).view(np.int64), (d, alpha, c)
+
+
 @pytest.mark.parametrize("q,c", [(3, 1.0), (4, 2.0), (6, 5.0)])
 def test_diagonal_minimality(q, c):
     report = diagonal_minimality_check(c, q, sample_count=4000, seed=0)

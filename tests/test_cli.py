@@ -3,12 +3,13 @@
 import hashlib
 import re
 import shlex
+import subprocess
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from pottstree import TreeSpec, cli, oracle
+from pottstree import TreeSpec, cli, oracle, reporting
 from pottstree.cli import build_parser, main
 from pottstree.reporting import format_value
 
@@ -140,6 +141,44 @@ def test_certify_command_rejects_a_negative_weight(tmp_path, capsys):
     assert captured.err == ("error: certification requires w >= 0, i.e. alpha*q <= d+1; "
                             "got w=-0.6666666666666667 at alpha*q=5.0, d+1=3\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("nan:1:0.5", "grid start must be finite, got nan"),
+    ("0.5:2:nan", "grid step must be finite, got nan"),
+    ("0.5:inf:1", "grid stop must be finite, got inf"),
+    ("nan", "grid value must be finite, got nan"),
+    # about 1e18 points: refused from its stop, before the grid is expanded
+    ("0.5:1e9:1e-9", "certification levels must lie in (0, q+1]; got 1000000000.0"),
+    ("-1:2:1e-12", "certification levels must lie in (0, q+1]; got -1.0"),
+])
+def test_certify_command_refuses_a_bad_grid_before_expanding_it(grid, message, monkeypatch,
+                                                                tmp_path, capsys):
+    expanded = []
+    monkeypatch.setattr(cli, "_expand_grid", lambda fields: expanded.append(fields) or [])
+    code = main(["certify", "--q", "5", "--d", "10", "--samples", "10", "--pairs", "10",
+                 f"--c-grid={grid}", "--out-prefix", str(tmp_path / "cert")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert expanded == []
+    assert not list(tmp_path.iterdir())
+
+
+def test_manifests_start_one_git_process(monkeypatch, tmp_path, capsys):
+    calls = []
+    run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: calls.append(a) or run(*a, **k))
+    reporting.code_version.cache_clear()
+    for name in ("a", "b"):
+        assert main(["oracle", "--q", "3", "--d", "2", "--n", "2", "--w", "0.5",
+                     "--out", str(tmp_path / f"{name}.txt")]) == 0
+    manifests = [(tmp_path / f"{name}.txt.manifest.txt").read_text().splitlines()[1]
+                 for name in ("a", "b")]
+    assert manifests[0] == manifests[1] != "code_version="
+    assert len(calls) == 1 and calls[0][0][0] == "git"
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("flags, message", [

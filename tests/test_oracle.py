@@ -270,6 +270,47 @@ def test_dp_tables_are_bitwise_the_per_vertex_loop_when_child_counts_differ_with
             _assert_bitwise_reference(tree, children, q, w, b, None)
 
 
+def _level_pins(tree, q, rng, modes):
+    """Pins on ``tree`` level by level: ``modes[depth]`` is "full", "mixed" or "free"."""
+    share = {"full": 1.0, "mixed": 0.5, "free": 0.0}
+    return BoundaryCondition({int(v): int(rng.integers(1, q + 1))
+                              for mode, level in zip(modes, tree.levels)
+                              for v in level if rng.random() < share[mode]})
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 10, 11, 12, 13])
+def test_dp_tables_are_bitwise_the_per_vertex_loop_on_fully_pinned_levels(q):
+    # fully pinned levels send closed-form messages; from 8 colours the colour sum is pairwise
+    rng = np.random.default_rng(230 + q)
+    for modes in [("free", "full", "mixed", "full", "full"),
+                  ("full", "full", "full", "free", "full"),
+                  ("mixed", "free", "full", "mixed", "mixed"),
+                  ("full",) * 5]:
+        tree, children = _mixed_level_tree(rng)
+        b = _level_pins(tree, q, rng, modes)
+        w_random = float(rng.uniform(0.0, 0.5))  # where 1 - (1 - w) is not always w
+        for w in (0.0, 1.0, w_random):
+            for pinned_root in (None, b.colors.get(tree.root, int(rng.integers(1, q + 1)))):
+                _assert_bitwise_reference(tree, children, q, w, b, pinned_root)
+
+
+@pytest.mark.parametrize("q", [3, 8, 13])
+def test_pinned_messages_are_bitwise_the_messages_of_a_one_entry_column(q):
+    rng = np.random.default_rng(q)
+    width = 600
+    pinned = rng.integers(1, q + 1, width).astype(np.min_scalar_type(q))
+    entry = rng.choice([-0.0, 0.0, -np.inf, 1e300, -1e300, 5e-324], width)
+    entry[::3] = rng.normal(0.0, 40.0, len(entry[::3]))
+    for w in (0.0, 1.0, 0.1, *rng.uniform(0.0, 1.0, 3)):
+        column = np.full((q, width), -np.inf)  # what the per-vertex pass sends up
+        column[pinned - 1, np.arange(width)] = entry
+        logs = rng.normal(0.0, 10.0, (q, width))  # the unmasked level holds anything there
+        logs[pinned - 1, np.arange(width)] = entry
+        oracle._messages_in_place(column, w)
+        oracle._pinned_messages_in_place(logs, pinned, w)
+        assert np.array_equal(logs.view(np.int64), column.view(np.int64))
+
+
 def test_dp_pass_peak_memory_is_bounded_by_the_widest_level():
     t = TreeSpec.regular(3, 10)
     b = BoundaryCondition.random(t, 3, np.random.default_rng(0))

@@ -98,6 +98,15 @@ def test_parse_grid_rejects_malformed_input(text):
         parse_grid(text)
 
 
+@pytest.mark.parametrize("text, name, value", [
+    ("nan:1:0.5", "start", "nan"), ("0.5:2:nan", "step", "nan"), ("0.5:inf:1", "stop", "inf"),
+    ("-inf:1:1", "start", "-inf"), ("0:1:inf", "step", "inf"), ("inf", "value", "inf"),
+])
+def test_parse_grid_names_a_field_that_is_not_finite(text, name, value):
+    with pytest.raises(DomainError, match=f"^grid {name} must be finite, got {value}$"):
+        parse_grid(text)
+
+
 def test_format_value_round_trips_floats_exactly():
     for v in (0.1, 1 / 3, 1e-300, 123456.789, float(np.float64(2) ** -52)):
         assert float(format_value(v)) == v

@@ -1,5 +1,6 @@
 """Tree layouts, boundary conditions, and the boundary file format."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -161,6 +162,46 @@ def test_random_boundary_is_valid():
     t = TreeSpec.regular(3, 2)
     b = BoundaryCondition.random(t, q=4, rng=np.random.default_rng(0))
     assert all(1 <= c <= 4 for c in b.colors.values())
+
+
+def _assert_same_pins(got, want):
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+
+
+def test_boundary_constructors_keep_the_pins_their_dict_gives():
+    t = TreeSpec.regular(3, 4)
+    leaves = t.leaves()
+    rng = np.random.default_rng(5)
+    for b in (BoundaryCondition.random(t, 300, rng),
+              BoundaryCondition.monochromatic(t, 2),
+              BoundaryCondition.from_leaf_colors(t, rng.integers(1, 4, len(leaves)))):
+        vertices, colors = b.pins
+        assert vertices.dtype == np.int32 and vertices.tolist() == leaves
+        assert colors.dtype == np.min_scalar_type(colors.max())
+        assert colors.tolist() == [b.colors[v] for v in leaves]
+        _assert_same_pins(b.pins, BoundaryCondition(dict(b.colors)).pins)
+
+
+def test_boundary_pins_keep_out_of_range_values_exactly():
+    b = BoundaryCondition({2**70: 1, -1: 300, 4: 0})
+    vertices, colors = b.pins
+    assert vertices.tolist() == [2**70, -1, 4] and colors.tolist() == [1, 300, 0]
+    _assert_same_pins(BoundaryCondition({-1: -2}).pins,
+                      (np.array([-1], np.int64), np.array([-2], np.int64)))
+
+
+def test_boundary_condition_is_immutable():
+    t = TreeSpec.regular(2, 1)
+    pins = {1: 2}
+    b = BoundaryCondition(pins)
+    pins[2] = 3  # the caller's dict changes after the boundary is made
+    assert dict(b.colors) == {1: 2}
+    _assert_same_pins(b.pins, (np.array([1], np.int32), np.array([2], np.uint8)))
+    for made in (b, BoundaryCondition.random(t, 3, np.random.default_rng(0))):
+        with pytest.raises(TypeError):
+            made.colors[1] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.colors = {}
 
 
 def test_boundary_file_round_trip(tmp_path):
