@@ -75,14 +75,10 @@ def _diagonal_level(c: float, params: ModelParams) -> float:
     This is the diagonal profile ``-<F(F(-c/(q-1) * 1)), 1>`` at every degree,
     ``d = inf`` included; :func:`~pottstree.maps.diagonal_contraction` is its
     closed form in the limit.  It is row 1 of :func:`_probe_levels` bit for
-    bit: the same kernels on that point alone, as a colour-major ``(q-1, 1)``
-    batch.
+    bit: the same kernels on that point alone.
     """
-    x = np.full((params.q - 1, 1), -c / (params.q - 1.0))
-    u, v = np.empty(1), np.empty(1)
-    _log_ratio_map_into(x, params, x, u)
-    _log_ratio_map_into(x, params, x, u)
-    return float(_level_into(x, u, v)[0])
+    x = np.full((1, params.q - 1), -c / (params.q - 1.0))
+    return float(level(two_step_map(x, params))[0])
 
 
 def _workspace(buf: np.ndarray, n: int, q: int) -> tuple[np.ndarray, ...]:

@@ -35,8 +35,8 @@ from .oracle import (_check_regular_dp_budget, brute_force_Z,
                      recursion_root_log_ratios, root_summary)
 from .params import INFINITY, ModelParams
 from .polytope import convexity_probe
-from .reporting import (_expand_grid, _grid_fields, code_version, format_value, spawn_rng,
-                        write_csv_atomic, write_text_atomic)
+from .reporting import (code_version, format_value, parse_grid, spawn_rng, write_csv_atomic,
+                        write_text_atomic)
 from .trees import BoundaryCondition, TreeSpec, read_boundary_file
 
 PASS, FAIL = "PASS", "FAIL"
@@ -169,10 +169,11 @@ def _cmd_certify(args) -> int:
         raise DomainError(f"certification requires w >= 0, i.e. alpha*q <= d+1; got "
                           f"w={format_value(params.w)} at alpha*q={args.alpha * args.q}, "
                           f"d+1={args.d + 1}")
-    fields = [args.c] if args.c is not None else _grid_fields(args.c_grid)
-    _check_levels(fields[:2], args.q)  # a grid's start and stop, before it is expanded
-    levels = _expand_grid(fields)
-    _check_levels(levels, args.q)
+    if args.c is not None:
+        levels = [args.c]
+        _check_levels(levels, args.q)
+    else:  # a grid's first and last points bound all of it; checked before it is expanded
+        levels = parse_grid(args.c_grid, lambda ends: _check_levels(ends, args.q))
     check_contraction_target(args.contract_to, args.max_iters)
 
     invs = two_step_level(levels, params, args.samples, seed=args.seed, threads=args.threads)

@@ -163,18 +163,18 @@ def _dp_tables(tree: TreeSpec, q: int, w: float,
 def _add_child_messages(table: np.ndarray, messages: np.ndarray, k: np.ndarray) -> None:
     """Add slot by slot the message of child ``s`` into every vertex with ``k > s`` children.
 
-    The slots that every vertex has add into whole rows; from the first slot
-    that some vertex lacks on, the vertices still to add are filtered.
+    When every vertex has ``d`` children, child ``s`` of vertex ``j`` is
+    message ``j*d + s``, so a slot adds a strided slice into whole rows;
+    otherwise each slot filters the vertices still to add.
     """
-    start = np.cumsum(k, dtype=np.int32) - k
-    full = int(k.min())
-    for s in range(full):
-        # when every vertex has ``full`` children, ``start + s`` is the slice
-        child = slice(s, None, full) if full == k.max() else start + s
-        for row, m in zip(table, messages):
-            row += m[child]
-    at = np.arange(len(k), dtype=np.int32)
-    for s in range(full, int(k.max())):
+    d = int(k.max())
+    if k.min() == d:
+        for s in range(d):
+            for row, m in zip(table, messages):
+                row += m[s::d]
+        return
+    at, start = np.arange(len(k), dtype=np.int32), np.cumsum(k, dtype=np.int32) - k
+    for s in range(d):
         keep = k > s
         at, k, start = at[keep], k[keep], start[keep]
         child = start + s

@@ -109,20 +109,14 @@ def per_thread_buffer(size: int):
     return get
 
 
-def parse_grid(text: str) -> list[float]:
+def parse_grid(text: str, check=None) -> list[float]:
     """Parse ``start:stop:step`` into an inclusive grid.
 
     The endpoint is included when it lands within 1e-12 of a grid point.
-    A bare number parses as a single-point grid.
-    """
-    return _expand_grid(_grid_fields(text))
-
-
-def _grid_fields(text: str) -> list[float]:
-    """The checked ``[start, stop, step]`` of a grid, or ``[value]`` for a bare number.
-
-    Every field must be finite, ``step`` positive and ``stop`` not below
-    ``start``; :func:`_expand_grid` turns the fields into the grid.
+    A bare number parses as a single-point grid.  Every field must be
+    finite, ``step`` positive and ``stop`` not below ``start``.  ``check``,
+    when given, is called with the grid's first and last points before the
+    grid is expanded, so it can refuse a grid too wide to build.
     """
     parts = text.split(":")
     try:
@@ -135,21 +129,25 @@ def _grid_fields(text: str) -> list[float]:
     for name, v in zip(names, values):
         if not np.isfinite(v):
             raise DomainError(f"grid {name} must be finite, got {v}")
-    if len(values) == 3:
-        start, stop, step = values
-        if step <= 0:
-            raise DomainError(f"grid step must be positive, got {step}")
-        if stop < start - 1e-12:
-            raise DomainError(f"grid stop {stop} precedes start {start}")
-    return values
+    if len(values) == 1:
+        if check is not None:
+            check(values)
+        return values
+    start, stop, step = values
+    if step <= 0:
+        raise DomainError(f"grid step must be positive, got {step}")
+    if stop < start - 1e-12:
+        raise DomainError(f"grid stop {stop} precedes start {start}")
+    count = np.floor((stop - start) / step + 1e-12) + 1
+    if check is not None:
+        check([start, start + (count - 1) * step])
+    if not count < 2**63:
+        raise DomainError(f"grid {text!r} has too many points")
+    return _grid_points(start, step, int(count))
 
 
-def _expand_grid(fields: list[float]) -> list[float]:
-    """The grid of :func:`_grid_fields`' output."""
-    if len(fields) == 1:
-        return fields
-    start, stop, step = fields
-    count = int(np.floor((stop - start) / step + 1e-12)) + 1
+def _grid_points(start: float, step: float, count: int) -> list[float]:
+    """The ``count`` points ``start + k * step`` of a checked grid."""
     return [start + k * step for k in range(count)]
 
 

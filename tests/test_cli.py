@@ -148,14 +148,14 @@ def test_certify_command_rejects_a_negative_weight(tmp_path, capsys):
     ("0.5:2:nan", "grid step must be finite, got nan"),
     ("0.5:inf:1", "grid stop must be finite, got inf"),
     ("nan", "grid value must be finite, got nan"),
-    # about 1e18 points: refused from its stop, before the grid is expanded
-    ("0.5:1e9:1e-9", "certification levels must lie in (0, q+1]; got 1000000000.0"),
+    # about 1e18 points: refused from its last point, before the grid is expanded
+    ("0.5:1e9:1e-9", "certification levels must lie in (0, q+1]; got 1000000000.0000001"),
     ("-1:2:1e-12", "certification levels must lie in (0, q+1]; got -1.0"),
 ])
 def test_certify_command_refuses_a_bad_grid_before_expanding_it(grid, message, monkeypatch,
                                                                 tmp_path, capsys):
     expanded = []
-    monkeypatch.setattr(cli, "_expand_grid", lambda fields: expanded.append(fields) or [])
+    monkeypatch.setattr(reporting, "_grid_points", lambda *grid: expanded.append(grid) or [])
     code = main(["certify", "--q", "5", "--d", "10", "--samples", "10", "--pairs", "10",
                  f"--c-grid={grid}", "--out-prefix", str(tmp_path / "cert")])
     captured = capsys.readouterr()
@@ -164,6 +164,17 @@ def test_certify_command_refuses_a_bad_grid_before_expanding_it(grid, message, m
     assert captured.err == f"error: {message}\n"
     assert expanded == []
     assert not list(tmp_path.iterdir())
+
+
+def test_certify_command_accepts_a_grid_whose_stop_is_past_q_plus_1_but_no_point_is(tmp_path,
+                                                                                    capsys):
+    # 1:6.5:1 at q=5 is the levels 1..6, all in (0, 6]
+    code = main(["certify", "--q", "5", "--d", "10", "--samples", "10", "--pairs", "10",
+                 "--c-grid", "1:6.5:1", "--out-prefix", str(tmp_path / "cert")])
+    out = capsys.readouterr().out
+    assert code in (0, 2)
+    levels = [line.split()[1] for line in out.splitlines() if line.startswith("two_step_level")]
+    assert levels == [f"c={c}.0" for c in range(1, 7)]
 
 
 def test_manifests_start_one_git_process(monkeypatch, tmp_path, capsys):

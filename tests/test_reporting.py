@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pottstree as pt
-from pottstree import DomainError, parse_grid, spawn_rng, write_csv_atomic
+from pottstree import DomainError, parse_grid, reporting, spawn_rng, write_csv_atomic
 from pottstree.reporting import (DEFAULT_CHUNK, CertificationReport, chunk_sizes, format_value,
                                  parallel_chunk_map, per_thread_buffer, sampled_sweep)
 
@@ -105,6 +105,23 @@ def test_parse_grid_rejects_malformed_input(text):
 def test_parse_grid_names_a_field_that_is_not_finite(text, name, value):
     with pytest.raises(DomainError, match=f"^grid {name} must be finite, got {value}$"):
         parse_grid(text)
+
+
+def test_parse_grid_checks_its_first_and_last_points_before_expanding(monkeypatch):
+    seen = []
+    assert parse_grid("1:6.5:1", seen.append) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert parse_grid("2.5", seen.append) == [2.5]
+    assert seen == [[1.0, 6.0], [2.5]]
+
+    def refuse(ends):
+        raise DomainError(f"refused {ends[-1]}")
+
+    monkeypatch.setattr(reporting, "_grid_points", lambda *grid: pytest.fail("expanded"))
+    with pytest.raises(DomainError, match="^refused 1000000000.0000001$"):
+        parse_grid("0.5:1e9:1e-9", refuse)
+    # a step so small that the count overflows is refused, not an OverflowError
+    with pytest.raises(DomainError, match="has too many points"):
+        parse_grid("0:1:5e-324")
 
 
 def test_format_value_round_trips_floats_exactly():
