@@ -35,17 +35,18 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .maps import _colour_reduce, leaf_counts_log_ratios, log_ratio_map
 from .params import ModelParams
-from .trees import BoundaryCondition, TreeSpec, _power_over_2_64, regular_size
+from .trees import BoundaryCondition, TreeSpec, _integers, _power_over_2_64, regular_size
 
 BRUTE_FORCE_BUDGET = 10_000_000
 BRUTE_FORCE_CHUNK = 200_000
 DP_VERTEX_BUDGET = 1_000_000
 #: Most multisets one level of :func:`enumerate_log_ratio_sets` may form.
 ENUMERATION_STATE_BUDGET = 200_000
+#: The boundary of a query that pins nothing; a boundary is immutable, so one is shared.
+_FREE = BoundaryCondition()
 
 
-def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition | None,
-                  pinned_root: int | None) -> np.ndarray:
+def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition) -> np.ndarray:
     """Validate an oracle query and return its per-vertex pin array.
 
     Entry ``v`` is the color pinned onto vertex ``v``, or 0 if ``v`` is free.
@@ -55,32 +56,23 @@ def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition 
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"w must lie in [0, 1], got {w!r}")
     pins = np.zeros(tree.n_vertices, dtype=np.min_scalar_type(q))
-    if boundary is not None:
-        # range-checked in the boundary's own dtypes: in the pin dtype an
-        # out-of-range color or vertex could wrap around to a valid one
-        vertices, colors = boundary.pins
-        bad_vertex = (vertices < 0) | (vertices >= tree.n_vertices)
-        bad = bad_vertex | (colors < 1) | (colors > q)
-        if bad.any():
-            i = int(np.argmax(bad))
-            if bad_vertex[i]:
-                raise DomainError(f"pinned vertex {vertices[i]} not in tree")
-            raise DomainError(f"color {colors[i]} for vertex {vertices[i]} outside 1..{q}")
-        pins[vertices] = colors
-    if pinned_root is not None:
-        if not 1 <= pinned_root <= q:
-            raise DomainError(f"root color {pinned_root} outside 1..{q}")
-        if pins[tree.root] not in (0, pinned_root):
-            raise DomainError("root pinned to conflicting colors")
-        pins[tree.root] = pinned_root
+    # range-checked in the boundary's own dtypes: in the pin dtype an
+    # out-of-range color or vertex could wrap around to a valid one
+    vertices, colors = boundary.pins
+    bad_vertex = (vertices < 0) | (vertices >= tree.n_vertices)
+    bad = bad_vertex | (colors < 1) | (colors > q)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_vertex[i]:
+            raise DomainError(f"pinned vertex {vertices[i]} not in tree")
+        raise DomainError(f"color {colors[i]} for vertex {vertices[i]} outside 1..{q}")
+    pins[vertices] = colors
     return pins
 
 
-def brute_force_Z(tree: TreeSpec, q: int, w: float,
-                  boundary: BoundaryCondition | None = None,
-                  pinned_root: int | None = None) -> float:
+def brute_force_Z(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition = _FREE) -> float:
     """Partition function by direct enumeration of all free-vertex colorings."""
-    pins = _collect_pins(tree, q, w, boundary, pinned_root)
+    pins = _collect_pins(tree, q, w, boundary)
     free = np.flatnonzero(pins == 0)
     total = q ** len(free)
     if total > BRUTE_FORCE_BUDGET:
@@ -100,9 +92,7 @@ def brute_force_Z(tree: TreeSpec, q: int, w: float,
     return z
 
 
-def dp_log_Z(tree: TreeSpec, q: int, w: float,
-             boundary: BoundaryCondition | None = None,
-             pinned_root: int | None = None) -> float:
+def dp_log_Z(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition = _FREE) -> float:
     """``log Z`` by the leaf-to-root dynamic program.
 
     Each message is normalized by its largest entry, so depth and size are
@@ -119,7 +109,7 @@ def dp_log_Z(tree: TreeSpec, q: int, w: float,
     Returns ``-inf`` when no compatible coloring has positive weight
     (possible only at ``w = 0``).
     """
-    return _logsumexp(_dp_tables(tree, q, w, boundary, pinned_root))
+    return _logsumexp(_dp_tables(tree, q, w, boundary))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -129,9 +119,7 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(m + np.log(np.exp(a - m).sum()))
 
 
-def _dp_tables(tree: TreeSpec, q: int, w: float,
-               boundary: BoundaryCondition | None,
-               pinned_root: int | None) -> np.ndarray:
+def _dp_tables(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition) -> np.ndarray:
     """The root's row ``L[i] = log Z(tree | root colored i+1)``.
 
     ``table[:, j]`` is that row for the ``j``-th vertex of the current level.
@@ -141,7 +129,7 @@ def _dp_tables(tree: TreeSpec, q: int, w: float,
     pinned vertices keep only their colour's entry.  A fully pinned level
     below the root skips that mask: its closed form reads only that entry.
     """
-    pins = _collect_pins(tree, q, w, boundary, pinned_root)
+    pins = _collect_pins(tree, q, w, boundary)
     _check_dp_budget(tree.n_vertices)
     below = below_pins = None  # the deepest level has no children
     for depth in reversed(range(len(tree.levels))):  # a range: a path has a level per vertex
@@ -253,13 +241,14 @@ def root_summary(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition
 
     The same values as :func:`dp_log_Z`, :func:`conditional_root_distribution`
     and :func:`root_log_ratios`, under the latter's requirements; entry
-    ``c-1`` of the row is ``dp_log_Z(..., pinned_root=c)``.
+    ``c-1`` of the row is ``log Z`` with the root pinned to ``c``, the
+    :func:`dp_log_Z` of the boundary plus that pin.
     """
     if not 0.0 < w <= 1.0:
         raise DomainError(f"log-ratios require w in (0, 1], got w={w}")
     if tree.root in boundary.colors:
         raise DomainError("log-ratios are undefined when the root is pinned")
-    root = _dp_tables(tree, q, w, boundary, None)
+    root = _dp_tables(tree, q, w, boundary)
     return _logsumexp(root), _root_law(root), root[: q - 1] - root[q - 1], root
 
 
@@ -278,7 +267,7 @@ def conditional_root_distribution(tree: TreeSpec, q: int, w: float,
     """Distribution of the root color conditioned on the boundary."""
     if not 0.0 < w <= 1.0:
         raise DomainError(f"the conditional distribution requires w in (0, 1], got w={w}")
-    return _root_law(_dp_tables(tree, q, w, boundary, None))
+    return _root_law(_dp_tables(tree, q, w, boundary))
 
 
 def _root_law(root: np.ndarray) -> np.ndarray:
@@ -297,7 +286,7 @@ def recursion_root_log_ratios(q: int, d: int, n: int, w: float, leaf_colors) -> 
     params = ModelParams.from_weight(q, d, w)
     if n < 1:
         raise DomainError("depth must be >= 1")
-    leaf_colors = np.asarray(leaf_colors, dtype=int)
+    leaf_colors = _integers(leaf_colors, "leaf color {} is not an integer")
     if leaf_colors.shape != (d**n,):
         raise DomainError(f"need {d**n} leaf colors, got shape {leaf_colors.shape}")
     if leaf_colors.min() < 1 or leaf_colors.max() > q:

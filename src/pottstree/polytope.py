@@ -154,6 +154,14 @@ def _midpoint_pullback_levels(fx: np.ndarray, fy: np.ndarray, params: ModelParam
     return out
 
 
+def _worst_midpoint(x: np.ndarray, y: np.ndarray, params: ModelParams) -> tuple[float, int]:
+    """``(level, k)``: the highest midpoint pullback level over the pairs
+    ``(x[k], y[k])``, mapped by ``F`` here, and the first ``k`` that attains it."""
+    lev = _midpoint_pullback_levels(log_ratio_map(x, params), log_ratio_map(y, params), params)
+    k = int(np.argmax(lev))
+    return float(lev[k]), k
+
+
 def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
                     threads: int = 1) -> list[CertificationReport]:
     """Sampled test that midpoints of ``F(P_c)`` pull back into ``P_c``, one report per level ``c``.
@@ -172,11 +180,9 @@ def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
     pairs = list(itertools.combinations(range(q), 2))
 
     def worst_pair(x: np.ndarray, y: np.ndarray):
-        lev = _midpoint_pullback_levels(log_ratio_map(x, params), log_ratio_map(y, params),
-                                        params)
-        k = int(np.argmax(lev))
+        top_level, k = _worst_midpoint(x, y, params)
         # copies: a view would keep the level's whole batch alive with the result
-        return float(lev[k]), x[k].copy(), y[k].copy()
+        return top_level, x[k].copy(), y[k].copy()
 
     def run_chunk(rng: np.random.Generator, n: int):
         wx = _polytope_weights(q, n, rng)
@@ -308,11 +314,9 @@ def convexity_witness_search(params: ModelParams, c_values, pairs_per_c: int = 2
             px = np.vstack([wx, px]) ; py = np.vstack([wy, py])
             px /= px.sum(axis=1, keepdims=True)
             py /= py.sum(axis=1, keepdims=True)
-            lev = _midpoint_pullback_levels(log_ratio_map(px @ vx, params),
-                                            log_ratio_map(py @ vx, params), params)
-            k = int(np.argmax(lev))
-            if lev[k] > top_level:
-                top_level, wx, wy = float(lev[k]), px[k].copy(), py[k].copy()
+            pair_level, k = _worst_midpoint(px @ vx, py @ vx, params)
+            if pair_level > top_level:
+                top_level, wx, wy = pair_level, px[k].copy(), py[k].copy()
             sigma *= 0.6
 
         violation = top_level - c

@@ -39,7 +39,9 @@ DEFAULT_CHUNK = 25_000
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for stream ``key`` of master ``seed``."""
+    """Deterministic generator for stream ``key`` of master ``seed``, which must be >= 0."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, key)])))
 
 

@@ -23,6 +23,7 @@ lines and ``#`` comments are ignored).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -130,6 +131,27 @@ def _int64s(values, count: int) -> np.ndarray:
         return np.fromiter(values(), object, count)
 
 
+def _index(value, message: str) -> int:
+    """``value`` as an exact int if it is a Python or numpy integer; otherwise a
+    :class:`DomainError` with the message ``message.format(repr(value))``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(message.format(repr(value))) from None
+
+
+def _integers(values, message: str) -> np.ndarray:
+    """A new array of ``values``, each a Python or numpy integer: as numpy reads
+    them when that gives an integer dtype, without a Python loop; otherwise
+    value by value through :func:`_index`, into a 1-D array of int64 or,
+    beyond it, exact ints.  A value that is not an integer is named by ``message``."""
+    array = np.array(values)
+    if array.dtype.kind in "iu":
+        return array
+    items = array.tolist() if isinstance(values, np.ndarray) else list(values)
+    return _int64s(lambda: (_index(v, message) for v in items), len(items))
+
+
 def _bfs_levels(root: int, counts: np.ndarray, child: np.ndarray) -> list[np.ndarray]:
     """The vertices at each depth, each parent's children in child-array order."""
     first = np.cumsum(counts, dtype=np.int32)
@@ -149,7 +171,9 @@ class BoundaryCondition:
     """Colors (in ``1..q``) pinned onto a subset of vertices, usually leaves.
 
     Immutable: ``colors`` is a read-only mapping from vertex to color, a copy
-    of the one passed in.  :attr:`pins` holds the same pins as two arrays,
+    of the one passed in.  Every vertex and color must be a Python or numpy
+    integer, held as an exact ``int``; anything else is refused here, not
+    truncated later.  :attr:`pins` holds the same pins as two arrays,
     made once: by :meth:`random`, :meth:`monochromatic` and
     :meth:`from_leaf_colors` from the leaf arrays they draw on (in leaf
     order), and on first use for a boundary made from a mapping.
@@ -158,7 +182,14 @@ class BoundaryCondition:
     colors: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", MappingProxyType(dict(self.colors)))
+        try:
+            colors = {operator.index(v): operator.index(c) for v, c in self.colors.items()}
+        except TypeError:  # name the first pin that is not an integer
+            for v, c in self.colors.items():
+                v = _index(v, "pinned vertex {} is not an integer")
+                _index(c, f"color {{}} for vertex {v} is not an integer")
+            raise
+        object.__setattr__(self, "colors", MappingProxyType(colors))
 
     @cached_property
     def pins(self) -> tuple[np.ndarray, np.ndarray]:
@@ -181,21 +212,22 @@ class BoundaryCondition:
 
     @classmethod
     def monochromatic(cls, tree: TreeSpec, color: int) -> "BoundaryCondition":
+        color = _index(color, "color {} is not an integer")
         leaves = _leaf_vertices(tree)
-        return cls._from_pins(leaves, np.full(len(leaves), int(color)))
+        return cls._from_pins(leaves, np.full(len(leaves), color))
 
     @classmethod
     def from_leaf_colors(cls, tree: TreeSpec, leaf_colors) -> "BoundaryCondition":
         """Assign ``leaf_colors[k]`` to the k-th leaf in BFS order."""
         leaves = _leaf_vertices(tree)
-        if len(leaf_colors) != len(leaves):
-            raise DomainError(
-                f"got {len(leaf_colors)} colors for {len(leaves)} leaves"
-            )
-        return cls._from_pins(leaves, _int64s(lambda: map(int, leaf_colors), len(leaves)))
+        colors = _integers(leaf_colors, "leaf color {} is not an integer")
+        if colors.shape != leaves.shape:
+            raise DomainError(f"got {colors.size} colors for {len(leaves)} leaves")
+        return cls._from_pins(leaves, colors)
 
     @classmethod
     def random(cls, tree: TreeSpec, q: int, rng: np.random.Generator) -> "BoundaryCondition":
+        q = _index(q, "q must be an integer, got {}")
         leaves = _leaf_vertices(tree)
         return cls._from_pins(leaves, rng.integers(1, q + 1, size=len(leaves)))
 

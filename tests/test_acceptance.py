@@ -36,7 +36,8 @@ def test_criterion_01_oracle_equivalence():
             rec = pt.recursion_root_log_ratios(q, d, n, w, colors)
             worst = max(worst, float(np.abs(rec - ref).max()))
             if brute_feasible:
-                logs = [math.log(pt.brute_force_Z(tree, q, w, boundary, pinned_root=c))
+                logs = [math.log(pt.brute_force_Z(
+                            tree, q, w, pt.BoundaryCondition({**boundary.colors, tree.root: c})))
                         for c in range(1, q + 1)]
                 brute = np.array(logs[:-1]) - logs[-1]
                 worst = max(worst, float(np.abs(brute - ref).max()))

@@ -228,6 +228,24 @@ def test_commands_reject_fewer_than_one_thread(argv, written, tmp_path, capsys):
     assert not (tmp_path / written).exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--q", "3", "--d", "inf", "--c", "2.0", "--samples", "2000", "--pairs", "2000",
+     "--out-prefix", "{tmp}/cert"],
+    ["recursion", "--q", "5", "--d", "20", "--n-max", "3", "--boundary", "random",
+     "--out", "{tmp}/conv.csv"],
+    ["lemmas", "--q-max", "3", "--trials", "2000", "--out", "{tmp}/lemmas.csv"],
+    ["oracle", "--q", "3", "--d", "2", "--n", "2", "--boundary", "random", "--out", "{tmp}/o.txt"],
+], ids=["certify", "recursion", "lemmas", "oracle"])
+def test_commands_refuse_a_negative_seed(argv, tmp_path, capsys):
+    # each used to end in numpy's "expected non-negative integer" traceback
+    code = main([a.format(tmp=tmp_path) for a in argv] + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("alpha, code, line", [
     ("0.5", 0, "contraction_sequence steps=5 final=0.006077241238986299 PASS"),
     ("1.0", 2, "contraction_sequence FAIL: the diagonal lower chain is still at "

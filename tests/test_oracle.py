@@ -26,6 +26,11 @@ from pottstree import (
 IRREGULAR = TreeSpec.from_children(((1, 2, 3), (4, 5), (), (6,), (), (), ()), root=0)
 
 
+def _pin_root(tree, boundary, color):
+    """``boundary`` with the root pinned to ``color`` as well; ``boundary`` itself for ``None``."""
+    return boundary if color is None else BoundaryCondition({**boundary.colors, tree.root: color})
+
+
 def test_single_edge_closed_form():
     t = TreeSpec.regular(1, 1)
     for q, w in [(3, 0.5), (4, 0.25), (5, 1.0)]:
@@ -46,20 +51,12 @@ def test_free_star_closed_form(d):
 def test_brute_force_and_dp_agree_on_irregular_tree(q, w):
     rng = np.random.default_rng(1)
     b = BoundaryCondition.random(IRREGULAR, q, rng)
-    for boundary in (None, b):
+    for boundary in (BoundaryCondition(), b):
         for pin in (None, 1, q):
-            z_brute = brute_force_Z(IRREGULAR, q, w, boundary, pinned_root=pin)
-            z_dp = math.exp(dp_log_Z(IRREGULAR, q, w, boundary, pinned_root=pin))
+            pinned = _pin_root(IRREGULAR, boundary, pin)
+            z_brute = brute_force_Z(IRREGULAR, q, w, pinned)
+            z_dp = math.exp(dp_log_Z(IRREGULAR, q, w, pinned))
             assert z_dp == pytest.approx(z_brute, rel=1e-12, abs=1e-300)
-
-
-def test_oracles_reject_a_root_pinned_to_two_colors():
-    t = TreeSpec.regular(2, 1)
-    b = BoundaryCondition({0: 1})
-    for z in (brute_force_Z, dp_log_Z):
-        with pytest.raises(DomainError, match="conflicting"):
-            z(t, 3, 0.5, b, pinned_root=2)
-    assert dp_log_Z(t, 3, 0.5, b, pinned_root=1) == math.log(brute_force_Z(t, 3, 0.5, b))
 
 
 def test_oracles_reject_bad_pins():
@@ -97,9 +94,9 @@ def test_dp_pins_colors_beyond_one_byte():
 
 def test_dp_handles_zero_weight_conflict():
     t = TreeSpec.regular(1, 1)
-    b = BoundaryCondition.from_leaf_colors(t, [1])
-    assert dp_log_Z(t, 3, 0.0, b, pinned_root=1) == -math.inf
-    assert brute_force_Z(t, 3, 0.0, b, pinned_root=1) == 0.0
+    b = _pin_root(t, BoundaryCondition.from_leaf_colors(t, [1]), 1)
+    assert dp_log_Z(t, 3, 0.0, b) == -math.inf
+    assert brute_force_Z(t, 3, 0.0, b) == 0.0
 
 
 def test_root_log_ratios_match_pinned_partition_functions():
@@ -107,7 +104,7 @@ def test_root_log_ratios_match_pinned_partition_functions():
     q, w = 3, 0.37
     b = BoundaryCondition.from_leaf_colors(t, [1, 2, 3, 1])
     x = root_log_ratios(t, q, w, b)
-    logs = [math.log(brute_force_Z(t, q, w, b, pinned_root=c)) for c in range(1, q + 1)]
+    logs = [math.log(brute_force_Z(t, q, w, _pin_root(t, b, c))) for c in range(1, q + 1)]
     np.testing.assert_allclose(x, np.array(logs[:-1]) - logs[-1], rtol=0, atol=1e-12)
 
 
@@ -143,15 +140,13 @@ def test_root_summary_is_bitwise_the_three_oracles(q, d, n, w):
     np.testing.assert_array_equal(p, conditional_root_distribution(t, q, w, b))
     np.testing.assert_array_equal(ratios, root_log_ratios(t, q, w, b))
     # entry c-1 of the root row is log Z with the root pinned to c, sign bit included
-    pinned = np.array([dp_log_Z(t, q, w, b, pinned_root=c) for c in range(1, q + 1)])
+    pinned = np.array([dp_log_Z(t, q, w, _pin_root(t, b, c)) for c in range(1, q + 1)])
     assert np.array_equal(row.view(np.int64), pinned.view(np.int64))
 
 
-def _reference_tables(children, root, q, w, boundary, pinned_root):
+def _reference_tables(children, root, q, w, boundary):
     """The per-vertex loop that the level-and-slot pass of ``_dp_tables`` replaces."""
     pinned = dict(boundary.colors)
-    if pinned_root is not None:
-        pinned[root] = pinned_root
     order = [root]  # a BFS over the child lists: parents before children
     for v in order:
         order.extend(children[v])
@@ -189,26 +184,24 @@ def _random_query(rng, colours=(2, 11)):
     q = int(rng.integers(*colours))
     w = float(rng.choice([0.0, rng.uniform(), 1.0]))
     pinned = rng.random(n) < rng.uniform(0, 0.6)
-    boundary = BoundaryCondition({int(v): int(rng.integers(1, q + 1))
-                                  for v in np.flatnonzero(pinned)})
-    pinned_root = None
-    if rng.random() < 0.3:
-        pinned_root = boundary.colors.get(tree.root, int(rng.integers(1, q + 1)))
-    return tree, children, q, w, boundary, pinned_root
+    pins = {int(v): int(rng.integers(1, q + 1)) for v in np.flatnonzero(pinned)}
+    if rng.random() < 0.3:  # the root pinned too, to its boundary colour if it has one
+        pins[tree.root] = pins.get(tree.root, int(rng.integers(1, q + 1)))
+    return tree, children, q, w, BoundaryCondition(pins)
 
 
-def _assert_bitwise_reference(tree, children, q, w, boundary, pinned_root):
+def _assert_bitwise_reference(tree, children, q, w, boundary):
     # the level pass keeps no per-vertex table, so the root row is what it returns
-    got = oracle._dp_tables(tree, q, w, boundary, pinned_root)
-    want = _reference_tables(children, tree.root, q, w, boundary, pinned_root)[tree.root]
+    got = oracle._dp_tables(tree, q, w, boundary)
+    want = _reference_tables(children, tree.root, q, w, boundary)[tree.root]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dp_tables_are_bitwise_the_per_vertex_loop_on_random_trees():
     rng = np.random.default_rng(2022)
     single = TreeSpec.from_children([()])
-    _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition(), None)
-    _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition(), 2)
+    _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition())
+    _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition({0: 2}))
     for _ in range(500):
         _assert_bitwise_reference(*_random_query(rng))
 
@@ -223,7 +216,7 @@ def _regular_children(d, n):
 def test_dp_tables_are_bitwise_the_per_vertex_loop_on_regular_trees(n):
     t = TreeSpec.regular(3, n)
     b = BoundaryCondition.random(t, 3, np.random.default_rng(n))
-    _assert_bitwise_reference(t, _regular_children(3, n), 3, ModelParams(3, 3, 1.0).w, b, None)
+    _assert_bitwise_reference(t, _regular_children(3, n), 3, ModelParams(3, 3, 1.0).w, b)
 
 
 def test_dp_tables_are_bitwise_the_per_vertex_loop_from_eight_colours():
@@ -235,7 +228,7 @@ def test_dp_tables_are_bitwise_the_per_vertex_loop_from_eight_colours():
         t = TreeSpec.regular(3, 5)
         b = BoundaryCondition.random(t, q, np.random.default_rng(q))
         for w in (0.0, 0.77, 1.0):
-            _assert_bitwise_reference(t, _regular_children(3, 5), q, w, b, None)
+            _assert_bitwise_reference(t, _regular_children(3, 5), q, w, b)
 
 
 def _mixed_level_tree(rng):
@@ -267,7 +260,7 @@ def test_dp_tables_are_bitwise_the_per_vertex_loop_when_child_counts_differ_with
         pinned = rng.random(tree.n_vertices) < 0.4
         b = BoundaryCondition({int(v): int(rng.integers(1, q + 1)) for v in np.flatnonzero(pinned)})
         for w in (0.0, 0.45, 1.0):
-            _assert_bitwise_reference(tree, children, q, w, b, None)
+            _assert_bitwise_reference(tree, children, q, w, b)
 
 
 def _level_pins(tree, q, rng, modes):
@@ -290,8 +283,8 @@ def test_dp_tables_are_bitwise_the_per_vertex_loop_on_fully_pinned_levels(q):
         b = _level_pins(tree, q, rng, modes)
         w_random = float(rng.uniform(0.0, 0.5))  # where 1 - (1 - w) is not always w
         for w in (0.0, 1.0, w_random):
-            for pinned_root in (None, b.colors.get(tree.root, int(rng.integers(1, q + 1)))):
-                _assert_bitwise_reference(tree, children, q, w, b, pinned_root)
+            for root_pin in (None, b.colors.get(tree.root, int(rng.integers(1, q + 1)))):
+                _assert_bitwise_reference(tree, children, q, w, _pin_root(tree, b, root_pin))
 
 
 @pytest.mark.parametrize("q", [3, 8, 13])
@@ -317,7 +310,7 @@ def test_dp_pass_peak_memory_is_bounded_by_the_widest_level():
     level_nbytes = 3 * max(map(len, t.levels)) * np.dtype(float).itemsize
     tracemalloc.start()
     try:
-        oracle._dp_tables(t, 3, 0.25, b, None)
+        oracle._dp_tables(t, 3, 0.25, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,7 +320,7 @@ def test_dp_pass_peak_memory_is_bounded_by_the_widest_level():
     path = TreeSpec.from_children([[v + 1] for v in range(1_999)] + [[]])
     tracemalloc.start()
     try:
-        oracle._dp_tables(path, 6, 0.25, BoundaryCondition({1_999: 2}), None)
+        oracle._dp_tables(path, 6, 0.25, BoundaryCondition({1_999: 2}))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,6 +392,15 @@ def test_recursion_pipeline_input_checks():
         recursion_root_log_ratios(3, 2, 1, 0.5, [1, 2, 3])  # wrong leaf count
     with pytest.raises(DomainError):
         recursion_root_log_ratios(3, 2, 1, 0.5, [1, 5])  # color out of range
+
+
+def test_recursion_pipeline_refuses_leaf_colors_that_are_not_integers():
+    # used to be truncated to [1, 2]
+    with pytest.raises(DomainError, match=r"^leaf color 1\.7 is not an integer$"):
+        recursion_root_log_ratios(3, 2, 1, 0.5, [1.7, 2.2])
+    # beyond int64 the range check refuses it too, where a cast to int used to overflow
+    with pytest.raises(DomainError, match=r"^leaf colors must lie in 1\.\.q$"):
+        recursion_root_log_ratios(3, 2, 1, 0.5, [1, 2**70])
 
 
 def test_depth_one_enumeration_is_exhaustive():

@@ -19,6 +19,12 @@ def test_spawn_rng_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, c)
 
 
+def test_spawn_rng_refuses_a_negative_seed():
+    # numpy's SeedSequence used to raise a bare ValueError
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+        spawn_rng(-1, 3)
+
+
 def test_chunk_sizes_partition_the_total():
     assert chunk_sizes(2 * DEFAULT_CHUNK + 7) == [DEFAULT_CHUNK, DEFAULT_CHUNK, 7]
     assert chunk_sizes(2 * DEFAULT_CHUNK) == [DEFAULT_CHUNK, DEFAULT_CHUNK]

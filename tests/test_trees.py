@@ -1,6 +1,7 @@
 """Tree layouts, boundary conditions, and the boundary file format."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,40 @@ def test_boundary_condition_is_immutable():
             made.colors[1] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             made.colors = {}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda t: BoundaryCondition.monochromatic(t, 2.7), "color 2.7 is not an integer"),
+    (lambda t: BoundaryCondition.monochromatic(t, "2"), "color '2' is not an integer"),
+    (lambda t: BoundaryCondition({1: 2.7, 2: 2}), "color 2.7 for vertex 1 is not an integer"),
+    (lambda t: BoundaryCondition({1.9: 2, 2: 2}), "pinned vertex 1.9 is not an integer"),
+    (lambda t: BoundaryCondition({1: 2, 2: np.float64(2.0)}),
+     "color np.float64(2.0) for vertex 2 is not an integer"),
+    (lambda t: BoundaryCondition.from_leaf_colors(t, np.array([1.7, 2.2])),
+     "leaf color 1.7 is not an integer"),
+    (lambda t: BoundaryCondition.from_leaf_colors(t, [1, 2.0]), "leaf color 2.0 is not an integer"),
+    (lambda t: BoundaryCondition.random(t, 2.7, np.random.default_rng(0)),
+     "q must be an integer, got 2.7"),
+], ids=["mono-float", "mono-str", "dict-color", "dict-vertex", "dict-numpy-float",
+        "leaf-array", "leaf-list", "random-q"])
+def test_boundaries_refuse_pins_that_are_not_integers(make, message):
+    # each used to be truncated: the first four all gave the colour-2 boundary
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        make(TreeSpec.regular(2, 1))
+
+
+def test_boundaries_keep_integer_pins_exactly():
+    t = TreeSpec.regular(2, 1)
+    b = BoundaryCondition({np.int64(1): np.uint8(2), 2: 2**70})
+    assert dict(b.colors) == {1: 2, 2: 2**70}
+    assert all(type(x) is int for pin in b.colors.items() for x in pin)
+    for colors in ([3, 2**70], np.array([3, 2**63], np.uint64), np.array([3, 1], np.int8)):
+        leaf = BoundaryCondition.from_leaf_colors(t, colors)
+        assert leaf.pins[1].tolist() == [int(c) for c in colors]
+    colors = np.array([1, 2])
+    leaf = BoundaryCondition.from_leaf_colors(t, colors)
+    colors[0] = 3  # the caller's array changes after the boundary is made
+    assert leaf.pins[1].tolist() == [1, 2]
 
 
 def test_boundary_file_round_trip(tmp_path):
