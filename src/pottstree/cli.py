@@ -175,6 +175,9 @@ def _cmd_certify(args) -> int:
     else:  # a grid's first and last points bound all of it; checked before it is expanded
         levels = parse_grid(args.c_grid, lambda ends: _check_levels(ends, args.q))
     check_contraction_target(args.contract_to, args.max_iters)
+    for flag, count in (("--samples", args.samples), ("--pairs", args.pairs)):
+        if count < 0:
+            raise DomainError(f"{flag} must be >= 0, got {count}")
 
     invs = two_step_level(levels, params, args.samples, seed=args.seed, threads=args.threads)
     probes = convexity_probe(levels, params, args.pairs, seed=args.seed, threads=args.threads)

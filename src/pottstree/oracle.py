@@ -6,11 +6,11 @@ be validated against it:
 * :func:`brute_force_Z` enumerates colorings outright (vectorized in chunks);
 * :func:`dp_log_Z` runs a leaf-to-root dynamic program in log space, exact up
   to floating point for trees far beyond enumeration range.  It is one pass
-  per level of the :class:`TreeSpec` layout, deepest first, on colour-major
+  per level of the regular :class:`TreeSpec`, deepest first, on colour-major
   ``(q, width)`` arrays, and holds only two levels at a time, so its memory
   grows with the widest level; each vertex adds its children's messages in
-  order, so the root row is bitwise that of a loop over the vertices, on
-  regular and irregular trees alike.  A level whose every vertex is pinned
+  order, as strided slices of the level below, so the root row is bitwise
+  that of a loop over the vertices.  A level whose every vertex is pinned
   (the leaves, under a full boundary) sends its messages in closed form,
   with the same bits;
 * :func:`root_log_ratios` / :func:`conditional_root_distribution` derive the
@@ -46,15 +46,19 @@ ENUMERATION_STATE_BUDGET = 200_000
 _FREE = BoundaryCondition()
 
 
-def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition) -> np.ndarray:
-    """Validate an oracle query and return its per-vertex pin array.
-
-    Entry ``v`` is the color pinned onto vertex ``v``, or 0 if ``v`` is free.
-    """
+def _check_query(q: int, w: float) -> None:
+    """Refuse a query whose ``q`` or ``w`` lies outside the oracles' domain."""
     if not (isinstance(q, (int, np.integer)) and q >= 2):
         raise DomainError(f"q must be an integer >= 2, got {q!r}")
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"w must lie in [0, 1], got {w!r}")
+
+
+def _collect_pins(tree: TreeSpec, q: int, boundary: BoundaryCondition) -> np.ndarray:
+    """Validate a query's pins and return its per-vertex pin array.
+
+    Entry ``v`` is the color pinned onto vertex ``v``, or 0 if ``v`` is free.
+    """
     pins = np.zeros(tree.n_vertices, dtype=np.min_scalar_type(q))
     # range-checked in the boundary's own dtypes: in the pin dtype an
     # out-of-range color or vertex could wrap around to a valid one
@@ -72,12 +76,14 @@ def _collect_pins(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition)
 
 def brute_force_Z(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition = _FREE) -> float:
     """Partition function by direct enumeration of all free-vertex colorings."""
-    pins = _collect_pins(tree, q, w, boundary)
+    _check_query(q, w)
+    pins = _collect_pins(tree, q, boundary)
     free = np.flatnonzero(pins == 0)
     total = q ** len(free)
     if total > BRUTE_FORCE_BUDGET:
         raise BudgetError(f"{total} colorings exceed the enumeration budget {BRUTE_FORCE_BUDGET}")
-    parents = np.repeat(np.arange(tree.n_vertices), tree.counts)
+    child = np.arange(1, tree.n_vertices)
+    parents = (child - 1) // tree.d
     z = 0.0
     for lo in range(0, total, BRUTE_FORCE_CHUNK):
         idx = np.arange(lo, min(lo + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
@@ -86,7 +92,7 @@ def brute_force_Z(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition 
             cols[v] = idx % q + 1
             idx //= q
         mono = np.zeros(len(idx), dtype=np.int32)
-        for a, b in zip(parents, tree.child):
+        for a, b in zip(parents, child):
             mono += cols[a] == cols[b]
         z += float(np.power(float(w), mono).sum())
     return z
@@ -100,12 +106,12 @@ def dp_log_Z(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition = _FR
     level by level, deepest first, on colour-major ``(q, width)`` arrays and
     holds only a level and the one below it, so its memory grows with the
     widest level, not with the tree.  Child slot ``s`` adds the message of
-    the ``s``-th child of every vertex that has one, so a vertex sums its
-    children in order and the result does not depend on how the tree is
-    numbered.  A level whose every vertex is pinned sends its messages in
-    closed form, with the bits of the general formula: a vertex pinned to
-    ``c`` sends ``L_c`` on every colour and ``L_c + log(w)`` on ``c``, the
-    log taken of ``1 - (1 - w)`` as that formula rounds it.
+    every vertex's ``s``-th child, so a vertex sums its children in order,
+    bitwise as a loop over the vertices.  A level whose every vertex is
+    pinned sends its messages in closed form, with the bits of the general
+    formula: a vertex pinned to ``c`` sends ``L_c`` on every colour and
+    ``L_c + log(w)`` on ``c``, the log taken of ``1 - (1 - w)`` as that
+    formula rounds it.
     Returns ``-inf`` when no compatible coloring has positive weight
     (possible only at ``w = 0``).
     """
@@ -124,50 +130,33 @@ def _dp_tables(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition) ->
 
     ``table[:, j]`` is that row for the ``j``-th vertex of the current level.
     The level below is turned into its messages in place, in closed form
-    when every vertex of it is pinned; child slot ``s`` then adds the message
-    at ``start + s`` into every vertex with more than ``s`` children, and
-    pinned vertices keep only their colour's entry.  A fully pinned level
-    below the root skips that mask: its closed form reads only that entry.
+    when every vertex of it is pinned; child ``s`` of vertex ``j`` is message
+    ``j*d + s``, so child slot ``s`` adds the strided slice ``[s::d]`` into
+    whole rows, and pinned vertices keep only their colour's entry.  A fully
+    pinned level below the root skips that mask: its closed form reads only
+    that entry.  The vertex budget is checked before any per-vertex array.
     """
-    pins = _collect_pins(tree, q, w, boundary)
+    _check_query(q, w)
     _check_dp_budget(tree.n_vertices)
+    pins = _collect_pins(tree, q, boundary)
+    d = tree.d
     below = below_pins = None  # the deepest level has no children
-    for depth in reversed(range(len(tree.levels))):  # a range: a path has a level per vertex
-        level = tree.levels[depth]
+    for depth in reversed(range(tree.n + 1)):
+        level = tree.level(depth)
         table = np.zeros((q, len(level)))
         if below is not None:
             if below_pins.all():
                 _pinned_messages_in_place(below, below_pins, w)
             else:
                 _messages_in_place(below, w)
-            _add_child_messages(table, below, tree.counts[level])
-        pinned = pins[level]
+            for s in range(d):
+                for row, m in zip(table, below):
+                    row += m[s::d]
+        pinned = pins[level.start:level.stop]
         if depth == 0 or not pinned.all():
             _mask_pins(table, pinned)
         below, below_pins = table, pinned
     return below[:, 0]
-
-
-def _add_child_messages(table: np.ndarray, messages: np.ndarray, k: np.ndarray) -> None:
-    """Add slot by slot the message of child ``s`` into every vertex with ``k > s`` children.
-
-    When every vertex has ``d`` children, child ``s`` of vertex ``j`` is
-    message ``j*d + s``, so a slot adds a strided slice into whole rows;
-    otherwise each slot filters the vertices still to add.
-    """
-    d = int(k.max())
-    if k.min() == d:
-        for s in range(d):
-            for row, m in zip(table, messages):
-                row += m[s::d]
-        return
-    at, start = np.arange(len(k), dtype=np.int32), np.cumsum(k, dtype=np.int32) - k
-    for s in range(d):
-        keep = k > s
-        at, k, start = at[keep], k[keep], start[keep]
-        child = start + s
-        for row, m in zip(table, messages):
-            row[at] += m[child]
 
 
 def _mask_pins(table: np.ndarray, pinned: np.ndarray) -> None:

@@ -6,8 +6,9 @@ root and every internal vertex have exactly ``d`` children (the root of the
 order starting at the root, so the ``d**n`` leaves are the final block of
 indices; "leaf index k" always refers to this BFS order.
 
-:class:`TreeSpec` holds a tree only as int32 arrays (the child counts, the
-children, and the BFS levels from which the exact DP reads every child).
+:class:`TreeSpec` holds only ``d`` and ``n``: vertex ``v``'s children are
+``d*v + 1 .. d*v + d``, so each depth is one contiguous block of vertices,
+which the exact DP reads as a slice.
 
 Boundary conditions pin the leaves to colors ``1..q``.  The on-disk format is
 a plain text file:
@@ -28,62 +29,33 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError, ParseError
 
-#: Most vertices a :class:`TreeSpec` can hold: its arrays index vertices with int32.
+#: Most vertices a :class:`TreeSpec` can hold: pins index vertices with int32.
 MAX_VERTICES = 2**31 - 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TreeSpec:
-    """A rooted tree, checked and laid out in int32 arrays.
+    """The depth-``n`` rooted tree with down-degree ``d`` everywhere, BFS-numbered.
 
-    ``counts[v]`` is the number of children of ``v``; ``child`` lists them
-    vertex by vertex, each vertex's in order.  ``levels[k]`` is the vertices
-    at depth ``k``, each vertex's children one block in that order, the blocks
-    in ``levels[k - 1]``'s order.  Built by :meth:`regular` or :meth:`from_children`.
+    Nothing is stored per vertex: vertex ``v``'s children are
+    ``d*v + 1 .. d*v + d``, so depth ``k`` is one contiguous block of ``d**k``
+    vertices (:meth:`level`) and the leaves are the last.  ``d >= 1`` and
+    ``n >= 0`` must be integers, and the tree at most ``MAX_VERTICES`` vertices.
     """
 
-    counts: np.ndarray
-    child: np.ndarray
-    root: int = 0
-    levels: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    d: int
+    n: int
+    #: The vertex numbering starts at the root.
+    root: ClassVar[int] = 0
 
     def __post_init__(self):
-        n = len(self.counts)
-        if not 0 <= self.root < n:
-            raise DomainError(f"root {self.root} out of range for {n} vertices")
-        counts, child = np.asarray(self.counts), np.asarray(self.child)
-        if counts.min() < 0 or counts.sum() != len(child):
-            raise DomainError(f"child counts do not match the {len(child)} children")
-        if len(child) and not 0 <= child.min() <= child.max() < n:
-            raise DomainError(f"child index {child[(child < 0) | (child >= n)][0]} out of range")
-        seen = np.zeros(n, dtype=bool)
-        seen[child] = True
-        if seen[self.root] or np.count_nonzero(seen) < len(child):
-            two = np.bincount(np.append(child, self.root), minlength=n) > 1
-            raise DomainError(f"vertex {two.argmax()} has two parents (not a tree)")
-        object.__setattr__(self, "counts", counts.astype(np.int32, copy=False))
-        object.__setattr__(self, "child", child.astype(np.int32, copy=False))
-        # every vertex has at most one parent and the root none, so the walk ends
-        levels = _bfs_levels(self.root, self.counts, self.child)
-        if sum(map(len, levels)) != n:
-            raise DomainError("children lists do not describe a single rooted tree")
-        object.__setattr__(self, "levels", tuple(levels))
-
-    @classmethod
-    def from_children(cls, children, root: int = 0) -> "TreeSpec":
-        """The tree in which vertex ``v`` has the children ``children[v]``, in order."""
-        counts = np.fromiter(map(len, children), np.int32, len(children))
-        child = _int64s(lambda: itertools.chain.from_iterable(children), counts.sum())
-        return cls(counts, child, root)
-
-    @classmethod
-    def regular(cls, d: int, n: int) -> "TreeSpec":
-        """Depth-``n`` tree with down-degree ``d`` everywhere, BFS-numbered."""
+        d, n = self.d, self.n
         if not (isinstance(d, (int, np.integer)) and d >= 1):
             raise DomainError(f"down-degree d must be an integer >= 1, got {d!r}")
         if not (isinstance(n, (int, np.integer)) and n >= 0):
@@ -96,21 +68,28 @@ class TreeSpec:
         if total > MAX_VERTICES:
             raise DomainError(f"{total} vertices exceed the int32 layout limit of "
                               "2**31 - 1 vertices")
-        # vertex v's children are d*v + 1 .. d*v + d, so the child array is 1 .. total - 1
-        counts = np.zeros(total, np.int32)
-        counts[: total - d**n] = d
-        return cls(counts, np.arange(1, total, dtype=np.int32))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
+
+    @classmethod
+    def regular(cls, d: int, n: int) -> "TreeSpec":
+        """Depth-``n`` tree with down-degree ``d`` everywhere, BFS-numbered."""
+        return cls(d, n)
 
     @property
     def n_vertices(self) -> int:
-        return len(self.counts)
+        return regular_size(self.d, self.n)
+
+    def level(self, k: int) -> range:
+        """The vertices at depth ``k``, in order: one block, after the shallower ones."""
+        return range(regular_size(self.d, k - 1), regular_size(self.d, k))
 
     def leaves(self) -> list[int]:
-        return _leaf_vertices(self).tolist()
+        return list(self.level(self.n))
 
 
 def regular_size(d: int, n: int) -> int:
-    """The number of vertices of ``TreeSpec.regular(d, n)``."""
+    """The number of vertices of ``TreeSpec.regular(d, n)``; 0 at ``n = -1``."""
     return n + 1 if d == 1 else (d ** (n + 1) - 1) // (d - 1)
 
 
@@ -150,20 +129,6 @@ def _integers(values, message: str) -> np.ndarray:
         return array
     items = array.tolist() if isinstance(values, np.ndarray) else list(values)
     return _int64s(lambda: (_index(v, message) for v in items), len(items))
-
-
-def _bfs_levels(root: int, counts: np.ndarray, child: np.ndarray) -> list[np.ndarray]:
-    """The vertices at each depth, each parent's children in child-array order."""
-    first = np.cumsum(counts, dtype=np.int32)
-    first -= counts
-    levels = [np.array([root], dtype=np.int32)]
-    while (k := counts[levels[-1]]).any():
-        # child j of the concatenation is child[first[parent] + j - start[parent]]
-        idx = np.repeat(first[levels[-1]] - np.cumsum(k, dtype=np.int32) + k, k)
-        idx += np.arange(len(idx), dtype=np.int32)
-        levels.append(child[idx])
-        del idx  # freed before the next level's counts are read
-    return levels
 
 
 @dataclass(frozen=True)
@@ -228,13 +193,16 @@ class BoundaryCondition:
     @classmethod
     def random(cls, tree: TreeSpec, q: int, rng: np.random.Generator) -> "BoundaryCondition":
         q = _index(q, "q must be an integer, got {}")
+        if q < 1:
+            raise DomainError(f"q must be >= 1, got {q}")
         leaves = _leaf_vertices(tree)
         return cls._from_pins(leaves, rng.integers(1, q + 1, size=len(leaves)))
 
 
 def _leaf_vertices(tree: TreeSpec) -> np.ndarray:
     """The leaves of ``tree`` in BFS order, as int32."""
-    return np.flatnonzero(tree.counts == 0).astype(np.int32)
+    leaves = tree.level(tree.n)
+    return np.arange(leaves.start, leaves.stop, dtype=np.int32)
 
 
 def _compact_pins(vertices: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -211,6 +211,22 @@ def test_certify_command_checks_the_contraction_target_first(flags, message, tmp
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--pairs"])
+def test_certify_command_refuses_a_negative_count_before_any_sweep(flag, monkeypatch, tmp_path,
+                                                                  capsys):
+    # --pairs -1 used to run the whole two-step sweep first, then fail naming neither flag
+    monkeypatch.setattr(cli, "two_step_level", lambda *a, **k: pytest.fail("ran the sweep"))
+    counts = {"--samples": "2000", "--pairs": "2000", flag: "-1"}
+    code = main(["certify", "--q", "5", "--d", "1000", "--c-grid", "0.5:6.0:0.5",
+                 *(a for item in counts.items() for a in item),
+                 "--out-prefix", str(tmp_path / "cert")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 0, got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, written", [
     (["certify", "--q", "3", "--d", "inf", "--c", "2.0", "--samples", "2000",
       "--threads", "0", "--out-prefix", "{tmp}/cert"], "cert.csv"),

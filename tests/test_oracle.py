@@ -23,8 +23,6 @@ from pottstree import (
     root_summary,
 )
 
-IRREGULAR = TreeSpec.from_children(((1, 2, 3), (4, 5), (), (6,), (), (), ()), root=0)
-
 
 def _pin_root(tree, boundary, color):
     """``boundary`` with the root pinned to ``color`` as well; ``boundary`` itself for ``None``."""
@@ -49,13 +47,14 @@ def test_free_star_closed_form(d):
 
 @pytest.mark.parametrize("q,w", [(3, 0.7), (4, 0.2), (3, 1.0), (3, 0.0)])
 def test_brute_force_and_dp_agree_on_irregular_tree(q, w):
+    t = TreeSpec.regular(2, 2)
     rng = np.random.default_rng(1)
-    b = BoundaryCondition.random(IRREGULAR, q, rng)
+    b = BoundaryCondition.random(t, q, rng)
     for boundary in (BoundaryCondition(), b):
         for pin in (None, 1, q):
-            pinned = _pin_root(IRREGULAR, boundary, pin)
-            z_brute = brute_force_Z(IRREGULAR, q, w, pinned)
-            z_dp = math.exp(dp_log_Z(IRREGULAR, q, w, pinned))
+            pinned = _pin_root(t, boundary, pin)
+            z_brute = brute_force_Z(t, q, w, pinned)
+            z_dp = math.exp(dp_log_Z(t, q, w, pinned))
             assert z_dp == pytest.approx(z_brute, rel=1e-12, abs=1e-300)
 
 
@@ -170,20 +169,24 @@ def _reference_tables(children, root, q, w, boundary):
     return table
 
 
+def _regular_children(d, n):
+    """Vertex ``v``'s children in the BFS numbering of ``TreeSpec.regular(d, n)``."""
+    internal = sum(d**k for k in range(n))
+    return [range(d * v + 1, d * v + d + 1) for v in range(internal)] + [()] * d**n
+
+
+#: The exclusive bound on the depth of a random query's tree, by down-degree: at most 40 vertices.
+_DEPTHS = {1: 40, 2: 5, 3: 4, 4: 3}
+
+
 def _random_query(rng, colours=(2, 11)):
-    """A random tree with shuffled labels and child order, and random pins on it."""
-    n = int(rng.integers(1, 40))
-    parent = [int(rng.integers(0, v)) for v in range(1, n)]
-    label = rng.permutation(n)
-    children = [[] for _ in range(n)]
-    for v, p in enumerate(parent, start=1):
-        children[label[p]].append(int(label[v]))
-    for ch in children:
-        rng.shuffle(ch)
-    tree = TreeSpec.from_children(children, root=int(label[0]))
+    """A random regular tree and random pins anywhere on it, the root included."""
+    d = int(rng.integers(1, 5))
+    tree = TreeSpec.regular(d, int(rng.integers(0, _DEPTHS[d])))
+    children = _regular_children(tree.d, tree.n)
     q = int(rng.integers(*colours))
     w = float(rng.choice([0.0, rng.uniform(), 1.0]))
-    pinned = rng.random(n) < rng.uniform(0, 0.6)
+    pinned = rng.random(tree.n_vertices) < rng.uniform(0, 0.6)
     pins = {int(v): int(rng.integers(1, q + 1)) for v in np.flatnonzero(pinned)}
     if rng.random() < 0.3:  # the root pinned too, to its boundary colour if it has one
         pins[tree.root] = pins.get(tree.root, int(rng.integers(1, q + 1)))
@@ -199,17 +202,12 @@ def _assert_bitwise_reference(tree, children, q, w, boundary):
 
 def test_dp_tables_are_bitwise_the_per_vertex_loop_on_random_trees():
     rng = np.random.default_rng(2022)
-    single = TreeSpec.from_children([()])
-    _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition())
-    _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition({0: 2}))
+    for d in (1, 3):
+        single = TreeSpec.regular(d, 0)
+        _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition())
+        _assert_bitwise_reference(single, [()], 3, 0.5, BoundaryCondition({0: 2}))
     for _ in range(500):
         _assert_bitwise_reference(*_random_query(rng))
-
-
-def _regular_children(d, n):
-    """Vertex ``v``'s children in the BFS numbering of ``TreeSpec.regular(d, n)``."""
-    internal = sum(d**k for k in range(n))
-    return [range(d * v + 1, d * v + d + 1) for v in range(internal)] + [()] * d**n
 
 
 @pytest.mark.parametrize("n", range(6, 11))
@@ -231,44 +229,12 @@ def test_dp_tables_are_bitwise_the_per_vertex_loop_from_eight_colours():
             _assert_bitwise_reference(t, _regular_children(3, 5), q, w, b)
 
 
-def _mixed_level_tree(rng):
-    """Depth 4, child counts 0..9 within each level below the root, labels and
-    child order shuffled."""
-    children, frontier, n = [[]], [0], 1
-    for depth in range(4):
-        nxt = []
-        for v in frontier:
-            k = 8 if depth == 0 else int(rng.integers(0, 10))
-            children[v] = list(range(n, n + k))
-            children += [[] for _ in range(k)]
-            nxt += children[v]
-            n += k
-        frontier = nxt
-    label = rng.permutation(n)
-    shuffled = [[] for _ in range(n)]
-    for v, ch in enumerate(children):
-        shuffled[label[v]] = [int(label[c]) for c in rng.permutation(ch)]
-    return TreeSpec.from_children(shuffled, root=int(label[0])), shuffled
-
-
-@pytest.mark.parametrize("q", [3, 9])
-def test_dp_tables_are_bitwise_the_per_vertex_loop_when_child_counts_differ_within_a_level(q):
-    rng = np.random.default_rng(40 + q)
-    for _ in range(5):
-        tree, children = _mixed_level_tree(rng)
-        assert all(len(set(tree.counts[level])) > 2 for level in tree.levels[1:-1])
-        pinned = rng.random(tree.n_vertices) < 0.4
-        b = BoundaryCondition({int(v): int(rng.integers(1, q + 1)) for v in np.flatnonzero(pinned)})
-        for w in (0.0, 0.45, 1.0):
-            _assert_bitwise_reference(tree, children, q, w, b)
-
-
 def _level_pins(tree, q, rng, modes):
     """Pins on ``tree`` level by level: ``modes[depth]`` is "full", "mixed" or "free"."""
     share = {"full": 1.0, "mixed": 0.5, "free": 0.0}
-    return BoundaryCondition({int(v): int(rng.integers(1, q + 1))
-                              for mode, level in zip(modes, tree.levels)
-                              for v in level if rng.random() < share[mode]})
+    return BoundaryCondition({v: int(rng.integers(1, q + 1))
+                              for depth, mode in enumerate(modes)
+                              for v in tree.level(depth) if rng.random() < share[mode]})
 
 
 @pytest.mark.parametrize("q", [3, 4, 8, 9, 10, 11, 12, 13])
@@ -279,7 +245,8 @@ def test_dp_tables_are_bitwise_the_per_vertex_loop_on_fully_pinned_levels(q):
                   ("full", "full", "full", "free", "full"),
                   ("mixed", "free", "full", "mixed", "mixed"),
                   ("full",) * 5]:
-        tree, children = _mixed_level_tree(rng)
+        tree = TreeSpec.regular(int(rng.integers(1, 5)), len(modes) - 1)
+        children = _regular_children(tree.d, tree.n)
         b = _level_pins(tree, q, rng, modes)
         w_random = float(rng.uniform(0.0, 0.5))  # where 1 - (1 - w) is not always w
         for w in (0.0, 1.0, w_random):
@@ -307,7 +274,7 @@ def test_pinned_messages_are_bitwise_the_messages_of_a_one_entry_column(q):
 def test_dp_pass_peak_memory_is_bounded_by_the_widest_level():
     t = TreeSpec.regular(3, 10)
     b = BoundaryCondition.random(t, 3, np.random.default_rng(0))
-    level_nbytes = 3 * max(map(len, t.levels)) * np.dtype(float).itemsize
+    level_nbytes = 3 * len(t.level(t.n)) * np.dtype(float).itemsize
     tracemalloc.start()
     try:
         oracle._dp_tables(t, 3, 0.25, b)
@@ -317,7 +284,7 @@ def test_dp_pass_peak_memory_is_bounded_by_the_widest_level():
     # the widest level, its parents' level, and a max and a sum per vertex
     assert peak <= 2.25 * level_nbytes
     # a path holds one vertex per level: a per-vertex table would be 96 kB
-    path = TreeSpec.from_children([[v + 1] for v in range(1_999)] + [[]])
+    path = TreeSpec.regular(1, 1_999)
     tracemalloc.start()
     try:
         oracle._dp_tables(path, 6, 0.25, BoundaryCondition({1_999: 2}))
@@ -329,10 +296,23 @@ def test_dp_pass_peak_memory_is_bounded_by_the_widest_level():
 
 def test_dp_budget_error_names_the_limit():
     n = oracle.DP_VERTEX_BUDGET + 1
-    star = TreeSpec.from_children([range(1, n)] + [()] * (n - 1))
+    star = TreeSpec.regular(n - 1, 1)
     with pytest.raises(BudgetError, match=f"^{n} vertices exceed the dp budget "
                                           r"DP_VERTEX_BUDGET=1000000$"):
         dp_log_Z(star, 3, 0.5)
+
+
+def test_dp_budget_is_checked_before_any_per_vertex_array():
+    # 7,174,453 vertices: a pin array alone would take 7 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"^7174453 vertices exceed the dp budget "
+                                              r"DP_VERTEX_BUDGET=1000000$"):
+            dp_log_Z(TreeSpec.regular(3, 14), 3, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_conditional_distribution_monochromatic_star():

@@ -27,39 +27,33 @@ def _write_boundary_file(path, q, d, n, leaf_colors):
     path.write_text(f"{q} {d} {n}\n" + "".join(f"{i} {c}\n" for i, c in enumerate(leaf_colors)))
 
 
-def _bfs_reference(children, root):
-    """The vertices at each depth by a plain Python BFS over the child lists."""
-    levels = [[root]]
+def _bfs_reference(children):
+    """The vertices at each depth by a plain Python BFS over the child lists from vertex 0."""
+    levels = [[0]]
     while below := [c for v in levels[-1] for c in children[v]]:
         levels.append(below)
     return levels
 
 
-def _assert_layout(tree, children, root):
-    assert tree.root == root
-    assert tree.counts.dtype == tree.child.dtype == np.int32
-    assert tree.counts.tolist() == [len(ch) for ch in children]
-    assert tree.child.tolist() == [c for ch in children for c in ch]
-    assert [level.tolist() for level in tree.levels] == _bfs_reference(children, root)
-    assert all(level.dtype == np.int32 for level in tree.levels)
+def _assert_layout(tree, children):
+    assert tree.root == 0
+    assert tree.n_vertices == len(children)
+    assert [list(tree.level(k)) for k in range(tree.n + 1)] == _bfs_reference(children)
     assert tree.leaves() == [v for v, ch in enumerate(children) if not ch]
 
 
 def test_regular_tree_counts():
     t = TreeSpec.regular(3, 2)
     assert t.n_vertices == 1 + 3 + 9
-    assert len(t.child) == 12
     assert len(t.leaves()) == 9
-    assert t.levels[0].tolist() == [t.root]
-    assert [len(level) for level in t.levels] == [1, 3, 9]
+    assert list(t.level(0)) == [t.root]
+    assert [len(t.level(k)) for k in range(t.n + 1)] == [1, 3, 9]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4])
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_regular_tree_is_the_explicit_bfs_tree(d, n):
-    children = _regular_children(d, n)
-    _assert_layout(TreeSpec.regular(d, n), children, 0)
-    _assert_layout(TreeSpec.from_children(children), children, 0)
+    _assert_layout(TreeSpec.regular(d, n), _regular_children(d, n))
 
 
 def test_regular_tree_layout_allocates_under_two_megabytes():
@@ -83,6 +77,18 @@ def test_regular_tree_refuses_more_vertices_than_int32_indexes(n, message):
         TreeSpec.regular(3, n)
 
 
+@pytest.mark.parametrize("d, n, message", [
+    (0, 2, "down-degree d must be an integer >= 1, got 0"),
+    (2.0, 2, "down-degree d must be an integer >= 1, got 2.0"),
+    (2, -1, "depth n must be an integer >= 0, got -1"),
+    (2, "3", "depth n must be an integer >= 0, got '3'"),
+])
+def test_trees_refuse_a_degree_or_depth_that_is_not_a_count(d, n, message):
+    for make in (TreeSpec.regular, TreeSpec):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            make(d, n)
+
+
 def test_regular_tree_leaves_are_final_bfs_block():
     t = TreeSpec.regular(2, 3)
     assert t.leaves() == list(range(7, 15))
@@ -92,56 +98,6 @@ def test_regular_tree_depth_zero():
     t = TreeSpec.regular(4, 0)
     assert t.n_vertices == 1
     assert t.leaves() == [t.root]
-
-
-def test_hand_built_tree_validation():
-    t = TreeSpec.from_children(((1, 2), (3,), (), ()), root=0)
-    assert t.leaves() == [2, 3]
-    assert t.counts.tolist() == [2, 1, 0, 0]
-    assert t.child.tolist() == [1, 2, 3]
-    assert [level.tolist() for level in t.levels] == [[0], [1, 2], [3]]
-
-
-def test_tree_rejects_cycles_and_orphans():
-    with pytest.raises(DomainError):
-        TreeSpec.from_children(((1,), (0,)), root=0)  # 2-cycle
-    with pytest.raises(DomainError):
-        TreeSpec.from_children(((1,), (), ()), root=0)  # vertex 2 unreachable
-    with pytest.raises(DomainError, match=r"^vertex 0 has two parents \(not a tree\)$"):
-        TreeSpec.from_children(((0,),))  # self-loop at the root
-    with pytest.raises(DomainError, match=r"^vertex 1 has two parents \(not a tree\)$"):
-        TreeSpec.from_children(((1, 2), (), (1,)))  # a repeated child below the root
-    with pytest.raises(DomainError, match="^children lists do not describe"):
-        TreeSpec.from_children(((1,), (), (3,), (2,)))  # a cycle apart from the root
-    # 2**40 would wrap in int32 and 2**70 overflow int64 if cast unchecked
-    for c in (-1, 2, 2**40, 2**70):
-        with pytest.raises(DomainError, match=rf"^child index {c} out of range$"):
-            TreeSpec.from_children(((1,), (c,)))
-    for r in (-1, 2):
-        with pytest.raises(DomainError, match=rf"^root {r} out of range for 2 vertices$"):
-            TreeSpec.from_children(((1,), ()), root=r)
-    # the arrays given directly take the same checks, and counts that do not add up
-    with pytest.raises(DomainError, match=r"^vertex 0 has two parents \(not a tree\)$"):
-        TreeSpec(np.array([1, 1]), np.array([1, 0]))
-    for counts in ([2, 0], [2, -1]):
-        with pytest.raises(DomainError, match="^child counts do not match the 1 children$"):
-            TreeSpec(np.array(counts), np.array([1]))
-
-
-def test_traversals_match_a_python_bfs():
-    rng = np.random.default_rng(8)
-    cases = [([()], 0), ([(), (3, 0), (), (2,)], 1), (_regular_children(3, 3), 0)]
-    for _ in range(200):
-        n = int(rng.integers(1, 60))
-        label = rng.permutation(n)  # shuffled labels, so the root is rarely 0
-        children = [[] for _ in range(n)]
-        for v in range(1, n):
-            children[label[rng.integers(0, v)]].append(int(label[v]))
-        for ch in children:
-            rng.shuffle(ch)
-        cases.append((children, int(label[0])))
-    for children, root in cases:
-        _assert_layout(TreeSpec.from_children(children, root), children, root)
 
 
 def test_monochromatic_boundary():
@@ -217,10 +173,14 @@ def test_boundary_condition_is_immutable():
     (lambda t: BoundaryCondition.from_leaf_colors(t, [1, 2.0]), "leaf color 2.0 is not an integer"),
     (lambda t: BoundaryCondition.random(t, 2.7, np.random.default_rng(0)),
      "q must be an integer, got 2.7"),
+    (lambda t: BoundaryCondition.random(t, 0, np.random.default_rng(0)), "q must be >= 1, got 0"),
+    (lambda t: BoundaryCondition.random(t, -3, np.random.default_rng(0)),
+     "q must be >= 1, got -3"),
 ], ids=["mono-float", "mono-str", "dict-color", "dict-vertex", "dict-numpy-float",
-        "leaf-array", "leaf-list", "random-q"])
+        "leaf-array", "leaf-list", "random-q", "random-q-0", "random-q-negative"])
 def test_boundaries_refuse_pins_that_are_not_integers(make, message):
-    # each used to be truncated: the first four all gave the colour-2 boundary
+    # each used to be truncated: the first four all gave the colour-2 boundary;
+    # random with q < 1 ended in numpy's "low >= high"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         make(TreeSpec.regular(2, 1))
 
