@@ -5,7 +5,8 @@ The certification story has three layers:
 * :func:`two_step_level` — estimate the smallest level set containing the
   image of the fundamental domain under two recursion steps.  For the limit
   family the exact answer is the diagonal contraction value, which the sample
-  set always contains, so the estimate is tight from below.
+  set always contains, so the estimate is tight from below.  On ``D_c`` that
+  level is ``-sum F(F(x))`` (the sign lemma), evaluated by one kernel.
 * :func:`contraction_sequence` — iterate that estimate from the universal
   starting level ``q+1`` down to a target, certifying that two-step images
   keep shrinking (the engine behind uniqueness of the Gibbs measure).  It
@@ -25,13 +26,13 @@ so reports are bit-reproducible at any thread count.
 The unit of :func:`two_step_level` work is the chunk: each chunk draws its
 Dirichlet weights once, for the whole grid of levels, and evaluates every
 level on them (``x = -c * weights``).  Its temporaries live in one buffer per
-worker thread: the draw's exponentials, the weights and two vectors, sized to
-one chunk, with each level's batch written over the exponentials once the
-weights exist.  The weights have the bits of numpy's Dirichlet sampler.  The
-chunk maps twice and levels each batch in place, with the same colour-major
-kernels the public ``log_ratio_map`` and ``level`` wrap (the layout is
-described in :mod:`pottstree.maps`), so every estimate has the bits of the
-allocating functions.  The buffers are dropped when the sweep returns.
+worker thread, ``2q`` floats per sample: the draw's exponentials, the weights
+and one vector, with each level's batch written over the exponentials once
+the weights exist.  The weights have the bits of numpy's Dirichlet sampler.
+Each batch is mapped twice in place by the colour-major kernel the public
+``log_ratio_map`` wraps (the layout is described in :mod:`pottstree.maps`), so
+every estimate has the bits of ``level(two_step_map(x))``.  The buffers are
+dropped when the sweep returns.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CertificationError, DomainError
-from .maps import (_log_ratio_map_into, diagonal_contraction, leaf_counts_log_ratios,
-                   log_ratio_map, two_step_map, two_step_sum_limit)
+from .maps import (_colour_reduce, _log_ratio_map_into, diagonal_contraction,
+                   leaf_counts_log_ratios, log_ratio_map, two_step_sum_limit)
 from .params import INFINITY, ModelParams
-from .polytope import _dirichlet_weights_into, _level_into, level, sample_face
+from .polytope import _check_level, _dirichlet_weights_into, sample_face
 from .reporting import (DEFAULT_CHUNK, CertificationReport, per_thread_buffer, sampled_sweep,
                         spawn_rng)
 
@@ -59,14 +60,24 @@ _CHAIN_ALLOWANCE_ULPS = 16
 
 
 def _fundamental_probe_points(c: float, q: int) -> np.ndarray:
-    """Deterministic must-test points: origin, diagonal face point (row 1), vertices."""
-    pts = [np.zeros(q - 1), np.full(q - 1, -c / (q - 1.0)), -c * np.eye(q - 1)]
-    return np.vstack(pts)
+    """Colour-major must-test points: origin, diagonal face point (column 1), vertices."""
+    diagonal = np.full((q - 1, 1), -c / (q - 1.0))
+    return np.hstack([np.zeros((q - 1, 1)), diagonal, -c * np.eye(q - 1)])
 
 
-def _probe_levels(c: float, params: ModelParams) -> np.ndarray:
-    """``level(F(F(x)))`` at each of the probe points of level ``c``."""
-    return level(two_step_map(_fundamental_probe_points(c, params.q), params))
+def _two_step_peak(x: np.ndarray, params: ModelParams, work: np.ndarray) -> float:
+    """``max level(F(F(x)))`` over a colour-major batch ``x`` of ``D_c``, mapped in place.
+
+    Sign lemma: ``F``'s denominator is positive wherever ``F`` is defined, so
+    ``x <= 0`` gives ``F(x) >= 0`` and ``F(F(x)) <= 0`` coordinate by coordinate,
+    and the level ``max(-S, q*max_k - S)`` of ``F(F(x))`` is ``-S``.  The kernels'
+    ``exp`` and subtractions are monotone, so they keep those signs and
+    ``0.0 - min S`` has the bits of ``level``'s peak; the ``0.0 -`` gives its
+    ``+0.0`` at ``S = +0.0`` (``alpha = 0``).  ``work`` has shape ``x.shape[1:]``.
+    """
+    _log_ratio_map_into(x, params, x, work)
+    _log_ratio_map_into(x, params, x, work)
+    return float(0.0 - np.min(_colour_reduce(np.add, x, out=work)))
 
 
 def _diagonal_level(c: float, params: ModelParams) -> float:
@@ -74,39 +85,27 @@ def _diagonal_level(c: float, params: ModelParams) -> float:
 
     This is the diagonal profile ``-<F(F(-c/(q-1) * 1)), 1>`` at every degree,
     ``d = inf`` included; :func:`~pottstree.maps.diagonal_contraction` is its
-    closed form in the limit.  It is row 1 of :func:`_probe_levels` bit for
-    bit: the same kernels on that point alone.
+    closed form in the limit.  It is bit for bit the level the probe points
+    of :func:`two_step_level` give that point: the same kernel on it alone.
     """
-    x = np.full((1, params.q - 1), -c / (params.q - 1.0))
-    return float(level(two_step_map(x, params))[0])
+    return _two_step_peak(np.full((params.q - 1, 1), -c / (params.q - 1.0)), params, np.empty(1))
 
 
 def _workspace(buf: np.ndarray, n: int, q: int) -> tuple[np.ndarray, ...]:
-    """Cut ``n * (2q+1)`` floats of ``buf`` into one chunk's arrays.
-
-    Returns the row-major ``(n, q)`` exponentials, the colour-major
-    ``(q-1, n)`` weights, the colour-major ``(q-1, n)`` level batch, which
-    lies over the exponentials (they are dead once the weights exist), and
-    two ``(n,)`` vectors.
-    """
+    """Cut ``n * 2q`` floats of ``buf`` into one chunk's arrays: the row-major ``(n, q)``
+    exponentials, the colour-major ``(q-1, n)`` weights, the colour-major ``(q-1, n)``
+    batch over the exponentials (dead once the weights exist) and one ``(n,)`` vector."""
     e, x = buf[:n * q].reshape(n, q), buf[:n * (q - 1)].reshape(q - 1, n)
     w = buf[n * q:n * (2 * q - 1)].reshape(q - 1, n)
-    u, v = buf[n * (2 * q - 1):n * (2 * q + 1)].reshape(2, n)
-    return e, w, x, u, v
+    return e, w, x, buf[n * (2 * q - 1):n * 2 * q]
 
 
 def _sampled_peaks(levels, params: ModelParams, rng: np.random.Generator,
                    workspace: tuple[np.ndarray, ...]) -> list[float]:
     """``max level(F(F(x)))`` over one draw of ``D_c`` per level ``c``, all from one set of weights."""
-    e, w, x, u, v = workspace
+    e, w, x, u = workspace
     _dirichlet_weights_into(rng, e, u, out=w)
-    peaks = []
-    for c in levels:
-        np.multiply(w, -c, out=x)
-        _log_ratio_map_into(x, params, x, u)
-        _log_ratio_map_into(x, params, x, u)
-        peaks.append(float(np.max(_level_into(x, u, v))))
-    return peaks
+    return [_two_step_peak(np.multiply(w, -c, out=x), params, u) for c in levels]
 
 
 def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
@@ -115,18 +114,20 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
 
     At each level the sample set is ``sample_count`` uniform draws from the
     fundamental domain plus the deterministic corner/diagonal points (where
-    the maximum sits for the limit family).  ``parameters["estimate"]`` is
-    that maximum and ``min_margin = c - estimate``; a positive margin is
-    evidence of strict forward invariance at this level.
-    ``parameters["diagonal_bound"]`` is the exact diagonal value for the
-    limit family (None for finite degree).  Every level scales the same
-    draws, so a level's report is the one a single-level call gives.
+    the maximum sits for the limit family), each valued ``-sum F(F(x))`` by
+    :func:`_two_step_peak`.  ``parameters["estimate"]`` is that maximum and
+    ``min_margin = c - estimate``; a positive margin is evidence of strict
+    forward invariance at this level.  ``parameters["diagonal_bound"]`` is
+    the exact diagonal value for the limit family (None for finite degree).
+    Every level scales the same draws, so a level's report is the one a
+    single-level call gives.  Levels are checked before any draw; an empty list draws none.
     """
     for c in levels:
-        if not c > 0:
-            raise DomainError(f"level must be positive, got {c}")
+        _check_level(c)
+    if len(levels) == 0:
+        return []
     q = params.q
-    buffer = per_thread_buffer(min(sample_count, DEFAULT_CHUNK) * (2 * q + 1))
+    buffer = per_thread_buffer(min(sample_count, DEFAULT_CHUNK) * 2 * q)
 
     def chunk_peaks(rng: np.random.Generator, n: int) -> list[float]:
         return _sampled_peaks(levels, params, rng, _workspace(buffer(), n, q))
@@ -134,7 +135,8 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
     sampled = sampled_sweep(chunk_peaks, sample_count, seed, threads)
     reports = []
     for j, c in enumerate(levels):
-        estimate = max([float(np.max(_probe_levels(c, params)))] + [peaks[j] for peaks in sampled])
+        probe = _two_step_peak(_fundamental_probe_points(c, q), params, np.empty(q + 1))
+        estimate = max([probe] + [peaks[j] for peaks in sampled])
         bound = diagonal_contraction(c, q) if params.d == INFINITY else None
         reports.append(CertificationReport(
             kind="two_step_level",
@@ -208,6 +210,8 @@ def contraction_sequence(params: ModelParams, epsilon: float, max_iters: int,
     Otherwise, near ties included, the sampled chain runs.  The lower chain
     draws no random numbers, so it changes neither the samples nor the levels.
     """
+    if epsilon is None:
+        raise DomainError("epsilon must be positive, got None: the chain needs a target level")
     check_contraction_target(epsilon, max_iters)
     reason = _doomed_reason(params, epsilon, max_iters)
     if reason is not None:
@@ -243,8 +247,7 @@ def diagonal_minimality_check(c: float, q: int, sample_count: int = 50_000,
     (+inf when there are none); ``parameters["min_gap"]`` is the smallest
     gap over all points.
     """
-    if not c > 0:
-        raise DomainError(f"level must be positive, got {c}")
+    _check_level(c)
     diag = np.full(q - 1, -c / (q - 1.0))
     base = float(two_step_sum_limit(diag, q))
     x = sample_face(c, q, sample_count, spawn_rng(seed))

@@ -58,6 +58,7 @@ import numpy as np
 
 from .errors import DomainError
 from .params import INFINITY, ModelParams, validate_log_ratio
+from .trees import _index
 
 # Shift threshold: keep exp() arguments comfortably inside float64 range.
 _EXP_SHIFT_AT = 600.0
@@ -121,6 +122,7 @@ def pattern_image(color: int, params: ModelParams) -> np.ndarray:
     ``d`` requires ``w > 0`` (at ``w = 0`` the image is infinite).
     """
     q = params.q
+    color = _index(color, "color {} is not an integer")
     if not 1 <= color <= q:
         raise DomainError(f"color must lie in 1..{q}, got {color}")
     if params.d == INFINITY:

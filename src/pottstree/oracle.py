@@ -79,9 +79,11 @@ def brute_force_Z(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition 
     _check_query(q, w)
     pins = _collect_pins(tree, q, boundary)
     free = np.flatnonzero(pins == 0)
+    # q >= 2, so an exponent of the budget's bit length is already over it: the power stays short
+    if q ** min(len(free), BRUTE_FORCE_BUDGET.bit_length()) > BRUTE_FORCE_BUDGET:
+        raise BudgetError(f"{q}**{len(free)} colorings exceed the enumeration budget "
+                          f"BRUTE_FORCE_BUDGET={BRUTE_FORCE_BUDGET}")
     total = q ** len(free)
-    if total > BRUTE_FORCE_BUDGET:
-        raise BudgetError(f"{total} colorings exceed the enumeration budget {BRUTE_FORCE_BUDGET}")
     child = np.arange(1, tree.n_vertices)
     parents = (child - 1) // tree.d
     z = 0.0

@@ -20,11 +20,9 @@ uniform law is the Dirichlet(1, ..., 1) law on the vertex weights, drawn as
 standard exponentials divided by their left-to-right row sum: numpy's own
 Dirichlet sampler, bit for bit.  :func:`level` and the Dirichlet draw each
 keep their one formula in a private colour-major kernel (the layout is
-described in :mod:`pottstree.maps`) that writes into arrays the caller owns;
-:func:`level` allocates those arrays, and the ``two_step_level`` sweep
-reuses one workspace instead.  The weights do not depend on the level, so a
-sweep over a grid of levels draws them once per chunk and scales them by
-each level.
+described in :mod:`pottstree.maps`) that writes into arrays the caller owns.
+The weights do not depend on the level, so the ``two_step_level`` sweep draws
+them once per chunk, into its own workspace, and scales them by each level.
 
 The convexity probe asks whether midpoints of images under the recursion map
 pull back inside the same level set; its negative answers (witnesses) are as
@@ -56,10 +54,15 @@ WITNESS_REFINE_ROUNDS = 12
 BOUNDARY_FRACTION = 0.5
 
 
+def _check_level(c: float) -> None:
+    """Refuse a level ``c`` that is not finite and ``> 0`` with a :class:`DomainError`."""
+    if not 0 < c < np.inf:
+        raise DomainError(f"level must be finite and positive, got {c}")
+
+
 def polytope_vertices(c: float, q: int) -> np.ndarray:
     """The ``q`` vertices of ``P_c`` (one permutation orbit), rows of a matrix."""
-    if c <= 0:
-        raise DomainError(f"level must be positive, got {c}")
+    _check_level(c)
     v = -c * np.eye(q - 1)
     return np.vstack([v, np.full(q - 1, c)])
 
@@ -107,8 +110,7 @@ def _dirichlet_weights_into(rng: np.random.Generator, e: np.ndarray, acc: np.nda
 
 def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples of the facet ``{x <= 0, sum x = -c}`` of ``D_c``."""
-    if c <= 0:
-        raise DomainError(f"level must be positive, got {c}")
+    _check_level(c)
     return -c * rng.dirichlet(np.ones(q - 1), size=count)
 
 
@@ -177,6 +179,8 @@ def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
     """
     q = params.q
     vertices = [polytope_vertices(c, q) for c in levels]
+    if not vertices:
+        return []
     pairs = list(itertools.combinations(range(q), 2))
 
     def worst_pair(x: np.ndarray, y: np.ndarray):

@@ -12,11 +12,17 @@ from pottstree import (
     convergence_experiment,
     convexity_probe,
     diagonal_contraction,
+    convexity_witness_search,
     diagonal_minimality_check,
+    level,
+    log_ratio_map,
+    polytope_vertices,
+    sample_face,
     two_step_level,
+    two_step_map,
 )
-from pottstree import certify
-from pottstree.certify import STEP_CUSHION, _diagonal_level
+from pottstree import certify, polytope
+from pottstree.certify import STEP_CUSHION, _diagonal_level, _fundamental_probe_points
 from pottstree.reporting import spawn_rng
 
 
@@ -118,6 +124,38 @@ def _refuse_sampling(*args, **kwargs):
 @pytest.fixture
 def no_sampling(monkeypatch):
     monkeypatch.setattr(certify, "sampled_sweep", _refuse_sampling)
+
+
+@pytest.fixture
+def no_sampling_anywhere(no_sampling, monkeypatch):
+    monkeypatch.setattr(polytope, "sampled_sweep", _refuse_sampling)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: two_step_level([float("inf")], p, 2_000_000),
+    lambda p: two_step_level([1.0, float("nan")], p, 2_000_000),
+    lambda p: convexity_probe([float("nan")], p, 2_000_000, 0),
+    lambda p: convexity_witness_search(p, [float("inf")]),
+    lambda p: diagonal_minimality_check(float("inf"), p.q),
+    lambda p: polytope_vertices(float("nan"), 5),
+    lambda p: sample_face(float("inf"), 5, 10, spawn_rng(0)),
+], ids=["two_step_level", "two_step_level_grid", "convexity_probe", "witness_search",
+        "diagonal_minimality_check", "polytope_vertices", "sample_face"])
+def test_a_level_that_is_not_finite_is_refused_before_any_draw(call, no_sampling_anywhere):
+    with pytest.raises(DomainError, match=r"^level must be finite and positive, got (inf|nan)$"):
+        call(ModelParams(5, 1000, 1.0))
+
+
+def test_an_empty_level_list_draws_nothing(no_sampling_anywhere):
+    params = ModelParams(5, 1000, 1.0)
+    assert two_step_level([], params, 2_000_000) == []
+    assert convexity_probe([], params, 2_000_000, 0) == []
+
+
+def test_contraction_sequence_refuses_a_missing_target(no_sampling, monkeypatch):
+    monkeypatch.setattr(certify, "_diagonal_level", _refuse_sampling)
+    with pytest.raises(DomainError, match="^epsilon must be positive, got None"):
+        contraction_sequence(ModelParams(3, 50, 0.8), None, 10)
 
 
 def test_contraction_sequence_respects_max_iters(no_sampling):
@@ -254,9 +292,27 @@ def test_the_diagonal_level_is_bitwise_the_diagonal_probe(q):
         for alpha in alphas:
             params = ModelParams(q, d, alpha)
             for c in np.linspace(0.0, q + 1.0, 14)[1:]:
-                want = float(certify._probe_levels(c, params)[1])
+                probes = _fundamental_probe_points(c, q).T
+                want = float(level(two_step_map(probes, params))[1])
                 assert np.float64(_diagonal_level(c, params)).view(np.int64) == \
                     np.float64(want).view(np.int64), (d, alpha, c)
+
+
+@pytest.mark.parametrize("q", range(3, 13))
+def test_the_two_step_peak_on_the_fundamental_domain_is_minus_the_image_sum(q):
+    # the sign lemma: x <= 0 gives F(x) >= 0 and F(F(x)) <= 0, so the level is -sum
+    for d in (q, 1000, INFINITY):
+        for alpha in ((1.0,) if d == INFINITY else (0.5, 1.0)):
+            params = ModelParams(q, d, alpha)
+            for i, c in enumerate((1e-3, 0.5, q / 2.0, q + 1.0, 3.0 * q)):
+                x = -c * spawn_rng(q, i).dirichlet(np.ones(q), size=2000)[:, :q - 1]
+                fx = log_ratio_map(x, params)
+                ffx = log_ratio_map(fx, params)
+                assert (fx >= 0).all() and (ffx <= 0).all(), (d, alpha, c)
+                want = float(np.max(level(ffx)))
+                got = certify._two_step_peak(np.ascontiguousarray(x.T), params, np.empty(2000))
+                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), \
+                    (d, alpha, c)
 
 
 @pytest.mark.parametrize("q,c", [(3, 1.0), (4, 2.0), (6, 5.0)])

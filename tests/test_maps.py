@@ -97,6 +97,12 @@ def test_pattern_images_limit():
     np.testing.assert_array_equal(pattern_image(5, params), [5.0, 5.0, 5.0, 5.0])
 
 
+@pytest.mark.parametrize("color", [1.5, "2", 2.0, None])
+def test_pattern_image_refuses_a_colour_that_is_not_an_integer(color):
+    with pytest.raises(DomainError, match=f"^color {color!r} is not an integer$"):
+        pattern_image(color, ModelParams(3, 3, 1.0))
+
+
 def test_pattern_image_rejects_zero_weight():
     params = ModelParams(3, 2, 1.0)  # w = 0: frozen children have no finite image
     with pytest.raises(DomainError, match="w > 0"):

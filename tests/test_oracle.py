@@ -315,6 +315,14 @@ def test_dp_budget_is_checked_before_any_per_vertex_array():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_brute_force_budget_error_names_the_power_not_its_digits(n):
+    tree = TreeSpec.regular(3, n)
+    with pytest.raises(BudgetError, match=rf"^3\*\*{tree.n_vertices} colorings exceed ") as exc:
+        brute_force_Z(tree, 3, 0.5)
+    assert len(str(exc.value)) < 200
+
+
 def test_conditional_distribution_monochromatic_star():
     q, d, w = 3, 4, 0.6
     t = TreeSpec.regular(d, 1)

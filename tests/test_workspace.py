@@ -1,8 +1,8 @@
 """``two_step_level`` runs each chunk in place in one workspace per worker.
 
 The chunk draws its Dirichlet weights once with ``_dirichlet_weights_into``,
-then scales, maps and levels them at every level of the grid with
-``_log_ratio_map_into`` and ``_level_into``, writing into colour-major arrays
+then scales them at every level of the grid and takes the two-step peak of
+each batch with ``_two_step_peak``, writing into colour-major arrays
 cut from a buffer that lives as long as one sweep.  These tests hold that
 path to the bytes of the allocating formulas and bound what it allocates.
 """
@@ -26,7 +26,7 @@ def _same_bytes(got, want):
 
 
 def _buffer(q):
-    return np.empty(DEFAULT_CHUNK * (2 * q + 1))
+    return np.empty(DEFAULT_CHUNK * 2 * q)
 
 
 @pytest.mark.parametrize("q", range(3, 13))
@@ -34,7 +34,7 @@ def test_workspace_draw_is_numpy_dirichlet(q):
     buf = _buffer(q)
     # the largest draw first, so the smaller ones land on stale buffer contents
     for n in (DEFAULT_CHUNK, 7, 1):
-        e, w, x, u, _ = _workspace(buf, n, q)
+        e, w, x, u = _workspace(buf, n, q)
         ours, numpys = spawn_rng(q, n), spawn_rng(q, n)
         got = _dirichlet_weights_into(ours, e, u, out=w)
         want = numpys.dirichlet(np.ones(q), size=n)[:, : q - 1]
@@ -55,7 +55,7 @@ def _reference_peak(c, params, rng, n):
 
 def _reference_estimate(c, params, sample_count, seed):
     """The parent's estimate in two parts: the probe points' peak and the chunks' peak."""
-    probe = float(np.max(level(two_step_map(_fundamental_probe_points(c, params.q), params))))
+    probe = float(np.max(level(two_step_map(_fundamental_probe_points(c, params.q).T, params))))
     sampled = [_reference_peak(c, params, spawn_rng(seed, i), n)
                for i, n in enumerate(chunk_sizes(sample_count))]
     return probe, max(sampled)
@@ -125,9 +125,9 @@ def test_two_step_level_allocates_one_workspace():
     params = ModelParams(q, 1000, 1.0)
     buf = _buffer(q)
     workspace_bytes = buf.nbytes
-    assert workspace_bytes == DEFAULT_CHUNK * (2 * q + 1) * 8
-    e, w, x, u, v = _workspace(buf, DEFAULT_CHUNK, q)
-    assert sum(a.nbytes for a in (e, w, u, v)) == workspace_bytes
+    assert workspace_bytes == DEFAULT_CHUNK * 2 * q * 8
+    e, w, x, u = _workspace(buf, DEFAULT_CHUNK, q)
+    assert sum(a.nbytes for a in (e, w, u)) == workspace_bytes
     assert np.shares_memory(x, e) and not np.shares_memory(x, w)
     for levels in ([3.0], [0.5 * k for k in range(1, 13)]):
         two_step_level(levels, params, 100_000, threads=1)  # warm: imports, caches
