@@ -44,8 +44,8 @@ from .maps import (_colour_reduce, _log_ratio_map_into, diagonal_contraction,
                    leaf_counts_log_ratios, log_ratio_map, two_step_sum_limit)
 from .params import INFINITY, ModelParams
 from .polytope import _check_level, _dirichlet_weights_into, sample_face
-from .reporting import (DEFAULT_CHUNK, CertificationReport, per_thread_buffer, sampled_sweep,
-                        spawn_rng)
+from .reporting import (DEFAULT_CHUNK, CertificationReport, check_integers, per_thread_buffer,
+                        sampled_sweep, spawn_rng)
 
 #: Additive cushion per contraction step, so each next level lies strictly
 #: above the sampled estimate.  That estimate is a sampled maximum, so the
@@ -122,6 +122,7 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
     Every level scales the same draws, so a level's report is the one a
     single-level call gives.  Levels are checked before any draw; an empty list draws none.
     """
+    check_integers(sample_count=sample_count, seed=seed)
     for c in levels:
         _check_level(c)
     if len(levels) == 0:
@@ -149,9 +150,11 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
 
 
 def check_contraction_target(epsilon: float | None, max_iters: int) -> None:
-    """Raise :class:`DomainError` unless ``max_iters >= 1`` and ``epsilon`` is None or > 0."""
+    """Raise :class:`DomainError` unless ``epsilon`` is None or > 0 and ``max_iters`` is an
+    integer >= 1."""
     if epsilon is not None and not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
+    check_integers(max_iters=max_iters)
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
 
@@ -213,6 +216,7 @@ def contraction_sequence(params: ModelParams, epsilon: float, max_iters: int,
     if epsilon is None:
         raise DomainError("epsilon must be positive, got None: the chain needs a target level")
     check_contraction_target(epsilon, max_iters)
+    check_integers(sample_count=sample_count, seed=seed)
     reason = _doomed_reason(params, epsilon, max_iters)
     if reason is not None:
         raise CertificationError(f"{reason}; no samples were drawn; params={params}")
@@ -248,6 +252,7 @@ def diagonal_minimality_check(c: float, q: int, sample_count: int = 50_000,
     gap over all points.
     """
     _check_level(c)
+    check_integers(sample_count=sample_count, seed=seed)
     diag = np.full(q - 1, -c / (q - 1.0))
     base = float(two_step_sum_limit(diag, q))
     x = sample_face(c, q, sample_count, spawn_rng(seed))
@@ -301,6 +306,7 @@ def convergence_experiment(q: int, d: int, alpha: float, n_max: int,
         raise DomainError(f"unknown boundary strategy {boundary!r}")
     if not (isinstance(d, (int, np.integer)) and d >= 2):
         raise DomainError(f"d must be an integer >= 2, got {d!r}")
+    check_integers(n_max=n_max, trials=trials, color=color, seed=seed)
     if n_max < 3:
         raise DomainError("need n_max >= 3 to measure two-step ratios")
     if trials < 1:

@@ -35,8 +35,8 @@ from .oracle import (_check_regular_dp_budget, brute_force_Z,
                      recursion_root_log_ratios, root_summary)
 from .params import INFINITY, ModelParams
 from .polytope import convexity_probe
-from .reporting import (code_version, format_value, parse_grid, spawn_rng, write_csv_atomic,
-                        write_text_atomic)
+from .reporting import (check_seed, code_version, format_value, parse_grid, spawn_rng,
+                        write_csv_atomic, write_text_atomic)
 from .trees import BoundaryCondition, TreeSpec, read_boundary_file
 
 PASS, FAIL = "PASS", "FAIL"
@@ -337,6 +337,7 @@ def main(argv=None) -> int:
         "oracle": _cmd_oracle,
     }
     try:
+        check_seed(args.seed)  # every command takes one; refused before any work or output
         return handlers[args.command](args)
     except (DomainError, ParseError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,8 +44,8 @@ import numpy as np
 from .errors import DomainError
 from .maps import log_ratio_map, two_step_sum_limit
 from .params import INFINITY, ModelParams, validate_log_ratio
-from .reporting import (DEFAULT_CHUNK, CertificationReport, per_thread_buffer, sampled_sweep,
-                        spawn_rng)
+from .reporting import (DEFAULT_CHUNK, CertificationReport, check_integers, per_thread_buffer,
+                        sampled_sweep, spawn_rng)
 
 #: Rows of ``n`` floats in one chunk's workspace: the draw block (then three
 #: work rows), the triple, its exponents, the gap, line value and slope, the
@@ -277,6 +277,7 @@ def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
     report's margin is the smallest positive quantity seen, and the witness
     records the draw that attains it.
     """
+    check_integers(l=l, trials=trials, seed=seed)
     if not 1 <= l <= q - 2:
         raise DomainError(f"l must lie in 1..{q - 2}, got {l}")
     check_sweep_sizes(trials=trials)
@@ -309,6 +310,7 @@ def gradient_identity_sweep(q: int, points: int = 1000, seed: int = 0) -> Certif
     ``|fd - grad| / max(1, |grad|)`` per component, and the sweep passes at
     1e-6.
     """
+    check_integers(points=points, seed=seed)
     check_sweep_sizes(points=points)
     step = 1e-5
     rng = spawn_rng(seed)

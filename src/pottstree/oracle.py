@@ -35,6 +35,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .maps import _colour_reduce, leaf_counts_log_ratios, log_ratio_map
 from .params import ModelParams
+from .reporting import check_integers
 from .trees import BoundaryCondition, TreeSpec, _integers, _power_over_2_64, regular_size
 
 BRUTE_FORCE_BUDGET = 10_000_000
@@ -275,9 +276,12 @@ def recursion_root_log_ratios(q: int, d: int, n: int, w: float, leaf_colors) -> 
     is the core correctness check.
     """
     params = ModelParams.from_weight(q, d, w)
+    check_integers(d=d, n=n)
     if n < 1:
         raise DomainError("depth must be >= 1")
     leaf_colors = _integers(leaf_colors, "leaf color {} is not an integer")
+    if _power_over_2_64(d, n):  # no array holds that many colors; the power is too long to print
+        raise DomainError(f"need {d}**{n} leaf colors, got shape {leaf_colors.shape}")
     if leaf_colors.shape != (d**n,):
         raise DomainError(f"need {d**n} leaf colors, got shape {leaf_colors.shape}")
     if leaf_colors.min() < 1 or leaf_colors.max() > q:

@@ -28,12 +28,13 @@ The convexity probe asks whether midpoints of images under the recursion map
 pull back inside the same level set; its negative answers (witnesses) are as
 meaningful as its positive margins.  The pullback writes each batch of
 midpoints into one colour-major array and runs the preimage and level
-kernels on it in place.  The witness search scans all pairs of a point cloud
-in row blocks of broadcast views, so no pair is gathered; a block's pairs
-below the diagonal mirror pairs it visits earlier, with the same level bit
-for bit, so they never displace the first maximum.  A midpoint without a
-preimage has level ``+inf``, which no later pair can beat, so the scan, the
-refinement rounds and the remaining levels stop there.
+kernels on it in place.  The witness search makes one pass per level: it maps
+a point cloud on the boundary of ``P_c`` by ``F`` once and scans all its pairs
+in row blocks of broadcast views, so no pair is gathered; a block's pairs below
+the diagonal mirror pairs it visits earlier, with the same level bit for bit,
+so they never displace the first maximum.  A midpoint without a preimage has
+level ``+inf``, which no later pair can beat, so the scan and the remaining
+levels stop there.
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ import numpy as np
 from .errors import DomainError
 from .maps import _colour_reduce, _log_ratio_map_preimage_into, log_ratio_map
 from .params import ModelParams
-from .reporting import DEFAULT_CHUNK, CertificationReport, sampled_sweep, spawn_rng
+from .reporting import DEFAULT_CHUNK, CertificationReport, check_integers, sampled_sweep, spawn_rng
 
 WITNESS_THRESHOLD = 1e-6
-#: Rounds of local refinement around the worst pair of each witness-search scan.
-WITNESS_REFINE_ROUNDS = 12
 #: Share of the convexity probe's samples of ``P_c`` moved onto a facet.
 BOUNDARY_FRACTION = 0.5
 
@@ -156,14 +155,6 @@ def _midpoint_pullback_levels(fx: np.ndarray, fy: np.ndarray, params: ModelParam
     return out
 
 
-def _worst_midpoint(x: np.ndarray, y: np.ndarray, params: ModelParams) -> tuple[float, int]:
-    """``(level, k)``: the highest midpoint pullback level over the pairs
-    ``(x[k], y[k])``, mapped by ``F`` here, and the first ``k`` that attains it."""
-    lev = _midpoint_pullback_levels(log_ratio_map(x, params), log_ratio_map(y, params), params)
-    k = int(np.argmax(lev))
-    return float(lev[k]), k
-
-
 def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
                     threads: int = 1) -> list[CertificationReport]:
     """Sampled test that midpoints of ``F(P_c)`` pull back into ``P_c``, one report per level ``c``.
@@ -177,6 +168,7 @@ def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
     ``levels`` on them, so a level's report is the one a single-level call
     gives.
     """
+    check_integers(pair_count=pair_count, seed=seed)
     q = params.q
     vertices = [polytope_vertices(c, q) for c in levels]
     if not vertices:
@@ -184,9 +176,10 @@ def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
     pairs = list(itertools.combinations(range(q), 2))
 
     def worst_pair(x: np.ndarray, y: np.ndarray):
-        top_level, k = _worst_midpoint(x, y, params)
+        lev = _midpoint_pullback_levels(log_ratio_map(x, params), log_ratio_map(y, params), params)
+        k = int(np.argmax(lev))
         # copies: a view would keep the level's whole batch alive with the result
-        return top_level, x[k].copy(), y[k].copy()
+        return float(lev[k]), x[k].copy(), y[k].copy()
 
     def run_chunk(rng: np.random.Generator, n: int):
         wx = _polytope_weights(q, n, rng)
@@ -277,20 +270,20 @@ def convexity_witness_search(params: ModelParams, c_values, pairs_per_c: int = 2
                              seed: int = 0) -> dict | None:
     """Best-effort search for a genuine convexity violation.
 
-    Scans dense point clouds on the boundary of ``P_c`` (edge grids plus
+    Scans a dense point cloud on the boundary of ``P_c`` (edge grids plus
     random facet points) over all unordered pairs (the midpoint is
     symmetric, see :func:`_worst_unordered_pair`); ``F`` is evaluated once
-    per cloud point.  Then it locally refines the worst pair by perturbing
-    its vertex-weight coordinates.  Returns the strongest witness found
-    (violation > 1e-6) or ``None`` if the budget is exhausted without one.
+    per cloud point.  Returns the strongest witness found (violation > 1e-6)
+    or ``None`` if the budget is exhausted without one.  Only boundary points
+    are scanned, so a coarse cloud (small ``pairs_per_c``) can miss a
+    violation that only interior pairs show.
 
     Every level and ``pairs_per_c`` are validated before any draw.  A
-    midpoint without a preimage has level ``+inf``, which the strict ``>``
-    never replaces: once a level's scan finds one, its refinement rounds are
-    skipped, and once the best witness has an infinite violation, so are the
-    remaining levels.  Each level and round draws from its own
-    ``spawn_rng(seed, ci, ...)`` stream, so skipping leaves the result
-    unchanged.  A skipped step is not evaluated at all, so it cannot raise
+    midpoint without a preimage has level ``+inf``, which no later witness
+    can beat, so once the best witness has an infinite violation the
+    remaining levels are skipped.  Each level draws from its own
+    ``spawn_rng(seed, ci, ...)`` streams, so skipping leaves the result
+    unchanged.  A skipped level is not evaluated at all, so it cannot raise
     the ``DomainError`` that ``F`` raises off its domain (where ``w <= 0``).
     """
     if not isinstance(pairs_per_c, (int, np.integer)) or pairs_per_c < 0:
@@ -303,32 +296,13 @@ def convexity_witness_search(params: ModelParams, c_values, pairs_per_c: int = 2
         if best is not None and best["violation"] == np.inf:
             break
         w_cloud = _witness_cloud(q, pairs_per_c, seed, ci)
-        fc = log_ratio_map(w_cloud @ vx, params)
-        top_level, top_i, top_j = _worst_unordered_pair(fc, params)
-        wx, wy = w_cloud[top_i].copy(), w_cloud[top_j].copy()
-
-        # local refinement in weight space (stays inside P_c by construction)
-        sigma = 0.15
-        for r in range(WITNESS_REFINE_ROUNDS):
-            if top_level == np.inf:
-                break
-            rr = spawn_rng(seed, ci, 3, r)
-            px = np.abs(wx + sigma * rr.standard_normal((400, q)))
-            py = np.abs(wy + sigma * rr.standard_normal((400, q)))
-            px = np.vstack([wx, px]) ; py = np.vstack([wy, py])
-            px /= px.sum(axis=1, keepdims=True)
-            py /= py.sum(axis=1, keepdims=True)
-            pair_level, k = _worst_midpoint(px @ vx, py @ vx, params)
-            if pair_level > top_level:
-                top_level, wx, wy = pair_level, px[k].copy(), py[k].copy()
-            sigma *= 0.6
-
+        top_level, i, j = _worst_unordered_pair(log_ratio_map(w_cloud @ vx, params), params)
         violation = top_level - c
         if violation > WITNESS_THRESHOLD and (best is None or violation > best["violation"]):
             best = {
                 "c": float(c),
-                "x": list(wx @ vx),
-                "y": list(wy @ vx),
+                "x": list(w_cloud[i] @ vx),
+                "y": list(w_cloud[j] @ vx),
                 "pullback_level": top_level,
                 "violation": float(violation),
             }

@@ -34,14 +34,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .trees import _index
 
 DEFAULT_CHUNK = 25_000
 
 
-def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for stream ``key`` of master ``seed``, which must be >= 0."""
+def check_integers(**values) -> None:
+    """Refuse the first of ``values`` that is not a Python or numpy integer with a
+    :class:`DomainError` that names it: ``sample_count must be an integer, got 2.5``."""
+    for name, value in values.items():
+        _index(value, f"{name} must be an integer, got {{}}")
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a master seed that is not an integer ``>= 0`` with a :class:`DomainError`."""
+    check_integers(seed=seed)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+
+
+def spawn_rng(seed: int, *key: int) -> np.random.Generator:
+    """Deterministic generator for stream ``key`` of master ``seed``, an integer >= 0."""
+    check_seed(seed)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, key)])))
 
 

@@ -14,14 +14,17 @@ from pottstree import (
     diagonal_contraction,
     convexity_witness_search,
     diagonal_minimality_check,
+    gradient_identity_sweep,
     level,
     log_ratio_map,
     polytope_vertices,
+    positivity_sweep,
+    recursion_root_log_ratios,
     sample_face,
     two_step_level,
     two_step_map,
 )
-from pottstree import certify, polytope
+from pottstree import certify, gradients, polytope
 from pottstree.certify import STEP_CUSHION, _diagonal_level, _fundamental_probe_points
 from pottstree.reporting import spawn_rng
 
@@ -150,6 +153,38 @@ def test_an_empty_level_list_draws_nothing(no_sampling_anywhere):
     params = ModelParams(5, 1000, 1.0)
     assert two_step_level([], params, 2_000_000) == []
     assert convexity_probe([], params, 2_000_000, 0) == []
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda p: positivity_sweep(5, 1.5, 1000), "l", 1.5),
+    (lambda p: positivity_sweep(5, 1, 2.5), "trials", 2.5),
+    (lambda p: positivity_sweep(5, 1, 1000, seed=1.5), "seed", 1.5),
+    (lambda p: two_step_level([2.0], p, 2.5), "sample_count", 2.5),
+    (lambda p: two_step_level([2.0], p, 1000, seed=1.5), "seed", 1.5),
+    (lambda p: convexity_probe([2.0], p, 2.5, 0), "pair_count", 2.5),
+    (lambda p: convexity_probe([2.0], p, 1000, 1.5), "seed", 1.5),
+    (lambda p: gradient_identity_sweep(5, 2.5), "points", 2.5),
+    (lambda p: diagonal_minimality_check(1.0, 5, 2.5), "sample_count", 2.5),
+    (lambda p: contraction_sequence(p, 0.5, 2.5), "max_iters", 2.5),
+    (lambda p: convergence_experiment(3, 3, 0.5, 3.5), "n_max", 3.5),
+    (lambda p: convergence_experiment(3, 3, 0.5, 4, "random", trials=2.5), "trials", 2.5),
+    (lambda p: convergence_experiment(3, 3, 0.5, 4, color=1.5), "color", 1.5),
+    (lambda p: recursion_root_log_ratios(3, 2.0, 2, 0.5, [1, 2, 3, 1]), "d", 2.0),
+    (lambda p: recursion_root_log_ratios(3, 2, 1.5, 0.5, [1, 2, 3, 1]), "n", 1.5),
+    (lambda p: spawn_rng(1.5), "seed", 1.5),
+], ids=["positivity_l", "positivity_trials", "positivity_seed", "two_step_level_count",
+        "two_step_level_seed", "probe_count", "probe_seed", "gradient_points", "diagonal_count",
+        "contraction_iters", "convergence_n_max", "convergence_trials", "convergence_color",
+        "recursion_d", "recursion_n", "spawn_rng"])
+def test_a_count_or_seed_that_is_not_an_integer_is_refused_before_any_draw(
+        call, name, value, no_sampling_anywhere, monkeypatch):
+    # each used to be truncated (l=1.5 passed, seed=1.5 drew seed 1's samples)
+    # or to end in a TypeError or IndexError
+    monkeypatch.setattr(gradients, "sampled_sweep", _refuse_sampling)
+    for module in (certify, gradients):
+        monkeypatch.setattr(module, "spawn_rng", _refuse_sampling)
+    with pytest.raises(DomainError, match=rf"^{name} must be an integer, got {value}$"):
+        call(ModelParams(5, 8, 0.5))
 
 
 def test_contraction_sequence_refuses_a_missing_target(no_sampling, monkeypatch):

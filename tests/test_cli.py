@@ -251,9 +251,15 @@ def test_commands_reject_fewer_than_one_thread(argv, written, tmp_path, capsys):
      "--out", "{tmp}/conv.csv"],
     ["lemmas", "--q-max", "3", "--trials", "2000", "--out", "{tmp}/lemmas.csv"],
     ["oracle", "--q", "3", "--d", "2", "--n", "2", "--boundary", "random", "--out", "{tmp}/o.txt"],
-], ids=["certify", "recursion", "lemmas", "oracle"])
+    ["certify", "--q", "5", "--d", "8", "--alpha", "0.5", "--c", "2", "--samples", "0",
+     "--pairs", "0", "--contract-to", "0.5", "--out-prefix", "{tmp}/cert"],
+    ["recursion", "--q", "3", "--d", "3", "--n-max", "3", "--out", "{tmp}/conv.csv"],
+    ["oracle", "--q", "3", "--d", "3", "--n", "2", "--out", "{tmp}/o.txt"],
+], ids=["certify", "recursion", "lemmas", "oracle",
+        "certify_without_draws", "recursion_mono", "oracle_mono"])
 def test_commands_refuse_a_negative_seed(argv, tmp_path, capsys):
-    # each used to end in numpy's "expected non-negative integer" traceback
+    # the first four used to end in numpy's "expected non-negative integer"
+    # traceback; the last three drew nothing, so the seed was never checked
     code = main([a.format(tmp=tmp_path) for a in argv] + ["--seed", "-1"])
     captured = capsys.readouterr()
     assert code == 1

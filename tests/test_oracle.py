@@ -323,6 +323,14 @@ def test_brute_force_budget_error_names_the_power_not_its_digits(n):
     assert len(str(exc.value)) < 200
 
 
+@pytest.mark.parametrize("n", [9000, 10000])
+def test_recursion_leaf_count_error_names_the_power_not_its_digits(n):
+    # 3**10000 used to exceed Python's int-to-text digit limit; 3**9000 filled the message
+    with pytest.raises(DomainError, match=rf"^need 3\*\*{n} leaf colors, got shape \(3,\)$") as exc:
+        recursion_root_log_ratios(3, 3, n, 0.5, [1, 2, 3])
+    assert len(str(exc.value)) < 200
+
+
 def test_conditional_distribution_monochromatic_star():
     q, d, w = 3, 4, 0.6
     t = TreeSpec.regular(d, 1)

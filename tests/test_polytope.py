@@ -189,9 +189,12 @@ def _gather_scan_search(params, c_values, pairs_per_c, seed):
     """The witness search as written before row blocks, as a reference.
 
     Scans the triangle ``i <= j`` in row-major chunks of ``DEFAULT_CHUNK``
-    gathered pairs, and runs every chunk and every refinement round, also
-    after a pair without a preimage.
+    gathered pairs, then runs 12 rounds of local refinement around the worst
+    pair by perturbing its vertex weights; every chunk and every round runs,
+    also after a pair without a preimage.  The search itself only scans, so a
+    match shows that refinement does not raise the witness of that case.
     """
+    refine_rounds = 12
     q = params.q
     best = None
     for ci, c in enumerate(c_values):
@@ -207,7 +210,7 @@ def _gather_scan_search(params, c_values, pairs_per_c, seed):
             if lev[k] > top_level:
                 top_level, wx, wy = float(lev[k]), w_cloud[i[k]].copy(), w_cloud[j[k]].copy()
         sigma = 0.15
-        for r in range(polytope.WITNESS_REFINE_ROUNDS):
+        for r in range(refine_rounds):
             rr = spawn_rng(seed, ci, 3, r)
             px = np.vstack([wx, np.abs(wx + sigma * rr.standard_normal((400, q)))])
             py = np.vstack([wy, np.abs(wy + sigma * rr.standard_normal((400, q)))])
@@ -242,6 +245,9 @@ def _reference_pullback_levels(fx, fy, params):
     (ModelParams(4, 30, 1.0), [2.0, 5.0], 0),
     (ModelParams(3, 1000, 1.0), [1.0, 2.0, 4.0], 0),
     (ModelParams(3, INFINITY), [1.0, 2.0, 3.0], 0),
+    (ModelParams(5, 10, 1.0), [6.0], 0),  # a finite witness, violation 0.413
+    (ModelParams(6, 30, 1.0), [7.0], 0),  # violation 0.183
+    (ModelParams(4, 12, 0.8), [5.0], 0),  # violation 0.0268
 ])
 def test_witness_search_matches_the_gather_scan(params, c_values, seed):
     got = convexity_witness_search(params, c_values, pairs_per_c=2000, seed=seed)
@@ -252,7 +258,7 @@ def test_witness_search_matches_the_gather_scan(params, c_values, seed):
 
 def test_witness_search_stops_once_a_pair_has_no_preimage(monkeypatch):
     # criterion 06: the first row block holds a pair without a preimage at c=6,
-    # so neither the rest of the scan, the refinement rounds nor c=8, 12 run
+    # so neither the rest of the scan nor c=8, 12 run
     pairs = []
 
     def counting(fx, fy, params):
