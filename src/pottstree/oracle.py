@@ -15,7 +15,10 @@ be validated against it:
   with the same bits;
 * :func:`root_log_ratios` / :func:`conditional_root_distribution` derive the
   quantities the recursion predicts, straight from the dynamic program, and
-  :func:`root_summary` gives both with ``log Z`` from a single pass;
+  :func:`root_summary` gives both with ``log Z`` from a single pass.  A query
+  runs at most one pass: the boundary keeps the root row of its last
+  ``(tree, q, w)``, read-only, so :func:`dp_log_Z` and these three answer a
+  repeat of that query from it;
 * :func:`recursion_root_log_ratios` runs the recursion-map pipeline on an
   explicit regular tree (the thing being cross-checked);
 * :func:`enumerate_log_ratio_sets` enumerates every achievable log-ratio
@@ -118,7 +121,26 @@ def dp_log_Z(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition = _FR
     Returns ``-inf`` when no compatible coloring has positive weight
     (possible only at ``w = 0``).
     """
-    return _logsumexp(_dp_tables(tree, q, w, boundary))
+    return _logsumexp(_root_row(tree, q, w, boundary))
+
+
+def _root_row(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition) -> np.ndarray:
+    """:func:`_dp_tables`'s root row, read-only, kept on ``boundary`` for its last query.
+
+    ``q`` and ``w`` are checked before the lookup, so a repeat of a query
+    is refused exactly as a first one is.  A boundary and a tree are
+    immutable, so the kept row cannot go stale; the boundary keeps one row,
+    that of the last ``(tree, q, w)`` it was asked about.
+    """
+    _check_query(q, w)
+    key = (tree, q, w)
+    last = vars(boundary).get("_last_root_row")
+    if last is not None and last[0] == key:
+        return last[1]
+    row = _dp_tables(tree, q, w, boundary)
+    row.setflags(write=False)
+    vars(boundary)["_last_root_row"] = (key, row)  # as cached_property stores ``pins``
+    return row
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -234,13 +256,14 @@ def root_summary(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition
     The same values as :func:`dp_log_Z`, :func:`conditional_root_distribution`
     and :func:`root_log_ratios`, under the latter's requirements; entry
     ``c-1`` of the row is ``log Z`` with the root pinned to ``c``, the
-    :func:`dp_log_Z` of the boundary plus that pin.
+    :func:`dp_log_Z` of the boundary plus that pin.  The row is the one the
+    boundary keeps for this query, so it is read-only.
     """
     if not 0.0 < w <= 1.0:
         raise DomainError(f"log-ratios require w in (0, 1], got w={w}")
     if tree.root in boundary.colors:
         raise DomainError("log-ratios are undefined when the root is pinned")
-    root = _dp_tables(tree, q, w, boundary)
+    root = _root_row(tree, q, w, boundary)
     return _logsumexp(root), _root_law(root), root[: q - 1] - root[q - 1], root
 
 
@@ -259,7 +282,7 @@ def conditional_root_distribution(tree: TreeSpec, q: int, w: float,
     """Distribution of the root color conditioned on the boundary."""
     if not 0.0 < w <= 1.0:
         raise DomainError(f"the conditional distribution requires w in (0, 1], got w={w}")
-    return _root_law(_dp_tables(tree, q, w, boundary))
+    return _root_law(_root_row(tree, q, w, boundary))
 
 
 def _root_law(root: np.ndarray) -> np.ndarray:
@@ -286,9 +309,10 @@ def recursion_root_log_ratios(q: int, d: int, n: int, w: float, leaf_colors) -> 
         raise DomainError(f"need {d**n} leaf colors, got shape {leaf_colors.shape}")
     if leaf_colors.min() < 1 or leaf_colors.max() > q:
         raise DomainError("leaf colors must lie in 1..q")
-    # Depth n-1: each parent sees a color multiset.
-    groups = leaf_colors.reshape(-1, d)
-    counts = np.stack([(groups == c).sum(axis=1) for c in range(1, q + 1)], axis=1)
+    # Depth n-1: each parent sees a color multiset, counted in slot parent*q + color-1
+    # of one bincount (colors cast to int64 first: uint64 and int64 mix to float).
+    slots = (np.arange(d**n) // d) * q + (leaf_colors.astype(np.int64) - 1)
+    counts = np.bincount(slots, minlength=d**(n - 1) * q).reshape(-1, q)
     level = leaf_counts_log_ratios(counts, params)
     # Depths n-2 .. 0: plain batched recursion steps.
     for _ in range(n - 1):

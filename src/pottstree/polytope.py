@@ -276,7 +276,14 @@ def convexity_witness_search(params: ModelParams, c_values, pairs_per_c: int = 2
     per cloud point.  Returns the strongest witness found (violation > 1e-6)
     or ``None`` if the budget is exhausted without one.  Only boundary points
     are scanned, so a coarse cloud (small ``pairs_per_c``) can miss a
-    violation that only interior pairs show.
+    violation that only interior pairs show.  Measured against a search that
+    also refines interior pairs, over 1,140 searches (q in {3, 4, 5, 6, 8},
+    d in {2, 3, 4, 10, 50, inf}, alpha in {0.3, 0.7, 1}, seeds 0 and 1):
+    at 1,000 pairs per level the scan returned ``None`` for ``(6, 50, 1.0)``
+    at c=7, ``(8, 50, 0.3)`` at c=9 and ``(8, 50, 0.7)`` at c=8, where
+    interior pairs violate by 0.009-0.038; at 3,000 pairs one search found a
+    smaller violation than the reference, with the same verdict; at 20,000
+    pairs all 1,140 matched.
 
     Every level and ``pairs_per_c`` are validated before any draw.  A
     midpoint without a preimage has level ``+inf``, which no later witness

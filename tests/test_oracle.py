@@ -29,6 +29,11 @@ def _pin_root(tree, boundary, color):
     return boundary if color is None else BoundaryCondition({**boundary.colors, tree.root: color})
 
 
+def _fresh(boundary):
+    """A copy of ``boundary`` that keeps no root row."""
+    return BoundaryCondition(dict(boundary.colors))
+
+
 def test_single_edge_closed_form():
     t = TreeSpec.regular(1, 1)
     for q, w in [(3, 0.5), (4, 0.25), (5, 1.0)]:
@@ -135,9 +140,10 @@ def test_root_summary_is_bitwise_the_three_oracles(q, d, n, w):
     t = TreeSpec.regular(d, n)
     b = BoundaryCondition.random(t, q, np.random.default_rng(q))
     log_z, p, ratios, row = root_summary(t, q, w, b)
-    assert log_z == dp_log_Z(t, q, w, b)
-    np.testing.assert_array_equal(p, conditional_root_distribution(t, q, w, b))
-    np.testing.assert_array_equal(ratios, root_log_ratios(t, q, w, b))
+    # fresh copies, so that each oracle makes its own pass rather than read the kept row
+    assert log_z == dp_log_Z(t, q, w, _fresh(b))
+    np.testing.assert_array_equal(p, conditional_root_distribution(t, q, w, _fresh(b)))
+    np.testing.assert_array_equal(ratios, root_log_ratios(t, q, w, _fresh(b)))
     # entry c-1 of the root row is log Z with the root pinned to c, sign bit included
     pinned = np.array([dp_log_Z(t, q, w, _pin_root(t, b, c)) for c in range(1, q + 1)])
     assert np.array_equal(row.view(np.int64), pinned.view(np.int64))
@@ -227,6 +233,93 @@ def test_dp_tables_are_bitwise_the_per_vertex_loop_from_eight_colours():
         b = BoundaryCondition.random(t, q, np.random.default_rng(q))
         for w in (0.0, 0.77, 1.0):
             _assert_bitwise_reference(t, _regular_children(3, 5), q, w, b)
+
+
+_QUERIES = (dp_log_Z, root_log_ratios, conditional_root_distribution, root_summary)
+
+
+def _bits(f, *query):
+    """``f(*query)`` as the bits of each value it returns, or the message of its refusal."""
+    try:
+        got = f(*query)
+    except DomainError as e:
+        return str(e)
+    return [np.asarray(v, dtype=np.float64).view(np.int64).tolist()
+            for v in (got if isinstance(got, tuple) else (got,))]
+
+
+def test_kept_root_row_answers_bitwise_as_a_fresh_boundary():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        tree, _, q, w, b = _random_query(rng)
+        for order in (_QUERIES, _QUERIES[::-1]):
+            b = _fresh(b)
+            for f in order:
+                assert _bits(f, tree, q, w, b) == _bits(f, tree, q, w, _fresh(b))
+
+
+def test_a_query_makes_one_dp_pass(monkeypatch):
+    passes = []
+    dp_tables = oracle._dp_tables
+    monkeypatch.setattr(oracle, "_dp_tables", lambda *a: passes.append(a[:3]) or dp_tables(*a))
+    t, deeper = TreeSpec.regular(2, 2), TreeSpec.regular(2, 3)
+    b = BoundaryCondition.from_leaf_colors(t, [1, 2, 3, 1])  # its pins lie in both trees
+    for _ in range(2):
+        for f in _QUERIES:
+            f(t, 3, 0.5, b)
+    assert passes == [(t, 3, 0.5)]
+    for query in [(t, 4, 0.5), (t, 4, 0.25), (deeper, 4, 0.25)]:
+        for f in _QUERIES:
+            f(*query, b)
+    assert passes == [(t, 3, 0.5), (t, 4, 0.5), (t, 4, 0.25), (deeper, 4, 0.25)]
+    del passes[:]
+    for w in (0.5, 0.25) * 3:  # the boundary keeps only its last query
+        dp_log_Z(t, 3, w, b)
+    assert passes == [(t, 3, w) for w in (0.5, 0.25) * 3]
+
+
+def test_kept_root_row_is_read_only():
+    t = TreeSpec.regular(3, 4)
+    b = BoundaryCondition.random(t, 3, np.random.default_rng(4))
+    row = root_summary(t, 3, 0.5, b)[3]
+    before = row.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+    assert np.array_equal(root_summary(t, 3, 0.5, b)[3].view(np.int64), before.view(np.int64))
+    assert _bits(dp_log_Z, t, 3, 0.5, b) == _bits(dp_log_Z, t, 3, 0.5, _fresh(b))
+
+
+def test_a_kept_root_row_answers_no_query_the_oracles_refuse():
+    t = TreeSpec.regular(2, 2)
+    b = BoundaryCondition({0: 1, **{v: 2 for v in t.leaves()}})
+    for w in (0.0, 0.5):
+        dp_log_Z(t, 3, w, b)
+        with pytest.raises(DomainError, match=r"^q must be an integer >= 2, got 3\.0$"):
+            dp_log_Z(t, 3.0, w, b)
+    with pytest.raises(DomainError, match="root is pinned"):
+        root_log_ratios(t, 3, 0.5, b)
+    dp_log_Z(t, 3, 0.0, b)
+    with pytest.raises(DomainError, match="requires w in"):
+        conditional_root_distribution(t, 3, 0.0, b)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_frozen_boundary_forces_the_root_at_zero_weight(q):
+    # proper q-colourings of the q-regular tree (d = q-1 children, alpha = 1 gives w = 0):
+    # give each vertex's children the other q-1 colours and the leaves alone force the root
+    w = ModelParams(q, q - 1, 1.0).w
+    assert w == 0.0
+    for n in range(2, 7):
+        t = TreeSpec.regular(q - 1, n)
+        colour = [1]
+        for v in range(t.level(n).start):  # children of v are appended in vertex order
+            colour += [c for c in range(1, q + 1) if c != colour[v]]
+        b = BoundaryCondition({v: colour[v] for v in t.level(n)})
+        pinned = [dp_log_Z(t, q, w, _pin_root(t, b, c)) for c in range(1, q + 1)]
+        assert pinned == [0.0] + [-np.inf] * (q - 1)
+        if n == 2:
+            counted = [brute_force_Z(t, q, w, _pin_root(t, b, c)) for c in range(1, q + 1)]
+            assert counted == [1.0] + [0.0] * (q - 1)
 
 
 def _level_pins(tree, q, rng, modes):
@@ -379,6 +472,15 @@ def test_recursion_matches_dp_on_a_random_boundary_at_depth_12():
     b = BoundaryCondition.from_leaf_colors(t, leaf_colors)
     np.testing.assert_allclose(recursion_root_log_ratios(q, d, n, w, leaf_colors),
                                root_log_ratios(t, q, w, b), rtol=0, atol=1e-9)
+
+
+def test_recursion_counts_leaf_colours_of_any_integer_dtype():
+    q, d, n, w = 4, 3, 3, 0.4
+    colours = np.random.default_rng(5).integers(1, q + 1, size=d**n)
+    want = recursion_root_log_ratios(q, d, n, w, colours.tolist())
+    for dtype in (np.uint8, np.int16, np.uint64):
+        got = recursion_root_log_ratios(q, d, n, w, colours.astype(dtype))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_recursion_pipeline_input_checks():
