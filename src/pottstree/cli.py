@@ -202,7 +202,16 @@ def _cmd_certify(args) -> int:
               f"{PASS if probe.passed else FAIL}")
         all_passed &= inv.passed and probe.passed
 
-    if args.contract_to is not None:
+    if args.contract_to is not None and params.w == 0.0:
+        # proper colourings: a pinned leaf's image d*log(w) is infinite, so no chain
+        # starts from c1; at alpha = 1 (q = d+1) a frozen boundary forces the root at
+        # every depth, so uniqueness fails although the level rows pass
+        reason = "w = 0 so c1 = d*log(1/w) = inf; the contraction chain is not run"
+        rows.append(["entry", args.q, _fmt_d(args.d), args.alpha, math.inf, 0, args.seed,
+                     "", "", "", reason, FAIL])
+        print(f"entry {FAIL}: {reason}")
+        all_passed = False
+    elif args.contract_to is not None:
         try:
             seq = contraction_sequence(params, args.contract_to, args.max_iters,
                                        sample_count=args.samples, seed=args.seed,

@@ -26,13 +26,17 @@ by the excess before exponentiation; otherwise nothing is shifted.
 
 Layout: the private kernels (:func:`_colour_reduce`, :func:`_shifted_exp`,
 :func:`_log_ratio_map_into`, :func:`_log_ratio_map_preimage_into`, and
-likewise ``polytope._level_into`` and ``polytope._dirichlet_weights_into``)
-take colour-major arrays of shape ``(q-1, ...)``: colour ``k`` is ``a[k]``,
-so every fold over the colours is a pass over whole rows and a per-point
-vector such as a denominator broadcasts along the long axis.  The public functions keep their
+likewise ``polytope._level_into``, ``polytope._pullback_levels_into`` and
+``polytope._dirichlet_weights_into``) take colour-major arrays of shape
+``(q-1, ...)``: colour ``k`` is ``a[k]``, so every fold over the colours is
+a pass over whole rows and a per-point vector such as a denominator
+broadcasts along the long axis.  The public functions keep their
 ``(..., q-1)`` signatures and hand the kernels a transposed view
-(``np.moveaxis``) of their input and output; sampled sweeps call the kernels
-on contiguous colour-major buffers, where the passes are fastest.
+(``np.moveaxis``) of their input and output.  The sampled sweeps
+(``two_step_level`` and ``convexity_probe``) call the kernels on contiguous
+colour-major arrays cut from one buffer per worker (``n*2q`` and ``n*4q``
+floats for ``n`` samples), where the passes are fastest and a chunk
+allocates no batch.
 
 :func:`_colour_reduce` folds the colour rows into one output array, with the
 bits numpy gives a row-major ``axis=-1`` reduction.  numpy sums a row of 8 or

@@ -19,20 +19,28 @@ the permutation action, so sampled sweeps only ever need ``D_c``.  Its
 uniform law is the Dirichlet(1, ..., 1) law on the vertex weights, drawn as
 standard exponentials divided by their left-to-right row sum: numpy's own
 Dirichlet sampler, bit for bit.  :func:`level` and the Dirichlet draw each
-keep their one formula in a private colour-major kernel (the layout is
-described in :mod:`pottstree.maps`) that writes into arrays the caller owns.
+keep their one formula in a private kernel (:func:`_level_into`, colour-major
+as described in :mod:`pottstree.maps`, and :func:`_dirichlet_draw`, which
+both weight samplers share) that writes into arrays the caller owns.
 The weights do not depend on the level, so the ``two_step_level`` sweep draws
 them once per chunk, into its own workspace, and scales them by each level.
 
 The convexity probe asks whether midpoints of images under the recursion map
 pull back inside the same level set; its negative answers (witnesses) are as
-meaningful as its positive margins.  The pullback writes each batch of
-midpoints into one colour-major array and runs the preimage and level
-kernels on it in place.  The witness search makes one pass per level: it maps
-a point cloud on the boundary of ``P_c`` by ``F`` once and scans all its pairs
-in row blocks of broadcast views, so no pair is gathered; a block's pairs below
-the diagonal mirror pairs it visits earlier, with the same level bit for bit,
-so they never displace the first maximum.  A midpoint without a preimage has
+meaningful as its positive margins.  Like ``two_step_level``, it runs each
+chunk in place, in one buffer of ``n*4q`` floats per worker: the chunk draws
+its two row-major weight batches once, and each level writes both products
+colour-major, maps them with ``F``'s kernel, writes their midpoint over the
+first and runs the preimage and level kernels on it in place
+(:func:`_pullback_levels_into`, the one pullback formula).  ``F`` writes
+over the products, so the worst pair's ``x`` and ``y`` are recomputed by the
+same product call, with the same bits.
+
+The witness search makes one pass per level: it maps a point cloud on the
+boundary of ``P_c`` by ``F`` once and scans all its pairs in row blocks of
+broadcast views, so no pair is gathered; a block's pairs below the diagonal
+mirror pairs it visits earlier, with the same level bit for bit, so they
+never displace the first maximum.  A midpoint without a preimage has
 level ``+inf``, which no later pair can beat, so the scan and the remaining
 levels stop there.
 """
@@ -44,9 +52,11 @@ import itertools
 import numpy as np
 
 from .errors import DomainError
-from .maps import _colour_reduce, _log_ratio_map_preimage_into, log_ratio_map
+from .maps import (_colour_reduce, _log_ratio_map_into, _log_ratio_map_preimage_into,
+                   log_ratio_map)
 from .params import ModelParams
-from .reporting import DEFAULT_CHUNK, CertificationReport, check_integers, sampled_sweep, spawn_rng
+from .reporting import (DEFAULT_CHUNK, CertificationReport, check_integers, per_thread_buffer,
+                        sampled_sweep, spawn_rng)
 
 WITNESS_THRESHOLD = 1e-6
 #: Share of the convexity probe's samples of ``P_c`` moved onto a facet.
@@ -86,25 +96,48 @@ def level(x: np.ndarray) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _dirichlet_weights_into(rng: np.random.Generator, e: np.ndarray, acc: np.ndarray,
-                            out: np.ndarray) -> np.ndarray:
-    """Write the first ``q-1`` of ``len(e)`` Dirichlet(1, ..., 1) weight vectors into ``out``.
+def _dirichlet_draw(rng: np.random.Generator, e: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Fill ``e`` with standard exponentials and ``acc`` with the reciprocals of its row sums.
 
-    ``out`` is colour-major, shape ``(q-1, n)``; ``-c * out`` are uniform
-    samples of ``D_c``.  ``e`` (row-major ``(n, q)``, so the generator fills
-    it in draw order) and ``acc`` (shape ``(n,)``) are work arrays.  This is
-    numpy's Dirichlet(1, ..., 1) sampler spelled out: standard exponentials,
-    each draw summed left to right from ``+0.0`` and multiplied by
-    ``1/sum``, so ``out.T`` has the bits of
-    ``rng.dirichlet(np.ones(q), size=n)[:, :q-1]`` and the generator is left
-    in the same state.
+    ``e`` is row-major ``(n, q)``, so the generator fills it in draw order;
+    ``acc`` has shape ``(n,)`` and is returned.  Each row is summed left to
+    right from ``+0.0``: ``e * acc[:, None]`` is numpy's Dirichlet(1, ..., 1)
+    sampler spelled out, so it has the bits of ``rng.dirichlet(np.ones(q),
+    size=n)`` and the generator is left in the same state.
     """
     rng.standard_exponential(out=e)
     np.add(e[:, 0], 0.0, out=acc)
     for k in range(1, e.shape[1]):
         np.add(acc, e[:, k], out=acc)
-    np.divide(1.0, acc, out=acc)
-    return np.multiply(e[:, :-1].T, acc, out=out)
+    return np.divide(1.0, acc, out=acc)
+
+
+def _dirichlet_weights_into(rng: np.random.Generator, e: np.ndarray, acc: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+    """Write the first ``q-1`` of ``len(e)`` Dirichlet(1, ..., 1) weight vectors into ``out``.
+
+    ``out`` is colour-major, shape ``(q-1, n)``; ``-c * out`` are uniform
+    samples of ``D_c``.  ``e`` (row-major ``(n, q)``) and ``acc`` (shape
+    ``(n,)``) are the work arrays of :func:`_dirichlet_draw`, so ``out.T``
+    has the bits of ``rng.dirichlet(np.ones(q), size=n)[:, :q-1]``.
+    """
+    return np.multiply(e[:, :-1].T, _dirichlet_draw(rng, e, acc), out=out)
+
+
+def _polytope_weights_into(rng: np.random.Generator, w: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Write the convexity probe's vertex weights of ``len(w)`` samples of ``P_c`` into ``w``.
+
+    ``w`` is row-major ``(n, q)``; ``acc`` (shape ``(n,)``) is a work array.
+    Points ``w @ polytope_vertices(c, q)`` are uniform in ``P_c``, except
+    that a ``BOUNDARY_FRACTION`` share of them is moved onto a uniformly
+    chosen facet (one Dirichlet weight zeroed out, the row renormalised).
+    The weights do not depend on ``c``.
+    """
+    np.multiply(w, _dirichlet_draw(rng, w, acc)[:, None], out=w)
+    onto = rng.random(out=acc) < BOUNDARY_FRACTION
+    drop = rng.integers(0, w.shape[1], size=len(w))
+    w[onto, drop[onto]] = 0.0
+    return np.divide(w, w.sum(axis=1, out=acc)[:, None], out=w)
 
 
 def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,20 +146,20 @@ def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.nd
     return -c * rng.dirichlet(np.ones(q - 1), size=count)
 
 
-def _polytope_weights(q: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vertex weights of the convexity probe's samples of ``P_c``, shape ``(count, q)``.
+def _pullback_levels_into(mid: np.ndarray, params: ModelParams, out: np.ndarray,
+                          work: np.ndarray) -> np.ndarray:
+    """Write the level of the preimage of the colour-major midpoints ``mid`` into ``out``.
 
-    Points ``weights @ polytope_vertices(c, q)`` are uniform in ``P_c``,
-    except that a ``BOUNDARY_FRACTION`` share of them is moved onto a
-    uniformly chosen facet (one Dirichlet weight zeroed out).  The weights do
-    not depend on ``c``.
+    +inf where a midpoint has no preimage.  ``out`` and ``work`` have shape
+    ``mid.shape[1:]``; the preimage and level kernels overwrite ``mid`` in
+    place, so the call allocates only the validity mask.
     """
-    w = rng.dirichlet(np.ones(q), size=count)
-    onto = rng.random(count) < BOUNDARY_FRACTION
-    drop = rng.integers(0, q, size=count)
-    w[onto, drop[onto]] = 0.0
-    w /= w.sum(axis=1, keepdims=True)
-    return w
+    valid = _log_ratio_map_preimage_into(mid, params, mid, work)
+    # rows without a preimage hold unspecified values; their level becomes +inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        _level_into(mid, out, work)
+    np.copyto(out, np.inf, where=~valid)
+    return out
 
 
 def _midpoint_pullback_levels(fx: np.ndarray, fy: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -136,7 +169,7 @@ def _midpoint_pullback_levels(fx: np.ndarray, fy: np.ndarray, params: ModelParam
     result has their broadcast shape without the colour axis.  +inf where
     the midpoint has no preimage.  Symmetric in ``fx, fy`` bit for bit, since
     floating-point addition commutes.  The midpoint is written into one
-    colour-major array, which the preimage and level kernels then overwrite
+    colour-major array, which :func:`_pullback_levels_into` then overwrites
     in place.
     """
     shape = np.broadcast_shapes(np.shape(fx), np.shape(fy))
@@ -146,13 +179,17 @@ def _midpoint_pullback_levels(fx: np.ndarray, fy: np.ndarray, params: ModelParam
     # a caller that passes freshly mapped batches holds no other reference to
     # them, so they are freed here and the kernels below run beside one batch
     del fx, fy
-    work = np.empty(shape[:-1])
-    valid = _log_ratio_map_preimage_into(mid, params, mid, work)
-    # rows without a preimage hold unspecified values; their level becomes +inf
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = _level_into(mid, np.empty(shape[:-1]), work)
-    np.copyto(out, np.inf, where=~valid)
-    return out
+    return _pullback_levels_into(mid, params, np.empty(shape[:-1]), np.empty(shape[:-1]))
+
+
+def _probe_workspace(buf: np.ndarray, n: int, q: int) -> tuple[np.ndarray, ...]:
+    """Cut ``n * 4q`` floats of ``buf`` into one probe chunk's arrays: the two row-major
+    ``(n, q)`` weight batches, the two colour-major ``(q-1, n)`` batches and two
+    ``(n,)`` vectors."""
+    wx, wy = buf[:2 * n * q].reshape(2, n, q)
+    xc, yc = buf[2 * n * q:2 * n * (2 * q - 1)].reshape(2, q - 1, n)
+    u, v = buf[2 * n * (2 * q - 1):4 * n * q].reshape(2, n)
+    return wx, wy, xc, yc, u, v
 
 
 def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
@@ -165,8 +202,8 @@ def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
     ``c - max(level of pullback)``; a pair whose pullback exceeds the level
     by more than 1e-6 — or has no pullback at all — is a reported witness.
     Each chunk draws its vertex weights once and evaluates every level of
-    ``levels`` on them, so a level's report is the one a single-level call
-    gives.
+    ``levels`` on them, in place in one workspace per worker, so a level's
+    report is the one a single-level call gives.
     """
     check_integers(pair_count=pair_count, seed=seed)
     q = params.q
@@ -174,23 +211,32 @@ def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
     if not vertices:
         return []
     pairs = list(itertools.combinations(range(q), 2))
+    buffer = per_thread_buffer(min(pair_count, DEFAULT_CHUNK) * 4 * q)
 
-    def worst_pair(x: np.ndarray, y: np.ndarray):
-        lev = _midpoint_pullback_levels(log_ratio_map(x, params), log_ratio_map(y, params), params)
-        k = int(np.argmax(lev))
-        # copies: a view would keep the level's whole batch alive with the result
-        return float(lev[k]), x[k].copy(), y[k].copy()
-
-    def run_chunk(rng: np.random.Generator, n: int):
-        wx = _polytope_weights(q, n, rng)
-        wy = _polytope_weights(q, n, rng)
-        return [worst_pair(wx @ vx, wy @ vx) for vx in vertices]
+    def run_chunk(rng: np.random.Generator, n: int) -> list[tuple]:
+        wx, wy, xc, yc, u, v = _probe_workspace(buffer(), n, q)
+        _polytope_weights_into(rng, wx, u)
+        _polytope_weights_into(rng, wy, u)
+        worst = []
+        for vx in vertices:
+            for w, b in ((wx, xc), (wy, yc)):
+                _log_ratio_map_into(np.matmul(vx.T, w.T, out=b), params, b, u)
+            np.multiply(0.5, np.add(xc, yc, out=xc), out=xc)
+            lev = _pullback_levels_into(xc, params, v, u)
+            k = int(np.argmax(lev))
+            # F wrote over the products: recompute them by the same call for row k
+            # (a one-row product takes another BLAS path and can differ in the last bits)
+            x, y = (np.matmul(vx.T, w.T, out=b)[:, k].copy() for w, b in ((wx, xc), (wy, yc)))
+            worst.append((float(lev[k]), x, y))
+        return worst
 
     sampled = sampled_sweep(run_chunk, pair_count, seed, threads)
     reports = []
     for j, (c, vx) in enumerate(zip(levels, vertices)):
-        det = worst_pair(vx[[a for a, _ in pairs]], vx[[b for _, b in pairs]])
-        results = [det] + [chunk[j] for chunk in sampled]
+        x, y = vx[[a for a, _ in pairs]], vx[[b for _, b in pairs]]
+        lev = _midpoint_pullback_levels(log_ratio_map(x, params), log_ratio_map(y, params), params)
+        k = int(np.argmax(lev))
+        results = [(float(lev[k]), x[k], y[k])] + [chunk[j] for chunk in sampled]
         worst_level, worst_x, worst_y = max(results, key=lambda r: r[0])
         violation = worst_level - c
         passed = bool(violation <= WITNESS_THRESHOLD)

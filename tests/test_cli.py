@@ -285,6 +285,24 @@ def test_readme_certify_examples_print_their_contraction_line(alpha, code, line,
     assert [ln for ln in lines if "FAIL" in ln] == ([line] if code else [])
 
 
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_certify_fails_the_entry_at_zero_weight(q, tmp_path, capsys, monkeypatch):
+    # (q, q-1, 1) has w = 0: proper colourings of the q-regular tree, where the
+    # Gibbs measure is not unique; the level rows pass, so the entry must fail
+    monkeypatch.setattr(cli, "contraction_sequence",
+                        lambda *args, **kwargs: pytest.fail("the chain drew samples"))
+    code = main(["certify", "--q", str(q), "--d", str(q - 1), "--alpha", "1", "--c", str(q + 1),
+                 "--samples", "20000", "--pairs", "0", "--seed", "0", "--contract-to", "1",
+                 "--out-prefix", str(tmp_path / "cert")])
+    lines = capsys.readouterr().out.splitlines()
+    reason = "w = 0 so c1 = d*log(1/w) = inf; the contraction chain is not run"
+    assert code == 2
+    assert [ln for ln in lines if "FAIL" in ln] == [lines[-1]] == [f"entry FAIL: {reason}"]
+    rows = (tmp_path / "cert.csv").read_text().splitlines()
+    assert len(rows) == 4
+    assert rows[-1] == f"entry,{q},{q - 1},1.0,inf,0,0,,,,{reason},FAIL"
+
+
 @pytest.mark.parametrize("argv, code, stdout, csv", [
     # the alpha=1 grid, whose contraction chain is refused unsampled
     (["--d", "1000", "--c-grid", "0.5:6.0:2.75", "--contract-to", "1e-2"], 2,

@@ -12,7 +12,7 @@ import pytest
 from pottstree import (INFINITY, ModelParams, level, log_ratio_map, log_ratio_map_preimage,
                        two_step_map)
 from pottstree.maps import _colour_reduce
-from pottstree.polytope import _midpoint_pullback_levels, _polytope_weights, polytope_vertices
+from pottstree.polytope import _midpoint_pullback_levels, _polytope_weights_into, polytope_vertices
 
 # --- the helper against numpy ---------------------------------------------------
 
@@ -125,6 +125,11 @@ def _params(q):
     return [ModelParams(q, 3 * q, 0.8), ModelParams(q, INFINITY)]
 
 
+def _weights(q, count, rng):
+    """The convexity probe's boundary-biased vertex weights of ``count`` samples of ``P_c``."""
+    return _polytope_weights_into(rng, np.empty((count, q)), np.empty(count))
+
+
 def _same_bytes(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -135,7 +140,7 @@ def test_maps_match_reference_formulas(q):
     rng = np.random.default_rng(100 + q)
     shifted = rng.normal(scale=3.0, size=(3, q - 1))
     shifted[:, 0] = 800.0  # rows that take the overflow-safe shift
-    x = np.vstack([_polytope_weights(q, 400, rng) @ polytope_vertices(float(q), q),
+    x = np.vstack([_weights(q, 400, rng) @ polytope_vertices(float(q), q),
                    rng.normal(scale=3.0, size=(100, q - 1)),
                    np.zeros((1, q - 1)), np.full((1, q - 1), -0.0), shifted])
     for params in _params(q):
@@ -198,7 +203,7 @@ def _allocating_pullback_levels(fx, fy, params):
 def test_preimage_kernel_matches_the_allocating_formula(q, d):
     params = ModelParams(q, q, 1.0) if d == "q" else ModelParams(q, d)
     rng = np.random.default_rng(300 + q)
-    fx, fy = (log_ratio_map(_polytope_weights(q, 300, rng) @ polytope_vertices(q + 1.0, q),
+    fx, fy = (log_ratio_map(_weights(q, 300, rng) @ polytope_vertices(q + 1.0, q),
                             params) for _ in range(2))
     # no preimage: ratio coordinates that leave the positive orthant (the
     # far-negative rows make the coordinate sum of the candidate nonpositive)

@@ -24,12 +24,13 @@ from pottstree import (
 )
 from pottstree import polytope
 from pottstree.polytope import (_dirichlet_weights_into, _midpoint_pullback_levels,
-                                _polytope_weights, _witness_cloud, _worst_unordered_pair)
+                                _polytope_weights_into, _witness_cloud, _worst_unordered_pair)
 
 
 def polytope_samples(c, q, count, rng):
     """The probe's samples of ``P_c``: boundary-biased vertex weights times the vertices."""
-    return _polytope_weights(q, count, rng) @ polytope_vertices(c, q)
+    w = _polytope_weights_into(rng, np.empty((count, q)), np.empty(count))
+    return w @ polytope_vertices(c, q)
 
 
 def orbit_margin(x, c, q):
