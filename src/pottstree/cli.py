@@ -175,6 +175,12 @@ def _cmd_certify(args) -> int:
     else:  # a grid's first and last points bound all of it; checked before it is expanded
         levels = parse_grid(args.c_grid, lambda ends: _check_levels(ends, args.q))
     check_contraction_target(args.contract_to, args.max_iters)
+    if args.contract_to is not None and params.w == 0.0 and args.q > args.d + 1:
+        # proper colourings with q >= Delta+1 are unique (Jonasson 2002), so an entry
+        # FAIL would report the design's limit as the model's
+        raise DomainError(f"--contract-to cannot certify w = 0 at q={args.q} > d+1="
+                          f"{_fmt_d(args.d + 1)}: its entry level c1 = d*log(1/w) is infinite, "
+                          "so the contraction chain has no start; run without --contract-to")
     for flag, count in (("--samples", args.samples), ("--pairs", args.pairs)):
         if count < 0:
             raise DomainError(f"{flag} must be >= 0, got {count}")
@@ -203,9 +209,10 @@ def _cmd_certify(args) -> int:
         all_passed &= inv.passed and probe.passed
 
     if args.contract_to is not None and params.w == 0.0:
-        # proper colourings: a pinned leaf's image d*log(w) is infinite, so no chain
-        # starts from c1; at alpha = 1 (q = d+1) a frozen boundary forces the root at
-        # every depth, so uniqueness fails although the level rows pass
+        # q = d+1 (alpha = 1), as larger q is refused above: proper colourings, where a
+        # pinned leaf's image d*log(w) is infinite, so no chain starts from c1, and a
+        # frozen boundary forces the root at every depth, so uniqueness fails although
+        # the level rows pass
         reason = "w = 0 so c1 = d*log(1/w) = inf; the contraction chain is not run"
         rows.append(["entry", args.q, _fmt_d(args.d), args.alpha, math.inf, 0, args.seed,
                      "", "", "", reason, FAIL])

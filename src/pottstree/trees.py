@@ -10,8 +10,10 @@ indices; "leaf index k" always refers to this BFS order.
 ``d*v + 1 .. d*v + d``, so each depth is one contiguous block of vertices,
 which the exact DP reads as a slice.
 
-Boundary conditions pin the leaves to colors ``1..q``.  The on-disk format is
-a plain text file:
+Boundary conditions pin the leaves to colors ``1..q``.  Their pins are two
+arrays, vertices and colors; a boundary made from its leaves keeps nothing
+else, and its ``colors`` mapping is a read-only view of those colors, so
+no boundary holds a dict per leaf.  The on-disk format is a plain text file:
 
     q d n
     <leaf_index> <color>
@@ -25,9 +27,12 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from stat import S_ISREG
 from types import MappingProxyType
 from typing import ClassVar
 
@@ -135,13 +140,15 @@ def _integers(values, message: str) -> np.ndarray:
 class BoundaryCondition:
     """Colors (in ``1..q``) pinned onto a subset of vertices, usually leaves.
 
-    Immutable: ``colors`` is a read-only mapping from vertex to color, a copy
-    of the one passed in.  Every vertex and color must be a Python or numpy
-    integer, held as an exact ``int``; anything else is refused here, not
-    truncated later.  :attr:`pins` holds the same pins as two arrays,
-    made once: by :meth:`random`, :meth:`monochromatic` and
-    :meth:`from_leaf_colors` from the leaf arrays they draw on (in leaf
-    order), and on first use for a boundary made from a mapping.
+    Immutable: ``colors`` is a read-only mapping from vertex to color.  Every
+    vertex and color must be a Python or numpy integer, held as an exact
+    ``int``; anything else is refused here, not truncated later.
+    :attr:`pins` holds the same pins as two arrays, in ``colors``' order.
+    :meth:`random`, :meth:`monochromatic` and :meth:`from_leaf_colors` pin
+    the leaves, in leaf order: they make :attr:`pins` from the arrays they
+    draw on, and ``colors`` is a view of those colors, one exact ``int`` per
+    leaf in a list, with no dict.  A boundary made from a mapping keeps a
+    read-only copy of it, and makes :attr:`pins` on first use.
     """
 
     colors: Mapping[int, int] = field(default_factory=dict)
@@ -166,43 +173,69 @@ class BoundaryCondition:
         return _compact_pins(_int64s(self.colors.keys, k), _int64s(self.colors.values, k))
 
     @classmethod
-    def _from_pins(cls, vertices: np.ndarray, colors: np.ndarray) -> "BoundaryCondition":
-        """The boundary pinning ``vertices[i]`` to ``colors[i]``, its one dict made from the arrays."""
-        vertices, colors = _compact_pins(vertices, colors)
-        boundary = cls.__new__(cls)  # skips the copy of a dict made here
-        object.__setattr__(boundary, "colors",
-                           MappingProxyType(dict(zip(vertices.tolist(), colors.tolist()))))
+    def _from_leaves(cls, tree: TreeSpec, colors: np.ndarray) -> "BoundaryCondition":
+        """The boundary pinning the k-th leaf of ``tree`` to ``colors[k]``: its
+        pins, and ``colors`` a view of them with no dict per leaf."""
+        leaves = tree.level(tree.n)
+        vertices, colors = _compact_pins(np.arange(leaves.start, leaves.stop, dtype=np.int32),
+                                         colors)
+        boundary = cls.__new__(cls)  # skips the dict that __post_init__ would make
+        object.__setattr__(boundary, "colors", _LeafColors(leaves.start, colors.tolist()))
         object.__setattr__(boundary, "pins", (vertices, colors))
         return boundary
 
     @classmethod
     def monochromatic(cls, tree: TreeSpec, color: int) -> "BoundaryCondition":
         color = _index(color, "color {} is not an integer")
-        leaves = _leaf_vertices(tree)
-        return cls._from_pins(leaves, np.full(len(leaves), color))
+        return cls._from_leaves(tree, np.full(len(tree.level(tree.n)), color))
 
     @classmethod
     def from_leaf_colors(cls, tree: TreeSpec, leaf_colors) -> "BoundaryCondition":
         """Assign ``leaf_colors[k]`` to the k-th leaf in BFS order."""
-        leaves = _leaf_vertices(tree)
+        n_leaves = len(tree.level(tree.n))
         colors = _integers(leaf_colors, "leaf color {} is not an integer")
-        if colors.shape != leaves.shape:
-            raise DomainError(f"got {colors.size} colors for {len(leaves)} leaves")
-        return cls._from_pins(leaves, colors)
+        if colors.shape != (n_leaves,):
+            raise DomainError(f"got {colors.size} colors for {n_leaves} leaves")
+        return cls._from_leaves(tree, colors)
 
     @classmethod
     def random(cls, tree: TreeSpec, q: int, rng: np.random.Generator) -> "BoundaryCondition":
         q = _index(q, "q must be an integer, got {}")
         if q < 1:
             raise DomainError(f"q must be >= 1, got {q}")
-        leaves = _leaf_vertices(tree)
-        return cls._from_pins(leaves, rng.integers(1, q + 1, size=len(leaves)))
+        return cls._from_leaves(tree, rng.integers(1, q + 1, size=len(tree.level(tree.n))))
 
 
-def _leaf_vertices(tree: TreeSpec) -> np.ndarray:
-    """The leaves of ``tree`` in BFS order, as int32."""
-    leaves = tree.level(tree.n)
-    return np.arange(leaves.start, leaves.stop, dtype=np.int32)
+class _LeafColors(Mapping):
+    """A read-only mapping from the leaves ``first, first + 1, ...`` to ``colors``.
+
+    It keeps the colours once, as exact ints in leaf order, so a boundary
+    made from its leaves holds no dict per leaf.  A key that is not an
+    integer (:func:`operator.index`) or not one of the leaves is missing.
+    """
+
+    __slots__ = ("_first", "_colors")
+
+    def __init__(self, first: int, colors: list[int]):
+        self._first, self._colors = first, colors
+
+    def __getitem__(self, vertex) -> int:
+        try:
+            i = operator.index(vertex) - self._first
+        except TypeError:
+            raise KeyError(vertex) from None
+        if 0 <= i < len(self._colors):
+            return self._colors[i]
+        raise KeyError(vertex)
+
+    def __iter__(self):
+        return iter(range(self._first, self._first + len(self._colors)))
+
+    def __len__(self) -> int:
+        return len(self._colors)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 def _compact_pins(vertices: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,47 +259,57 @@ class BoundaryFile:
 
 
 def read_boundary_file(path) -> BoundaryFile:
-    """Parse a boundary-condition file, reporting 1-based line numbers on error."""
+    """Parse a boundary-condition file, reporting 1-based line numbers on error.
+
+    The lines stream into one slot per leaf, 0 until the leaf is seen, so the
+    parse holds neither the file's lines nor a dict per leaf.  A file too
+    short to list every leaf keeps only the leaves it names, so it fails
+    without a slot per leaf.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    lines = [(i + 1, ln.split("#", 1)[0].strip()) for i, ln in enumerate(raw)]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines:
-        raise ParseError("empty boundary file")
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise ParseError(f"header must be 'q d n', got {header!r}", line=no)
-    try:
-        q, d, n = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"header fields must be integers, got {header!r}", line=no)
-    if q < 3:
-        raise ParseError(f"q must be >= 3, got {q}", line=no)
-    if d < 1:
-        raise ParseError(f"d must be >= 1, got {d}", line=no)
-    if n < 1:
-        raise ParseError(f"n must be >= 1, got {n}", line=no)
-    if _power_over_2_64(d, n):  # no file lists that many leaves, nor can an index array hold them
-        raise ParseError(f"{d}**{n} leaves exceed 2**64", line=no)
-    n_leaves = d**n
-    colors: dict[int, int] = {}  # by leaf index; the d**n tuple only once all are here
-    for no, ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected '<leaf_index> <color>', got {ln!r}", line=no)
+        lines = ((no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(fh, start=1))
+        lines = ((no, ln) for no, ln in lines if ln)
+        no, header = next(lines, (None, ""))
+        if not header:
+            raise ParseError("empty boundary file")
+        parts = header.split()
+        if len(parts) != 3:
+            raise ParseError(f"header must be 'q d n', got {header!r}", line=no)
         try:
-            idx, color = int(parts[0]), int(parts[1])
+            q, d, n = (int(p) for p in parts)
         except ValueError:
-            raise ParseError(f"fields must be integers, got {ln!r}", line=no)
-        if not 0 <= idx < n_leaves:
-            raise ParseError(f"leaf index {idx} outside 0..{n_leaves - 1}", line=no)
-        if not 1 <= color <= q:
-            raise ParseError(f"color {color} outside 1..{q}", line=no)
-        if idx in colors:
-            raise ParseError(f"leaf {idx} assigned twice", line=no)
-        colors[idx] = color
-    if len(colors) < n_leaves:
-        first = next(i for i in itertools.count() if i not in colors)
-        raise ParseError(f"missing colors for {n_leaves - len(colors)} leaves (first: {first})")
-    return BoundaryFile(q, d, n, tuple(colors[i] for i in range(n_leaves)))
+            raise ParseError(f"header fields must be integers, got {header!r}", line=no)
+        if q < 3:
+            raise ParseError(f"q must be >= 3, got {q}", line=no)
+        if d < 1:
+            raise ParseError(f"d must be >= 1, got {d}", line=no)
+        if n < 1:
+            raise ParseError(f"n must be >= 1, got {n}", line=no)
+        if _power_over_2_64(d, n):  # no file lists that many leaves, nor can an index array hold them
+            raise ParseError(f"{d}**{n} leaves exceed 2**64", line=no)
+        n_leaves = d**n
+        # a leaf takes at least 4 bytes, "i c" and a line break, past a header of 5
+        stat = os.fstat(fh.fileno())
+        short = S_ISREG(stat.st_mode) and stat.st_size < 4 * n_leaves
+        slots = defaultdict(int) if short else [0] * n_leaves
+        seen = 0
+        for no, ln in lines:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected '<leaf_index> <color>', got {ln!r}", line=no)
+            try:
+                idx, color = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"fields must be integers, got {ln!r}", line=no)
+            if not 0 <= idx < n_leaves:
+                raise ParseError(f"leaf index {idx} outside 0..{n_leaves - 1}", line=no)
+            if not 1 <= color <= q:
+                raise ParseError(f"color {color} outside 1..{q}", line=no)
+            if slots[idx]:
+                raise ParseError(f"leaf {idx} assigned twice", line=no)
+            slots[idx] = color
+            seen += 1
+    if seen < n_leaves:  # always so for a short file
+        first = next(i for i in itertools.count() if not slots[i])
+        raise ParseError(f"missing colors for {n_leaves - seen} leaves (first: {first})")
+    return BoundaryFile(q, d, n, tuple(slots))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pottstree import TreeSpec, cli, oracle, reporting
+from pottstree import ModelParams, TreeSpec, cli, oracle, reporting
 from pottstree.cli import build_parser, main
 from pottstree.reporting import format_value
 
@@ -301,6 +301,26 @@ def test_certify_fails_the_entry_at_zero_weight(q, tmp_path, capsys, monkeypatch
     rows = (tmp_path / "cert.csv").read_text().splitlines()
     assert len(rows) == 4
     assert rows[-1] == f"entry,{q},{q - 1},1.0,inf,0,0,,,,{reason},FAIL"
+
+
+@pytest.mark.parametrize("q, d, alpha", [(4, 2, "0.75"), (6, 3, str(2 / 3)),
+                                         (7, 3, "0.5714285714285714")])
+def test_certify_refuses_contraction_at_zero_weight_above_q_equal_d_plus_1(
+        q, d, alpha, tmp_path, capsys, monkeypatch):
+    # w = 0 with q >= d+2: proper colourings with q >= Delta+1, whose Gibbs measure is
+    # unique, so the entry's infinite c1 is a limit of the design, refused before any draw
+    for name in ("two_step_level", "convexity_probe", "contraction_sequence"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a sweep drew samples"))
+    assert ModelParams(q, d, float(alpha)).w == 0.0
+    code = main(["certify", "--q", str(q), "--d", str(d), "--alpha", alpha, "--c", "5",
+                 "--samples", "2000", "--pairs", "0", "--seed", "0", "--contract-to", "1",
+                 "--out-prefix", str(tmp_path / "cert")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: --contract-to cannot certify w = 0 at q={q} > d+1={d + 1}: "
+                            "its entry level c1 = d*log(1/w) is infinite, so the contraction "
+                            "chain has no start; run without --contract-to\n")
+    assert not (tmp_path / "cert.csv").exists()
 
 
 @pytest.mark.parametrize("argv, code, stdout, csv", [

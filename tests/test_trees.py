@@ -12,7 +12,9 @@ from pottstree import (
     DomainError,
     ParseError,
     TreeSpec,
+    dp_log_Z,
     read_boundary_file,
+    root_summary,
 )
 
 
@@ -139,6 +141,75 @@ def test_boundary_constructors_keep_the_pins_their_dict_gives():
         _assert_same_pins(b.pins, BoundaryCondition(dict(b.colors)).pins)
 
 
+def _leaf_boundaries(t, q, seed):
+    """Each leaf constructor's boundary on ``t``, with the colours it pins in leaf order."""
+    k = len(t.leaves())
+    drawn = np.random.default_rng(seed).integers(1, q + 1, size=k)
+    wide = np.random.default_rng(seed + 1).integers(1, q + 1, size=k).astype(np.uint64)
+    boxed = np.array([int(c) for c in drawn[::-1]], dtype=object)
+    return [(BoundaryCondition.random(t, q, np.random.default_rng(seed)), drawn.tolist()),
+            (BoundaryCondition.monochromatic(t, q), [q] * k),
+            (BoundaryCondition.from_leaf_colors(t, wide), wide.tolist()),
+            (BoundaryCondition.from_leaf_colors(t, boxed), boxed.tolist())]
+
+
+def _bits(values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [3, 300])
+def test_leaf_boundaries_read_as_the_dict_of_their_pins(d, n, q):
+    t = TreeSpec.regular(d, n)
+    leaves = t.leaves()
+    missing = [-1, t.n_vertices, 2**70, "a", 1.5, None] + list(range(leaves[0]))  # root, internal
+    for b, colours in _leaf_boundaries(t, q, seed=10 * d + n):
+        want = dict(zip(leaves, colours))
+        assert list(b.colors.items()) == list(want.items())
+        assert list(dict(b.colors).items()) == list(want.items())
+        assert all(type(v) is int and type(c) is int for v, c in b.colors.items())
+        assert len(b.colors) == len(leaves)
+        assert all(v in b.colors and b.colors[np.int64(v)] == c for v, c in want.items())
+        for key in missing:
+            assert key not in b.colors and b.colors.get(key) is None
+            with pytest.raises(KeyError):
+                b.colors[key]
+        same = BoundaryCondition(dict(b.colors))
+        assert b == same and same == b
+        assert b.colors == want and want == b.colors
+        _assert_same_pins(b.pins, same.pins)
+        for w in (0.25, 1.0):
+            assert _bits([dp_log_Z(t, q, w, b)]) == _bits([dp_log_Z(t, q, w, same)])
+            if n:  # a depth-0 root is its one leaf, pinned
+                assert _bits(root_summary(t, q, w, b)) == _bits(root_summary(t, q, w, same))
+
+
+def test_leaf_boundaries_keep_exact_int_colours_past_int64():
+    t = TreeSpec.regular(2, 2)
+    colours = [2**70, 2**64 + 1, 3, 2**63]
+    for given in (colours, np.array(colours, dtype=object)):
+        b = BoundaryCondition.from_leaf_colors(t, given)
+        assert list(b.colors.items()) == list(zip(t.leaves(), colours))
+        assert all(type(c) is int for c in b.colors.values())
+        assert b == BoundaryCondition(dict(zip(t.leaves(), colours)))
+        with pytest.raises(DomainError, match=f"^color {2**70} for vertex 3 outside 1..3$"):
+            dp_log_Z(t, 3, 0.5, b)
+
+
+def test_random_boundary_at_the_dp_budget_holds_no_dict_per_leaf():
+    # 3**12 leaves: the dict of one exact int per leaf traced about 60 MB at its peak
+    t = TreeSpec.regular(3, 12)
+    tracemalloc.start()
+    try:
+        b = BoundaryCondition.random(t, 3, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(b.colors) == 3**12 and b.pins[1].dtype == np.uint8
+    assert peak <= 10 * 10**6
+
+
 def test_boundary_pins_keep_out_of_range_values_exactly():
     b = BoundaryCondition({2**70: 1, -1: 300, 4: 0})
     vertices, colors = b.pins
@@ -256,3 +327,30 @@ def test_short_boundary_file_fails_without_a_slot_per_leaf(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_boundary_file_parse_holds_one_slot_per_leaf(tmp_path):
+    # 3**10 leaves: the lines, two per-line lists and a dict per leaf traced about 18.6 MB
+    path = tmp_path / "boundary.txt"
+    colors = np.random.default_rng(4).integers(1, 4, size=3**10).tolist()
+    _write_boundary_file(path, q=3, d=3, n=10, leaf_colors=colors)
+    tracemalloc.start()
+    try:
+        spec = read_boundary_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.leaf_colors == tuple(colors)
+    assert peak <= 2 * 10**6
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2 3\n1 2\n1 3\n", r"^line 3: leaf 1 assigned twice$"),
+    ("3 2 3\n0 1\n# 1 2\n1 2\n3 1\n", r"^missing colors for 5 leaves \(first: 2\)$"),
+])
+def test_short_boundary_file_reports_what_a_full_one_does(tmp_path, text, message):
+    # under 4 bytes per leaf: too short to list them all, so only the named leaves are kept
+    path = tmp_path / "short.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        read_boundary_file(path)
