@@ -25,14 +25,13 @@ so reports are bit-reproducible at any thread count.
 
 The unit of :func:`two_step_level` work is the chunk: each chunk draws its
 Dirichlet weights once, for the whole grid of levels, and evaluates every
-level on them (``x = -c * weights``).  Its temporaries live in one buffer per
-worker thread, ``2q`` floats per sample: the draw's exponentials, the weights
-and one vector, with each level's batch written over the exponentials once
-the weights exist.  The weights have the bits of numpy's Dirichlet sampler.
-Each batch is mapped twice in place by the colour-major kernel the public
-``log_ratio_map`` wraps (the layout is described in :mod:`pottstree.maps`), so
-every estimate has the bits of ``level(two_step_map(x))``.  The buffers are
-dropped when the sweep returns.
+level on them (``x = -c * weights``).  Its temporaries take ``2q`` floats per
+sample of its workspace: the draw's exponentials, the weights and one vector,
+with each level's batch written over the exponentials once the weights exist.
+The weights have the bits of numpy's Dirichlet sampler.  Each batch is mapped
+twice in place by the colour-major kernel the public ``log_ratio_map`` wraps
+(the layout is described in :mod:`pottstree.maps`), so every estimate has the
+bits of ``level(two_step_map(x))``.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ from .maps import (_colour_reduce, _log_ratio_map_into, diagonal_contraction,
                    leaf_counts_log_ratios, log_ratio_map, two_step_sum_limit)
 from .params import INFINITY, ModelParams
 from .polytope import _check_level, _dirichlet_weights_into, sample_face
-from .reporting import (DEFAULT_CHUNK, CertificationReport, check_integers, per_thread_buffer,
-                        sampled_sweep, spawn_rng)
+from .reporting import CertificationReport, check_integers, sampled_sweep, spawn_rng
 
 #: Additive cushion per contraction step, so each next level lies strictly
 #: above the sampled estimate.  That estimate is a sampled maximum, so the
@@ -128,12 +126,11 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
     if len(levels) == 0:
         return []
     q = params.q
-    buffer = per_thread_buffer(min(sample_count, DEFAULT_CHUNK) * 2 * q)
 
-    def chunk_peaks(rng: np.random.Generator, n: int) -> list[float]:
-        return _sampled_peaks(levels, params, rng, _workspace(buffer(), n, q))
+    def chunk_peaks(rng: np.random.Generator, n: int, buf: np.ndarray) -> list[float]:
+        return _sampled_peaks(levels, params, rng, _workspace(buf, n, q))
 
-    sampled = sampled_sweep(chunk_peaks, sample_count, seed, threads)
+    sampled = sampled_sweep(chunk_peaks, sample_count, seed, threads, 2 * q)
     reports = []
     for j, c in enumerate(levels):
         probe = _two_step_peak(_fundamental_probe_points(c, q), params, np.empty(q + 1))
@@ -150,10 +147,12 @@ def two_step_level(levels, params: ModelParams, sample_count: int = 100_000,
 
 
 def check_contraction_target(epsilon: float | None, max_iters: int) -> None:
-    """Raise :class:`DomainError` unless ``epsilon`` is None or > 0 and ``max_iters`` is an
-    integer >= 1."""
+    """Raise :class:`DomainError` unless ``epsilon`` is None or finite and > 0 and ``max_iters``
+    is an integer >= 1.  Every level is below an infinite target, so its chain would not run."""
     if epsilon is not None and not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if epsilon is not None and not epsilon < np.inf:
+        raise DomainError(f"epsilon must be finite, got {epsilon}")
     check_integers(max_iters=max_iters)
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")

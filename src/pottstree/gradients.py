@@ -28,9 +28,8 @@ as three rows of the same length; ``t`` and ``l`` are scalars.
 :func:`_gap_into` and :func:`_rescaled_gap_line_into` take the exponentials
 of their exponents, so a draw exponentiates its exponents once for both.
 
-:func:`positivity_sweep` runs each chunk in one workspace per worker thread:
-``_SWEEP_ROWS`` rows of ``n`` floats, made on the worker's first chunk,
-reused by every chunk it runs and dropped when the sweep returns.  The draw
+:func:`positivity_sweep` runs each chunk in ``_SWEEP_ROWS`` floats per sample
+of its workspace, cut into ``_SWEEP_ROWS`` rows of ``n`` floats.  The draw
 fills an ``(n, 3)`` block of uniforms over the first three rows; a min/max
 sorting network writes ``x1 >= x2 >= x3`` into three contiguous rows (pure
 value selection, so the bits of a descending ``np.sort``), and the dead draw
@@ -44,8 +43,7 @@ import numpy as np
 from .errors import DomainError
 from .maps import log_ratio_map, two_step_sum_limit
 from .params import INFINITY, ModelParams, validate_log_ratio
-from .reporting import (DEFAULT_CHUNK, CertificationReport, check_integers, per_thread_buffer,
-                        sampled_sweep, spawn_rng)
+from .reporting import CertificationReport, check_integers, sampled_sweep, spawn_rng
 
 #: Rows of ``n`` floats in one chunk's workspace: the draw block (then three
 #: work rows), the triple, its exponents, the gap, line value and slope, the
@@ -281,12 +279,11 @@ def positivity_sweep(q: int, l: int, trials: int, seed: int = 0,
     if not 1 <= l <= q - 2:
         raise DomainError(f"l must lie in 1..{q - 2}, got {l}")
     check_sweep_sizes(trials=trials)
-    buffer = per_thread_buffer(_SWEEP_ROWS * min(trials, DEFAULT_CHUNK))
 
-    def run_chunk(rng: np.random.Generator, n: int):
-        return _positivity_chunk(q, l, rng, _sweep_workspace(buffer(), n))
+    def run_chunk(rng: np.random.Generator, n: int, buf: np.ndarray):
+        return _positivity_chunk(q, l, rng, _sweep_workspace(buf, n))
 
-    results = sampled_sweep(run_chunk, trials, seed, threads)
+    results = sampled_sweep(run_chunk, trials, seed, threads, _SWEEP_ROWS)
     min_margin = min(r[0] for r in results)
     closed_err = max(r[1] for r in results)
     linear_err = max(r[2] for r in results)

@@ -34,9 +34,9 @@ broadcasts along the long axis.  The public functions keep their
 ``(..., q-1)`` signatures and hand the kernels a transposed view
 (``np.moveaxis``) of their input and output.  The sampled sweeps
 (``two_step_level`` and ``convexity_probe``) call the kernels on contiguous
-colour-major arrays cut from one buffer per worker (``n*2q`` and ``n*4q``
-floats for ``n`` samples), where the passes are fastest and a chunk
-allocates no batch.
+colour-major arrays cut from their chunk's workspace (``2q`` and ``4q``
+floats per sample), where the passes are fastest and a chunk allocates no
+batch.
 
 :func:`_colour_reduce` folds the colour rows into one output array, with the
 bits numpy gives a row-major ``axis=-1`` reduction.  numpy sums a row of 8 or

@@ -159,9 +159,9 @@ def _dp_tables(tree: TreeSpec, q: int, w: float, boundary: BoundaryCondition) ->
     ``j*d + s``, so child slot ``s`` adds the strided slice ``[s::d]`` into
     whole rows, and pinned vertices keep only their colour's entry.  A fully
     pinned level below the root skips that mask: its closed form reads only
-    that entry.  The vertex budget is checked before any per-vertex array.
+    that entry.  The vertex budget is checked before any per-vertex array, and
+    ``q`` and ``w`` by the caller, :func:`_root_row`.
     """
-    _check_query(q, w)
     _check_dp_budget(tree.n_vertices)
     pins = _collect_pins(tree, q, boundary)
     d = tree.d

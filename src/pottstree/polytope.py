@@ -28,7 +28,7 @@ them once per chunk, into its own workspace, and scales them by each level.
 The convexity probe asks whether midpoints of images under the recursion map
 pull back inside the same level set; its negative answers (witnesses) are as
 meaningful as its positive margins.  Like ``two_step_level``, it runs each
-chunk in place, in one buffer of ``n*4q`` floats per worker: the chunk draws
+chunk in place, in ``4q`` floats per sample of its workspace: the chunk draws
 its two row-major weight batches once, and each level writes both products
 colour-major, maps them with ``F``'s kernel, writes their midpoint over the
 first and runs the preimage and level kernels on it in place
@@ -55,8 +55,7 @@ from .errors import DomainError
 from .maps import (_colour_reduce, _log_ratio_map_into, _log_ratio_map_preimage_into,
                    log_ratio_map)
 from .params import ModelParams
-from .reporting import (DEFAULT_CHUNK, CertificationReport, check_integers, per_thread_buffer,
-                        sampled_sweep, spawn_rng)
+from .reporting import DEFAULT_CHUNK, CertificationReport, check_integers, sampled_sweep, spawn_rng
 
 WITNESS_THRESHOLD = 1e-6
 #: Share of the convexity probe's samples of ``P_c`` moved onto a facet.
@@ -211,10 +210,9 @@ def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
     if not vertices:
         return []
     pairs = list(itertools.combinations(range(q), 2))
-    buffer = per_thread_buffer(min(pair_count, DEFAULT_CHUNK) * 4 * q)
 
-    def run_chunk(rng: np.random.Generator, n: int) -> list[tuple]:
-        wx, wy, xc, yc, u, v = _probe_workspace(buffer(), n, q)
+    def run_chunk(rng: np.random.Generator, n: int, buf: np.ndarray) -> list[tuple]:
+        wx, wy, xc, yc, u, v = _probe_workspace(buf, n, q)
         _polytope_weights_into(rng, wx, u)
         _polytope_weights_into(rng, wy, u)
         worst = []
@@ -230,7 +228,7 @@ def convexity_probe(levels, params: ModelParams, pair_count: int, seed: int,
             worst.append((float(lev[k]), x, y))
         return worst
 
-    sampled = sampled_sweep(run_chunk, pair_count, seed, threads)
+    sampled = sampled_sweep(run_chunk, pair_count, seed, threads, 4 * q)
     reports = []
     for j, (c, vx) in enumerate(zip(levels, vertices)):
         x, y = vx[[a for a, _ in pairs]], vx[[b for _, b in pairs]]

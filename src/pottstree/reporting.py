@@ -11,8 +11,8 @@ Conventions used by every sweep in the package:
   byte-identical for any ``--threads``.  Must-test points are evaluated by
   the caller, outside the sweep.  The chunks run on one thread pool per
   thread count, made on first use and kept for the life of the process.
-  A sweep that works in place takes its work arrays from
-  :func:`per_thread_buffer`: one buffer per worker thread, for one sweep.
+  A sweep that works in place names its floats per sample, and
+  :func:`sampled_sweep` hands each chunk its worker's workspace.
 * Floats are serialized with ``repr`` (shortest round-trip form), decimal
   point, no locale.
 * Files are written to a temporary sibling and atomically renamed, so a
@@ -97,32 +97,26 @@ def parallel_chunk_map(fn, n_chunks: int, threads: int = 1) -> list:
     return list(_executor(threads).map(fn, range(n_chunks)))
 
 
-def sampled_sweep(fn, total: int, seed: int, threads: int) -> list:
-    """Run ``fn(rng, n)`` on each chunk of ``total`` samples, results in chunk order.
+def sampled_sweep(fn, total: int, seed: int, threads: int, floats_per_sample: int) -> list:
+    """Run ``fn(rng, n, buf)`` on each chunk of ``total`` samples, results in chunk order.
 
     Chunk ``i`` has ``n = chunk_sizes(total)[i]`` samples and draws from
     ``rng = spawn_rng(seed, i)``, so the results do not depend on ``threads``.
+    ``buf`` is the first ``n * floats_per_sample`` floats of the calling
+    worker's own float64 buffer.  A worker makes its buffer on its first
+    chunk, sized for the largest chunk, and reuses it for every chunk it runs
+    after, so no two running chunks share one.  The buffers are dropped when
+    the sweep returns.
     """
     sizes = chunk_sizes(total)
-    return parallel_chunk_map(lambda i: fn(spawn_rng(seed, i), sizes[i]), len(sizes), threads)
-
-
-def per_thread_buffer(size: int):
-    """A getter for one float64 buffer of ``size`` floats per calling thread.
-
-    A sweep makes one getter and calls it in each chunk: a worker thread gets
-    its buffer on its first chunk and the same one in every chunk it runs
-    after, so no two running chunks share a buffer.  The buffers are dropped
-    with the getter, when the sweep returns.
-    """
     local = threading.local()
 
-    def get() -> np.ndarray:
+    def run(i: int):
         if not hasattr(local, "buf"):
-            local.buf = np.empty(size)
-        return local.buf
+            local.buf = np.empty(sizes[0] * floats_per_sample)  # the first chunk is the largest
+        return fn(spawn_rng(seed, i), sizes[i], local.buf[:sizes[i] * floats_per_sample])
 
-    return get
+    return parallel_chunk_map(run, len(sizes), threads)
 
 
 def parse_grid(text: str, check=None) -> list[float]:

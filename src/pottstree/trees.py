@@ -258,16 +258,26 @@ class BoundaryFile:
     leaf_colors: tuple[int, ...]
 
 
+def _check_utf8(line: str, no: int) -> bool:
+    """True, or a :class:`ParseError` at line ``no`` if ``line`` holds an escaped byte."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ParseError(f"byte 0x{ord(line[err.start]) - 0xDC00:02x} is not UTF-8", line=no)
+    return True
+
+
 def read_boundary_file(path) -> BoundaryFile:
     """Parse a boundary-condition file, reporting 1-based line numbers on error.
 
     The lines stream into one slot per leaf, 0 until the leaf is seen, so the
     parse holds neither the file's lines nor a dict per leaf.  A file too
     short to list every leaf keeps only the leaves it names, so it fails
-    without a slot per leaf.
+    without a slot per leaf.  A byte that is not UTF-8 is refused on its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = ((no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(fh, start=1))
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = ((no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(fh, start=1)
+                 if ln.isascii() or _check_utf8(ln, no))
         lines = ((no, ln) for no, ln in lines if ln)
         no, header = next(lines, (None, ""))
         if not header:

@@ -193,6 +193,13 @@ def test_contraction_sequence_refuses_a_missing_target(no_sampling, monkeypatch)
         contraction_sequence(ModelParams(3, 50, 0.8), None, 10)
 
 
+def test_contraction_sequence_refuses_an_infinite_target(no_sampling, monkeypatch):
+    # it used to return [q+1], a chain that never ran, which certify printed as a PASS
+    monkeypatch.setattr(certify, "_diagonal_level", _refuse_sampling)
+    with pytest.raises(DomainError, match="^epsilon must be finite, got inf$"):
+        contraction_sequence(ModelParams(5, 8), np.inf, 3)
+
+
 def test_contraction_sequence_respects_max_iters(no_sampling):
     # three steps cannot reach 1e-12: the diagonal lower chain proves it without sampling
     params = ModelParams(3, 100, 0.9)

@@ -197,6 +197,7 @@ def test_manifests_start_one_git_process(monkeypatch, tmp_path, capsys):
     (["--contract-to", "1e-2", "--max-iters", "0"], "max_iters must be >= 1, got 0"),
     (["--max-iters", "0"], "max_iters must be >= 1, got 0"),
     (["--max-iters", "-5"], "max_iters must be >= 1, got -5"),
+    (["--contract-to", "inf"], "epsilon must be finite, got inf"),
 ])
 def test_certify_command_checks_the_contraction_target_first(flags, message, tmp_path, capsys):
     # the first two used to run the whole level grid, print its PASS lines, then
@@ -580,6 +581,14 @@ def test_oracle_command_refuses_astronomical_trees_with_one_error_line(tmp_path,
     path.write_text("3 3 10000\n0 1\n")
     assert main(["oracle", "--boundary-file", str(path), "--w", "0.5"]) == 1
     assert capsys.readouterr().err == "error: line 1: 3**10000 leaves exceed 2**64\n"
+
+
+def test_oracle_command_refuses_a_boundary_file_that_is_not_utf8(tmp_path, capsys):
+    # a UnicodeDecodeError used to escape as a traceback
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 2 1\n0 1\n1 2 \xff\n")
+    assert main(["oracle", "--boundary-file", str(path), "--w", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
 
 
 def test_usage_errors_exit_with_code_one(capsys):

@@ -114,12 +114,17 @@ def test_workers_never_share_a_workspace():
 
 def test_positivity_sweep_allocates_one_workspace(monkeypatch):
     buffers = []
-    make = gradients.per_thread_buffer
-    monkeypatch.setattr(gradients, "per_thread_buffer",
-                        lambda size: buffers.append(size) or make(size))
+    sweep = gradients.sampled_sweep
+
+    def recording(fn, total, seed, threads, floats_per_sample):
+        return sweep(lambda rng, n, buf: buffers.append(buf) or fn(rng, n, buf),
+                     total, seed, threads, floats_per_sample)
+
+    monkeypatch.setattr(gradients, "sampled_sweep", recording)
     workspace_bytes = _SWEEP_ROWS * DEFAULT_CHUNK * 8
     positivity_sweep(8, 3, 50_000, seed=1)  # warm: imports, caches
-    assert buffers == [_SWEEP_ROWS * DEFAULT_CHUNK]
+    assert [b.size for b in buffers] == [_SWEEP_ROWS * DEFAULT_CHUNK] * 2  # two chunks
+    assert buffers[0].base is buffers[1].base  # one worker, one buffer
     tracemalloc.start()
     try:
         positivity_sweep(8, 3, 50_000, seed=1)

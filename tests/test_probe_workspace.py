@@ -20,7 +20,7 @@ from pottstree import (INFINITY, ModelParams, convexity_probe, level, log_ratio_
                        log_ratio_map_preimage, polytope_vertices, spawn_rng)
 from pottstree import polytope
 from pottstree.polytope import _polytope_weights_into, _probe_workspace
-from pottstree.reporting import DEFAULT_CHUNK, CertificationReport, chunk_sizes, per_thread_buffer
+from pottstree.reporting import DEFAULT_CHUNK, CertificationReport, chunk_sizes
 from test_certify import GRIDS, README_GRID
 
 
@@ -123,24 +123,25 @@ def test_workers_never_share_a_probe_workspace():
 
 def test_a_probe_sweep_makes_one_buffer_per_worker(monkeypatch):
     made, got = [], {}
+    sweep = polytope.sampled_sweep
 
-    def recording(size):
-        get = per_thread_buffer(size)
-        made.append(size)
+    def recording(fn, total, seed, threads, floats_per_sample):
+        made.append(floats_per_sample)
 
-        def recorded():
-            got.setdefault(threading.get_ident(), []).append(get())
-            return got[threading.get_ident()][-1]
-        return recorded
+        def recorded(rng, n, buf):
+            got.setdefault(threading.get_ident(), []).append(buf)
+            return fn(rng, n, buf)
+        return sweep(recorded, total, seed, threads, floats_per_sample)
 
-    monkeypatch.setattr(polytope, "per_thread_buffer", recording)
+    monkeypatch.setattr(polytope, "sampled_sweep", recording)
     q = 5
     convexity_probe(README_GRID, ModelParams(q, 1000, 1.0), 100_000, seed=0, threads=2)
-    assert made == [DEFAULT_CHUNK * 4 * q]
+    assert made == [4 * q]  # one sweep
     assert sum(len(bufs) for bufs in got.values()) == 4  # one call per chunk
+    assert all(b.size == DEFAULT_CHUNK * 4 * q for bufs in got.values() for b in bufs)
     firsts = [bufs[0] for bufs in got.values()]
     assert len(firsts) <= 2
-    assert all(b is bufs[0] for bufs in got.values() for b in bufs)
+    assert all(b.base is bufs[0].base for bufs in got.values() for b in bufs)
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(firsts, 2))
 
 

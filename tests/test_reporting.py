@@ -8,7 +8,7 @@ import pytest
 import pottstree as pt
 from pottstree import DomainError, parse_grid, reporting, spawn_rng, write_csv_atomic
 from pottstree.reporting import (DEFAULT_CHUNK, CertificationReport, chunk_sizes, format_value,
-                                 parallel_chunk_map, per_thread_buffer, sampled_sweep)
+                                 parallel_chunk_map, sampled_sweep)
 
 
 def test_spawn_rng_streams_are_reproducible_and_distinct():
@@ -54,41 +54,58 @@ def test_sweeps_share_one_pool_per_thread_count():
     barrier = threading.Barrier(2, timeout=10)
     workers = []
 
-    def chunk(rng, n):
+    def chunk(rng, n, buf):
         workers.append(threading.current_thread())
         barrier.wait()
         return n, int(rng.integers(2**32))
 
-    first = sampled_sweep(chunk, 4 * DEFAULT_CHUNK, seed=5, threads=2)
+    first = sampled_sweep(chunk, 4 * DEFAULT_CHUNK, seed=5, threads=2, floats_per_sample=1)
     first_workers = set(workers)
-    second = sampled_sweep(chunk, 4 * DEFAULT_CHUNK, seed=5, threads=2)
+    second = sampled_sweep(chunk, 4 * DEFAULT_CHUNK, seed=5, threads=2, floats_per_sample=1)
     assert len(first_workers) == 2 and set(workers) == first_workers
     assert threading.current_thread() not in first_workers
-    inline = sampled_sweep(lambda rng, n: (n, int(rng.integers(2**32))), 4 * DEFAULT_CHUNK,
-                           seed=5, threads=1)
+    inline = sampled_sweep(lambda rng, n, buf: (n, int(rng.integers(2**32))), 4 * DEFAULT_CHUNK,
+                           seed=5, threads=1, floats_per_sample=1)
     assert first == second == inline
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sampled_sweep_pins_the_chunk_and_seed_layout(threads):
-    got = sampled_sweep(lambda rng, n: (n, int(rng.integers(2**32))), 60_000,
-                        seed=3, threads=threads)
+    got = sampled_sweep(lambda rng, n, buf: (n, int(rng.integers(2**32))), 60_000,
+                        seed=3, threads=threads, floats_per_sample=1)
     draws = [int(spawn_rng(3, i).integers(2**32)) for i in range(3)]
     assert got == [(25_000, draws[0]), (25_000, draws[1]), (10_000, draws[2])]
 
 
-def test_per_thread_buffer_gives_each_thread_its_own_buffer():
-    buffer = per_thread_buffer(16)
-    mine = buffer()
-    assert mine.shape == (16,) and mine.dtype == np.float64
-    assert buffer() is mine
-    theirs = []
-    worker = threading.Thread(target=lambda: theirs.extend([buffer(), buffer()]))
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert theirs[0] is theirs[1] and theirs[0] is not mine
-    assert per_thread_buffer(16)() is not mine  # a new getter, a new buffer
+def test_sampled_sweep_gives_each_worker_its_own_buffer():
+    # the barrier holds each chunk until a second worker arrives, so each
+    # worker runs two of the four chunks, the short last one included
+    barrier = threading.Barrier(2, timeout=10)
+    total, k = 3 * DEFAULT_CHUNK + 7, 3
+
+    def chunk(rng, n, buf):
+        barrier.wait()
+        return threading.get_ident(), n, buf
+
+    def sweep():
+        bufs = {}
+        for ident, n, buf in sampled_sweep(chunk, total, seed=1, threads=2, floats_per_sample=k):
+            assert buf.shape == (n * k,) and buf.dtype == np.float64
+            bufs.setdefault(ident, []).append(buf)
+        return list(bufs.values())
+
+    first = sweep()
+    assert sorted(map(len, first)) == [2, 2]
+    for bufs in first:  # each chunk of a worker is the start of the worker's one buffer
+        assert bufs[0].base.shape == (DEFAULT_CHUNK * k,)  # sized for the largest chunk
+        assert all(b.base is bufs[0].base for b in bufs)
+    mine, theirs = first
+    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+    second = sweep()  # the first sweep's buffers are still alive here
+    assert not any(np.shares_memory(a, b)
+                   for old in first for a in old for new in second for b in new)
+    inline = sampled_sweep(lambda rng, n, buf: buf, total, seed=1, threads=1, floats_per_sample=k)
+    assert all(b.base is inline[0].base for b in inline)
 
 
 def test_parse_grid():

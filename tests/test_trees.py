@@ -309,6 +309,25 @@ def test_boundary_file_errors_carry_line_numbers(tmp_path, text, lineno):
     assert f"line {lineno}" in str(err.value)
 
 
+@pytest.mark.parametrize("lineno", [1, 3, 2001])
+def test_boundary_file_refuses_a_byte_that_is_not_utf8_on_its_line(tmp_path, lineno):
+    # line 2001 starts past the first 8 KiB, so the decoder has read whole blocks before it
+    path = tmp_path / "bad.txt"
+    _write_boundary_file(path, q=3, d=3, n=7, leaf_colors=[1, 2, 3] * 729)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1].replace(b"\n", b" # caf\xe9\r\n")
+    path.write_bytes(b"".join(lines))
+    assert lineno < 2001 or sum(map(len, lines[:lineno - 1])) > 8192
+    with pytest.raises(ParseError, match=rf"^line {lineno}: byte 0xe9 is not UTF-8$"):
+        read_boundary_file(path)
+
+
+def test_boundary_file_reads_utf8_comments_and_any_newline(tmp_path):
+    path = tmp_path / "boundary.txt"
+    path.write_bytes("3 2 1  # café\r\n0 1\r1 2 # ∞\n".encode("utf-8"))
+    assert read_boundary_file(path).leaf_colors == (1, 2)
+
+
 def test_boundary_file_reports_missing_leaves(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 2 1\n0 1\n")
