@@ -19,9 +19,8 @@ from .oracle import (brute_force_Z, conditional_root_distribution,
                      dp_log_Z, enumerate_log_ratio_sets, recursion_root_log_ratios,
                      root_log_ratios, root_summary)
 from .polytope import (convexity_probe, convexity_witness_search, level,
-                       polytope_vertices, sample_face)
-from .certify import (contraction_sequence, convergence_experiment,
-                      diagonal_minimality_check, two_step_level)
+                       polytope_vertices)
+from .certify import contraction_sequence, convergence_experiment, two_step_level
 from .gradients import gradient_identity_sweep, positivity_sweep, two_step_sum_gradient
 from .reporting import (CertificationReport, parse_grid, spawn_rng,
                         write_csv_atomic)
@@ -40,9 +39,7 @@ __all__ = [
     "enumerate_log_ratio_sets", "recursion_root_log_ratios", "root_log_ratios",
     "root_summary",
     "convexity_probe", "convexity_witness_search", "level", "polytope_vertices",
-    "sample_face",
-    "contraction_sequence", "convergence_experiment",
-    "diagonal_minimality_check", "two_step_level",
+    "contraction_sequence", "convergence_experiment", "two_step_level",
     "gradient_identity_sweep", "positivity_sweep", "two_step_sum_gradient",
     "CertificationReport", "parse_grid", "spawn_rng", "write_csv_atomic",
 ]

@@ -17,9 +17,8 @@ The certification story has three layers:
   of growing depth and measure how fast the conditional root distribution
   approaches uniform, compared against the ``alpha**(n/2)`` rate.
 
-The checks (:func:`two_step_level`, :func:`diagonal_minimality_check` and
-:func:`convergence_experiment`) each return a
-:class:`~pottstree.reporting.CertificationReport`.
+The checks (:func:`two_step_level` and :func:`convergence_experiment`) each
+return a :class:`~pottstree.reporting.CertificationReport`.
 Everything is seeded and chunked as described in :mod:`pottstree.reporting`,
 so reports are bit-reproducible at any thread count.
 
@@ -40,9 +39,9 @@ import numpy as np
 
 from .errors import CertificationError, DomainError
 from .maps import (_colour_reduce, _log_ratio_map_into, diagonal_contraction,
-                   leaf_counts_log_ratios, log_ratio_map, two_step_sum_limit)
+                   leaf_counts_log_ratios, log_ratio_map)
 from .params import INFINITY, ModelParams
-from .polytope import _check_level, _dirichlet_weights_into, sample_face
+from .polytope import _check_level, _dirichlet_weights_into
 from .reporting import CertificationReport, check_integers, sampled_sweep, spawn_rng
 
 #: Additive cushion per contraction step, so each next level lies strictly
@@ -236,37 +235,6 @@ def contraction_sequence(params: ModelParams, epsilon: float, max_iters: int,
         c = c_next
         seq.append(c)
     return seq
-
-
-def diagonal_minimality_check(c: float, q: int, sample_count: int = 50_000,
-                              seed: int = 0) -> CertificationReport:
-    """Sample the face ``{x <= 0, sum x = -c}`` and compare image sums.
-
-    The coordinate sum of the two-step limit image must be minimal at the
-    diagonal point of the face (within 1e-10), and strictly larger for
-    points separated from the diagonal — that is what makes the diagonal the
-    worst case for level growth.  ``min_margin`` is the smallest gap over
-    the points farther than ``parameters["separation"]`` from the diagonal
-    (+inf when there are none); ``parameters["min_gap"]`` is the smallest
-    gap over all points.
-    """
-    _check_level(c)
-    check_integers(sample_count=sample_count, seed=seed)
-    diag = np.full(q - 1, -c / (q - 1.0))
-    base = float(two_step_sum_limit(diag, q))
-    x = sample_face(c, q, sample_count, spawn_rng(seed))
-    vals = np.asarray(two_step_sum_limit(x, q))
-    gaps = vals - base
-    separation = 1e-3 * c
-    far = np.abs(x - diag).max(axis=-1) > separation
-    min_far = float(gaps[far].min()) if far.any() else np.inf
-    return CertificationReport(
-        kind="diagonal_minimality",
-        parameters={"q": q, "c": float(c), "diagonal_value": base,
-                    "min_gap": float(gaps.min()), "separation": separation},
-        sample_count=sample_count, seed=seed, min_margin=min_far,
-        passed=bool(gaps.min() >= -1e-10 and min_far > 0),
-    )
 
 
 def _uniform_deviation_from_ratios(x: np.ndarray, q: int) -> np.ndarray:

@@ -139,12 +139,6 @@ def _polytope_weights_into(rng: np.random.Generator, w: np.ndarray, acc: np.ndar
     return np.divide(w, w.sum(axis=1, out=acc)[:, None], out=w)
 
 
-def sample_face(c: float, q: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples of the facet ``{x <= 0, sum x = -c}`` of ``D_c``."""
-    _check_level(c)
-    return -c * rng.dirichlet(np.ones(q - 1), size=count)
-
-
 def _pullback_levels_into(mid: np.ndarray, params: ModelParams, out: np.ndarray,
                           work: np.ndarray) -> np.ndarray:
     """Write the level of the preimage of the colour-major midpoints ``mid`` into ``out``.

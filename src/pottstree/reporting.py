@@ -217,8 +217,8 @@ def code_version() -> str:
 class CertificationReport:
     """Outcome of one certification check; every check in the package returns one.
 
-    ``kind`` names the check: ``two_step_level`` and ``diagonal_minimality``
-    and ``convergence`` (:mod:`pottstree.certify`), ``midpoint_convexity``
+    ``kind`` names the check: ``two_step_level`` and ``convergence``
+    (:mod:`pottstree.certify`), ``midpoint_convexity``
     (:mod:`pottstree.polytope`), ``gap_positivity`` and ``gradient_identity``
     (:mod:`pottstree.gradients`).  ``parameters`` holds the check's inputs
     and its measured values.  ``min_margin`` is the worst (smallest) slack

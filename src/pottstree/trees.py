@@ -273,9 +273,10 @@ def read_boundary_file(path) -> BoundaryFile:
     The lines stream into one slot per leaf, 0 until the leaf is seen, so the
     parse holds neither the file's lines nor a dict per leaf.  A file too
     short to list every leaf keeps only the leaves it names, so it fails
-    without a slot per leaf.  A byte that is not UTF-8 is refused on its line.
+    without a slot per leaf.  A leading byte-order mark is skipped; a byte
+    that is not UTF-8 is refused on its line.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = ((no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(fh, start=1)
                  if ln.isascii() or _check_utf8(ln, no))
         lines = ((no, ln) for no, ln in lines if ln)

@@ -13,14 +13,12 @@ from pottstree import (
     convexity_probe,
     diagonal_contraction,
     convexity_witness_search,
-    diagonal_minimality_check,
     gradient_identity_sweep,
     level,
     log_ratio_map,
     polytope_vertices,
     positivity_sweep,
     recursion_root_log_ratios,
-    sample_face,
     two_step_level,
     two_step_map,
 )
@@ -29,10 +27,10 @@ from pottstree.certify import STEP_CUSHION, _diagonal_level, _fundamental_probe_
 from pottstree.reporting import spawn_rng
 
 
-def test_two_step_level_limit_is_attained_on_the_diagonal():
+@pytest.mark.parametrize("q,c", [(3, 1.0), (4, 2.0), (5, 4.0), (6, 5.0)])
+def test_two_step_level_limit_is_attained_on_the_diagonal(q, c):
     # for the limit family, the maximum over the fundamental domain sits at
     # the diagonal face point, so the estimate equals the diagonal profile
-    q, c = 5, 4.0
     report = two_step_level([c], ModelParams(q, INFINITY), sample_count=5000, seed=0)[0]
     assert report.parameters["estimate"] == pytest.approx(diagonal_contraction(c, q), abs=1e-12)
     assert report.parameters["diagonal_bound"] == pytest.approx(diagonal_contraction(c, q), abs=0)
@@ -139,11 +137,9 @@ def no_sampling_anywhere(no_sampling, monkeypatch):
     lambda p: two_step_level([1.0, float("nan")], p, 2_000_000),
     lambda p: convexity_probe([float("nan")], p, 2_000_000, 0),
     lambda p: convexity_witness_search(p, [float("inf")]),
-    lambda p: diagonal_minimality_check(float("inf"), p.q),
     lambda p: polytope_vertices(float("nan"), 5),
-    lambda p: sample_face(float("inf"), 5, 10, spawn_rng(0)),
 ], ids=["two_step_level", "two_step_level_grid", "convexity_probe", "witness_search",
-        "diagonal_minimality_check", "polytope_vertices", "sample_face"])
+        "polytope_vertices"])
 def test_a_level_that_is_not_finite_is_refused_before_any_draw(call, no_sampling_anywhere):
     with pytest.raises(DomainError, match=r"^level must be finite and positive, got (inf|nan)$"):
         call(ModelParams(5, 1000, 1.0))
@@ -164,7 +160,6 @@ def test_an_empty_level_list_draws_nothing(no_sampling_anywhere):
     (lambda p: convexity_probe([2.0], p, 2.5, 0), "pair_count", 2.5),
     (lambda p: convexity_probe([2.0], p, 1000, 1.5), "seed", 1.5),
     (lambda p: gradient_identity_sweep(5, 2.5), "points", 2.5),
-    (lambda p: diagonal_minimality_check(1.0, 5, 2.5), "sample_count", 2.5),
     (lambda p: contraction_sequence(p, 0.5, 2.5), "max_iters", 2.5),
     (lambda p: convergence_experiment(3, 3, 0.5, 3.5), "n_max", 3.5),
     (lambda p: convergence_experiment(3, 3, 0.5, 4, "random", trials=2.5), "trials", 2.5),
@@ -173,7 +168,7 @@ def test_an_empty_level_list_draws_nothing(no_sampling_anywhere):
     (lambda p: recursion_root_log_ratios(3, 2, 1.5, 0.5, [1, 2, 3, 1]), "n", 1.5),
     (lambda p: spawn_rng(1.5), "seed", 1.5),
 ], ids=["positivity_l", "positivity_trials", "positivity_seed", "two_step_level_count",
-        "two_step_level_seed", "probe_count", "probe_seed", "gradient_points", "diagonal_count",
+        "two_step_level_seed", "probe_count", "probe_seed", "gradient_points",
         "contraction_iters", "convergence_n_max", "convergence_trials", "convergence_color",
         "recursion_d", "recursion_n", "spawn_rng"])
 def test_a_count_or_seed_that_is_not_an_integer_is_refused_before_any_draw(
@@ -355,16 +350,6 @@ def test_the_two_step_peak_on_the_fundamental_domain_is_minus_the_image_sum(q):
                 got = certify._two_step_peak(np.ascontiguousarray(x.T), params, np.empty(2000))
                 assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), \
                     (d, alpha, c)
-
-
-@pytest.mark.parametrize("q,c", [(3, 1.0), (4, 2.0), (6, 5.0)])
-def test_diagonal_minimality(q, c):
-    report = diagonal_minimality_check(c, q, sample_count=4000, seed=0)
-    assert report.passed
-    assert report.parameters["min_gap"] >= -1e-10
-    assert report.min_margin > 0
-    assert report.parameters["diagonal_value"] == pytest.approx(-diagonal_contraction(c, q),
-                                                                abs=1e-12)
 
 
 def test_convergence_experiment_contracts_at_half_alpha():

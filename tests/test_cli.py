@@ -591,6 +591,16 @@ def test_oracle_command_refuses_a_boundary_file_that_is_not_utf8(tmp_path, capsy
     assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
 
 
+def test_oracle_command_reads_a_boundary_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(b"3 2 1\n0 1\n1 2\n")
+    marked.write_bytes(b"\xef\xbb\xbf3 2 1\n0 1\n1 2\n")
+    assert main(["oracle", "--boundary-file", str(plain), "--w", "0.5"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["oracle", "--boundary-file", str(marked), "--w", "0.5"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_usage_errors_exit_with_code_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--q", "3", "--d", "7"])  # no --c / --c-grid

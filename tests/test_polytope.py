@@ -19,7 +19,6 @@ from pottstree import (
     log_ratio_map,
     log_ratio_map_preimage,
     polytope_vertices,
-    sample_face,
     spawn_rng,
 )
 from pottstree import polytope
@@ -94,16 +93,6 @@ def test_every_point_has_an_orbit_representative_in_the_fundamental_domain(q):
         assert (y <= 1e-12).all()
         assert y.sum() >= -c - 1e-9
         assert embedded_max >= 0.0
-
-
-def test_face_samples_sit_on_the_sum_facet():
-    q, c = 4, 2.0
-    x = sample_face(c, q, 4000, spawn_rng(3))
-    np.testing.assert_allclose(x.sum(axis=1), -c, rtol=0, atol=1e-12)
-    assert (x <= 0).all()
-    np.testing.assert_allclose(level(x), np.full(len(x), c), rtol=0, atol=1e-12)
-    # coordinates are exchangeable, so the mean is the diagonal face point
-    np.testing.assert_allclose(x.mean(axis=0), -c / (q - 1), atol=5 * c / np.sqrt(len(x)))
 
 
 def test_boundary_fraction_puts_samples_on_facets():

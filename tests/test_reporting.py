@@ -170,8 +170,6 @@ CHECKS = {
         [2.0], pt.ModelParams(4, 50, 0.8), sample_count=500, seed=1)[0]),
     "convexity_probe": ("midpoint_convexity", lambda: pt.convexity_probe(
         [2.0], pt.ModelParams(4, 50, 0.8), pair_count=500, seed=1)[0]),
-    "diagonal_minimality_check": ("diagonal_minimality", lambda: pt.diagonal_minimality_check(
-        2.0, 4, sample_count=500, seed=1)),
     "convergence_experiment": ("convergence", lambda: pt.convergence_experiment(
         4, 30, 0.6, n_max=6, boundary="random", trials=5, seed=1)),
     "positivity_sweep": ("gap_positivity", lambda: pt.positivity_sweep(

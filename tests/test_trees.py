@@ -328,6 +328,13 @@ def test_boundary_file_reads_utf8_comments_and_any_newline(tmp_path):
     assert read_boundary_file(path).leaf_colors == (1, 2)
 
 
+def test_boundary_file_skips_a_leading_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(b"3 2 1\n0 1\n1 2\n")
+    marked.write_bytes(b"\xef\xbb\xbf3 2 1\n0 1\n1 2\n")
+    assert read_boundary_file(marked) == read_boundary_file(plain)
+
+
 def test_boundary_file_reports_missing_leaves(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 2 1\n0 1\n")
